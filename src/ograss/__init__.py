@@ -49,9 +49,7 @@ from .grassmann import (
 from .polar import (
     CELL_ARITY,
     CELL_ORDER,
-    CELLS,
     CostGuardExceeded,
-    PivotCell,
     Point,
     brute_force_points,
     build_cell,

@@ -5,14 +5,16 @@ and one column per point (frozen cell order), entry = that minor on that
 point's representative.  Codewords are the row-space vectors; the
 dimension is always computed by elimination, never assumed.
 
-Exhaustive weight scans enumerate all q^k codewords as combinations of a
-reduced row-space basis.  The low t basis rows are expanded once into a
-block of q^t codewords; the remaining rows step through a base-q modular
-Gray code, so each block advance is a single vectorized row addition and
-the amortized cost per codeword is O(n) field additions.  The message
-space splits into contiguous outer ranges for multi-threaded scans; each
-worker keeps a local minimum and histogram and the merge is deterministic
-(ties broken by the lexicographically smallest message vector).
+Exhaustive weight scans enumerate all q^k codewords as F_p-combinations
+of the F_p-expansion of a reduced row-space basis (q = p^e; each basis
+row r gives the e generators x^j * r).  The low t generators are expanded
+once into a block of p^t codewords; the remaining ones step through a
+base-p modular Gray code, so each block advance is a single vectorized
+row addition and the amortized cost per codeword is O(n) field
+additions.  The message space splits into contiguous outer ranges for
+multi-threaded scans; each worker keeps a local minimum and histogram and
+the merge is deterministic (ties broken by the lexicographically smallest
+message vector).
 
 The dimension is 14 in even characteristic (reflected-complement minors
 coincide on the point set) but the full 20 for odd q, where q^k dwarfs
@@ -41,7 +43,7 @@ from math import comb
 import numpy as np
 
 from .forms import FormSpace
-from .gf import GF
+from .gf import GF, row_reduce
 from .grassmann import (
     COLUMN_SETS,
     COLSET_INDEX,
@@ -99,8 +101,7 @@ def _np_add(f: GF, x, y):
         return np.bitwise_xor(x, y)
     if f.e == 1:
         return (x + y) % f.p
-    add, _, _ = f.np_tables()
-    return add[x, y]
+    return f.np_tables()[0][x, y]
 
 
 def _np_scale(f: GF, c: int, x):
@@ -108,8 +109,7 @@ def _np_scale(f: GF, c: int, x):
         return np.zeros_like(x)
     if c == 1:
         return x
-    _, mul, _ = f.np_tables()
-    return mul[c, x]
+    return f.np_tables()[1][c, x]
 
 
 def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
@@ -130,30 +130,12 @@ def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _reduced_basis(G: GeneratorMatrix) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Row-reduce G; returns (basis rows, their expressions in the 20 original rows)."""
-    f = G.field
-    n = G.n
-    nrows = G.matrix.shape[0]
-    rows = [list(map(int, G.matrix[i])) + [1 if j == i else 0 for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        cinv = f.inv(rows[r][col])
-        if cinv != 1:
-            rows[r] = [f.mul(cinv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    basis = np.array([rows[i][:n] for i in range(r)], dtype=G.matrix.dtype)
-    exprs = tuple(tuple(rows[i][n:]) for i in range(r))
-    return basis, exprs
+    """Row-reduce [G | I]; returns (basis rows, their expressions in the 20 original rows)."""
+    n, nrows = G.n, G.matrix.shape[0]
+    aug = np.hstack([G.matrix, np.eye(nrows, dtype=G.matrix.dtype)])
+    reduced, pivots = row_reduce(G.field, aug, range(n))
+    k = len(pivots)
+    return reduced[:k, :n], tuple(map(tuple, reduced[:k, n:].tolist()))
 
 
 def rank_dimension(G: GeneratorMatrix) -> int:
@@ -232,20 +214,20 @@ def _digits_msd(i: int, q: int, ndigits: int) -> tuple[int, ...]:
 
 
 def _expand_block(f: GF, rows: np.ndarray, n: int) -> np.ndarray:
-    """All q^t combinations of the given basis rows, first row most significant."""
+    """All p^t F_p-combinations of the given generators, first row most significant."""
     block = np.zeros((1, n), dtype=rows.dtype if len(rows) else np.uint8)
     for row in rows:
-        scaled = np.stack([_np_scale(f, c, row) for c in range(f.q)])
+        scaled = np.stack([_np_scale(f, c, row) for c in range(f.p)])
         block = _np_add(f, block[:, None, :], scaled[None, :, :]).reshape(-1, n)
     return block
 
 
 def _scan_chunk(f, high_np, low_block, t, start, stop):
-    """Scan outer Gray indices [start, stop); returns (hist, best_w, best_msg)."""
-    q = f.q
+    """Scan outer Gray indices [start, stop); returns (hist, best_w, best_msg in F_p digits)."""
+    p = f.p
     n = low_block.shape[1]
     u = len(high_np)
-    digits = _gray_digits(start, q, u)
+    digits = _gray_digits(start, p, u)
     offset = np.zeros(n, dtype=low_block.dtype)
     for pos, coef in enumerate(digits):
         if coef:
@@ -269,30 +251,39 @@ def _scan_chunk(f, high_np, low_block, t, start, stop):
             if wmin <= best_w:
                 high_part = tuple(digits[u - 1 - i] for i in range(u))
                 for j in np.flatnonzero(w == wmin):
-                    msg = high_part + _digits_msd(int(j) + base, q, t)
+                    msg = high_part + _digits_msd(int(j) + base, p, t)
                     if wmin < best_w or best_msg is None or msg < best_msg:
                         best_w, best_msg = wmin, msg
         if o + 1 < stop:
-            pos = _trailing_max_digits(o, q)
-            digits[pos] = (digits[pos] + 1) % q
+            pos = _trailing_max_digits(o, p)
+            digits[pos] = (digits[pos] + 1) % p
             offset = _np_add(f, offset, high_np[u - 1 - pos])
     return hist, best_w, best_msg
 
 
 def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, tuple[int, ...], np.ndarray]:
-    """Minimum nonzero weight, its lex-least message vector, and the full histogram."""
+    """Minimum nonzero weight, its lex-least message vector, and the full histogram.
+
+    The scan runs over the F_p-expansion of the basis, row i giving the
+    generators x^(e-1)*r_i, ..., x*r_i, r_i (x^j has the encoding p^j), so
+    each Gray step adds one generator once and every F_q multiple of every
+    row is reached.  The e digits of row i, most significant first, are the
+    base-p digits of its F_q coefficient: lex order on F_p messages is lex
+    order on F_q messages.  In prime fields the expansion is the basis.
+    """
     k, n = basis.shape
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
-    q = f.q
+    p, e = f.p, f.e
+    gens = np.stack([_np_scale(f, p**j, row) for row in basis for j in range(e - 1, -1, -1)])
     t = 0
-    while t < k and q ** (t + 1) <= _BLOCK_TARGET:
+    while t < k * e and p ** (t + 1) <= _BLOCK_TARGET:
         t += 1
     t = max(t, 1)
-    u = k - t
-    low_block = _expand_block(f, basis[u:], n)
-    high_np = basis[:u]
-    outer_total = q**u
+    u = k * e - t
+    low_block = _expand_block(f, gens[u:], n)
+    high_np = gens[:u]
+    outer_total = p**u
     ranges = _split_ranges(outer_total, threads)
     if len(ranges) == 1:
         results = [_scan_chunk(f, high_np, low_block, t, 0, outer_total)]
@@ -305,20 +296,9 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
         hist += h
         if msg is not None and (w < best_w or (w == best_w and msg < best_msg)):
             best_w, best_msg = w, msg
+    if best_msg is not None:
+        best_msg = tuple(f.element_from_coeffs(best_msg[i:i + e][::-1]) for i in range(0, k * e, e))
     return best_w, best_msg, hist
-
-
-_SCAN_CACHE: dict[GF, tuple[int, tuple[int, ...], np.ndarray, tuple[tuple[int, ...], ...]]] = {}
-
-
-def _full_scan(f: GF, threads: int = 1):
-    """Cached exhaustive scan of the full code; result is thread-count independent."""
-    if f not in _SCAN_CACHE:
-        G = build_generator(f)
-        basis, exprs = _reduced_basis(G)
-        best_w, best_msg, hist = _exhaustive_scan(f, basis, threads=threads)
-        _SCAN_CACHE[f] = (best_w, best_msg, hist, exprs)
-    return _SCAN_CACHE[f]
 
 
 def _message_to_function(f: GF, msg: tuple[int, ...], exprs) -> MinorFunction:
@@ -346,36 +326,16 @@ def _information_sets(f: GF, basis: np.ndarray):
     weight at least sum_i max(0, w + 1 - (k - rank_i)).
     """
     k, n = basis.shape
-    used: set[int] = set()
+    aug = np.hstack([basis, np.eye(k, dtype=basis.dtype)])
+    unused = np.ones(n, dtype=bool)
     sets = []
-    while len(used) < n:
-        rows = [list(map(int, basis[i])) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-        r = 0
-        pivots: list[int] = []
-        for col in range(n):
-            if col in used:
-                continue
-            piv = next((i for i in range(r, k) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            cinv = f.inv(rows[r][col])
-            if cinv != 1:
-                rows[r] = [f.mul(cinv, v) for v in rows[r]]
-            for i in range(k):
-                if i != r and rows[i][col]:
-                    c = rows[i][col]
-                    rows[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-            if r == k:
-                break
-        if r == 0:
+    while unused.any():
+        reduced, pivots = row_reduce(f, aug, np.flatnonzero(unused))
+        if not pivots:
             break
-        used.update(pivots)
-        sys_rows = np.array([rows[i][:n] for i in range(k)], dtype=basis.dtype)
-        exprs = tuple(tuple(rows[i][n:]) for i in range(k))
-        sets.append((tuple(pivots), sys_rows, exprs, r))
+        unused[list(pivots)] = False
+        exprs = tuple(map(tuple, reduced[:, n:].tolist()))
+        sets.append((pivots, reduced[:, :n], exprs, len(pivots)))
     return sets
 
 
@@ -384,7 +344,10 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
 
     Returns (distance, message in basis coordinates or None if the
     initial upper bound was never beaten, evaluations performed).
-    Raises BudgetExceeded before any round that would blow the budget.
+    Raises BudgetExceeded before round 1 when the projected cost exceeds
+    the budget.  The projection counts every round up to the weight where
+    the bound meets the starting upper bound: the exact cost when that
+    upper bound is the distance, more than the cost otherwise.
     """
     k, n = basis.shape
     q = f.q
@@ -405,6 +368,10 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
         cost = size * sum(comb(k, ww) * (q - 1) ** ww for ww in range(1, ws + 1))
         if best_cost is None or cost < best_cost:
             best_cost, best_size = cost, size
+    if best_cost > budget:
+        raise BudgetExceeded(
+            f"the search over {best_size} information sets needs {best_cost} codeword "
+            f"evaluations (budget {budget}); use method='witness' for the known upper bound")
     sets = sets[:best_size]
     deficits = [k - r for _, _, _, r in sets]
 
@@ -421,11 +388,6 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     w = 0
     while lower_bound(w) < best:
         w += 1
-        round_cost = len(sets) * comb(k, w) * (q - 1) ** w
-        if evals + round_cost > budget:
-            raise BudgetExceeded(
-                f"message-weight round {w} needs {round_cost} more codeword evaluations "
-                f"(budget {budget}); use method='witness' for the known upper bound")
         for rows_scaled, (_, _, exprs, _) in zip(scaled, sets):
             for support in combinations(range(k), w):
                 block = rows_scaled[support[0]]
@@ -489,7 +451,7 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     k = len(exprs)
     total = f.q**k
     if total <= budget:
-        best_w, best_msg, _, _ = _full_scan(f, threads=threads)
+        best_w, best_msg, _ = _exhaustive_scan(f, basis, threads=threads)
         wit = _message_to_function(f, best_msg, exprs)
         return DistanceResult(q=f.q, n=G.n, dimension=k, distance=best_w, witness=wit,
                               exact=True, method="exhaustive", evaluations=total)
@@ -502,14 +464,14 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
 
 def weight_distribution(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> dict[int, int]:
     """weight -> number of codewords, over all q^k codewords (zero included)."""
-    G = build_generator(f)
-    k = rank_dimension(G)
+    basis, _ = _reduced_basis(build_generator(f))
+    k = len(basis)
     total = f.q**k
     if total > budget:
         raise BudgetExceeded(
             f"full weight distribution needs {f.q}^{k} = {total} codeword evaluations, over the "
             f"budget of {budget}; raise the budget to force it")
-    _, _, hist, _ = _full_scan(f, threads=threads)
+    _, _, hist = _exhaustive_scan(f, basis, threads=threads)
     return {int(w): int(c) for w, c in enumerate(hist) if c}
 
 

@@ -16,6 +16,9 @@ after construction and can be shared freely between threads.
 Default defining polynomials (Conway polynomials, coefficients low to
 high) ship for every prime power q <= 49 with e >= 2; pass ``poly=`` to
 override.
+
+``row_reduce`` is the package's one Gauss-Jordan elimination over GF(q),
+vectorized over the numpy view of the same tables.
 """
 
 from __future__ import annotations
@@ -146,9 +149,9 @@ class GF:
     """Arithmetic context for GF(q).  Elements are plain ints in [0, q).
 
     Scalar operations look up precomputed tables; ``np_tables`` exposes the
-    same tables as numpy arrays for vectorized work.  Instances compare and
-    hash by (q, defining polynomial), so two independently constructed
-    GF(4) objects are interchangeable cache keys.
+    same tables as numpy arrays for vectorized work such as ``row_reduce``.
+    Instances compare and hash by (q, defining polynomial), so two
+    independently constructed GF(4) objects are interchangeable cache keys.
     """
 
     def __init__(self, q: int, poly: Sequence[int] | None = None):
@@ -174,7 +177,7 @@ class GF:
                 raise ValueError(f"{list(poly)} is reducible over GF({p})")
             self.poly = poly
         self._build_tables()
-        self._np_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._np_cache: tuple[np.ndarray, ...] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -315,16 +318,14 @@ class GF:
 
     # -- vectorized view ------------------------------------------------------
 
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(add, mul, neg) lookup tables as read-only numpy arrays."""
+    def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(add, mul, neg, inv) lookup tables as read-only numpy arrays; inv[0] is 0."""
         if self._np_cache is None:
             dtype = np.uint8 if self.q <= 256 else np.uint16
-            add = np.array(self._add, dtype=dtype)
-            mul = np.array(self._mul, dtype=dtype)
-            neg = np.array(self._negt, dtype=dtype)
-            for t in (add, mul, neg):
+            tables = tuple(np.array(t, dtype=dtype) for t in (self._add, self._mul, self._negt, self._invt))
+            for t in tables:
                 t.setflags(write=False)
-            self._np_cache = (add, mul, neg)
+            self._np_cache = tables
         return self._np_cache
 
     # -- identity -------------------------------------------------------------
@@ -339,6 +340,39 @@ class GF:
         if self.poly is None:
             return f"GF({self.q})"
         return f"GF({self.q}, poly={list(self.poly)})"
+
+
+def row_reduce(f: GF, rows, cols: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination over GF(q), pivoting on ``cols`` in the order given.
+
+    The pivot of each step is the first column left in ``cols`` with a
+    nonzero entry at or below the current rank; its first such row is
+    swapped up, scaled to a leading 1 and cleared from every other row.
+    Elimination stops once the rank equals the row count.  Returns the
+    reduced copy of ``rows`` (a 2-D array of canonical elements) and the
+    pivot columns in the order found; their count is the rank.
+    """
+    add, mul, neg, inv = f.np_tables()
+    a = np.array(rows, dtype=add.dtype, ndmin=2)
+    order = np.asarray(cols, dtype=np.intp)
+    pivots: list[int] = []
+    pos = 0
+    for r in range(a.shape[0]):
+        live = np.flatnonzero(a[r:, order[pos:]].any(axis=0))
+        if not live.size:
+            break
+        pos += int(live[0])
+        c = int(order[pos])
+        pos += 1
+        p = r + int(np.flatnonzero(a[r:, c])[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = mul[inv[a[r, c]], a[r]]
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others] = add[a[others], mul[neg[a[others, c]][:, None], a[r]]]
+        pivots.append(c)
+    return a, tuple(pivots)
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .gf import GF, FieldMismatchError
+from .gf import GF, FieldMismatchError, row_reduce
 
 ELL = 3
 AMBIENT = 6
@@ -115,26 +115,9 @@ def mat_mul(f: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tu
 
 def rank_of(f: GF, rows: Sequence[Sequence[int]]) -> int:
     """Rank over GF(q) by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        cinv = f.inv(work[rank][col])
-        if cinv != 1:
-            work[rank] = [f.mul(cinv, v) for v in work[rank]]
-        for r in range(rank + 1, nrows):
-            c = work[r][col]
-            if c:
-                work[r] = [f.sub(v, f.mul(c, w)) for v, w in zip(work[r], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    if len(rows) == 0:
+        return 0
+    return len(row_reduce(f, rows, range(len(rows[0])))[1])
 
 
 def det(f: GF, rows: Sequence[Sequence[int]]) -> int:
@@ -168,30 +151,10 @@ def rref_right_to_left(M: MatrixRep) -> tuple[MatrixRep, tuple[int, ...]]:
     reduced matrix and the ascending pivot column set; raises
     RankDeficientError when the rank is below the row count.
     """
-    f = M.field
-    rows = [list(r) for r in M.rows]
-    ell, m = M.ell, M.m
-    piv_row = 0
-    pivots: list[int] = []
-    for col in range(m - 1, -1, -1):
-        if piv_row == ell:
-            break
-        sel = next((r for r in range(piv_row, ell) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
-        cinv = f.inv(rows[piv_row][col])
-        if cinv != 1:
-            rows[piv_row] = [f.mul(cinv, v) for v in rows[piv_row]]
-        for r in range(ell):
-            if r != piv_row and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[r], rows[piv_row])]
-        pivots.append(col + 1)
-        piv_row += 1
-    if piv_row < ell:
-        raise RankDeficientError(f"rank {piv_row} < {ell}; no canonical representative")
-    return MatrixRep(f, tuple(tuple(r) for r in rows)), tuple(sorted(pivots))
+    reduced, pivots = row_reduce(M.field, M.rows, range(M.m - 1, -1, -1))
+    if len(pivots) < M.ell:
+        raise RankDeficientError(f"rank {len(pivots)} < {M.ell}; no canonical representative")
+    return MatrixRep(M.field, tuple(map(tuple, reduced.tolist()))), tuple(sorted(c + 1 for c in pivots))
 
 
 def minor(M: MatrixRep, A: Sequence[int]) -> int:

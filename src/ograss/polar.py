@@ -92,25 +92,6 @@ def build_cell(f: GF, pivots: tuple[int, int, int], params: tuple[int, ...]) -> 
 
 
 @dataclass(frozen=True)
-class PivotCell:
-    """One parametrized family of canonical representatives."""
-
-    pivots: tuple[int, int, int]
-    arity: int
-
-    def build(self, f: GF, params: tuple[int, ...]) -> MatrixRep:
-        return build_cell(f, self.pivots, params)
-
-    def points(self, f: GF) -> Iterator["Point"]:
-        for params in product(range(f.q), repeat=self.arity):
-            yield Point(self.pivots, params, self.build(f, params))
-
-
-#: Cell registry in enumeration order.
-CELLS: tuple[PivotCell, ...] = tuple(PivotCell(piv, CELL_ARITY[piv]) for piv in CELL_ORDER)
-
-
-@dataclass(frozen=True)
 class Point:
     """One totally singular 3-space: cell id, parameter tuple, representative."""
 
@@ -126,7 +107,8 @@ def point_count(q: int) -> int:
 @functools.lru_cache(maxsize=None)
 def enumerate_points(f: GF) -> tuple[Point, ...]:
     """All points in the frozen order; length 2*(q^3 + q^2 + q + 1)."""
-    return tuple(pt for cell in CELLS for pt in cell.points(f))
+    return tuple(Point(pivots, params, build_cell(f, pivots, params))
+                 for pivots in CELL_ORDER for params in product(range(f.q), repeat=CELL_ARITY[pivots]))
 
 
 def cell_slices(q: int) -> tuple[tuple[tuple[int, int, int], int, int], ...]:

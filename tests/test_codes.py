@@ -1,4 +1,7 @@
 import random
+import time
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from ograss.codes import (
     weight,
     weight_distribution,
 )
-from ograss.gf import field
+from ograss.gf import field, row_reduce
 from ograss.grassmann import COLUMN_SETS, MinorFunction, rank_of, reflected_complement
 from ograss.polar import CELL_ORDER, cell_slices, enumerate_points
 
@@ -107,7 +110,7 @@ def test_weight_total_is_cell_sum():
 def test_codeword_linearity():
     f = field(5)
     G = build_generator(f)
-    add, mul, _ = f.np_tables()
+    add, mul, _, _ = f.np_tables()
     rng = random.Random(2)
     for _ in range(5):
         fa = MinorFunction(f, tuple(rng.randrange(5) for _ in range(20)))
@@ -158,6 +161,46 @@ def test_budget_errors_suggest_witness_mode():
         minimum_distance(field(3), budget=1000)
     with pytest.raises(BudgetExceeded, match="witness"):
         minimum_distance(field(5))
+
+
+def test_budget_error_raised_before_the_search():
+    # the projected cost at q=3 is 9 192 624 evaluations, the real count of a full search
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="needs 9192624 codeword evaluations"):
+        minimum_distance(field(3), budget=9_192_623)
+    assert time.perf_counter() - start < 1
+
+
+def _direct_scan(f, rows):
+    """(min nonzero weight, lex-least such message, histogram) over every F_q-combination of rows."""
+    add, mul, _, _ = f.np_tables()
+    k, n = rows.shape
+    tails = np.zeros((1, n), dtype=rows.dtype)
+    for row in rows[1:]:
+        tails = add[tails[:, None, :], mul[:, row][None, :, :]].reshape(-1, n)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    best = (n + 1, None)
+    for c0 in range(f.q):
+        weights = np.count_nonzero(add[tails, mul[c0, rows[0]]], axis=1)
+        hist += np.bincount(weights, minlength=n + 1)
+        if c0 == 0:
+            weights[0] = n + 1  # the zero message
+        j = int(weights.argmin())
+        if weights[j] < best[0]:
+            best = (int(weights[j]), (c0,) + tuple(j // f.q**i % f.q for i in range(k - 2, -1, -1)))
+    return best[0], best[1], hist
+
+
+@pytest.mark.parametrize("q, rows", [(3, 9), (4, 7), (9, 5)])
+def test_exhaustive_scan_matches_direct_enumeration(q, rows):
+    # in extension fields the scan must reach every F_q multiple of each row,
+    # not only the prime-subfield ones
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    d, msg, hist = _exhaustive_scan(f, basis[:rows])
+    d0, msg0, hist0 = _direct_scan(f, basis[:rows])
+    assert (d, msg) == (d0, msg0)
+    assert np.array_equal(hist, hist0)
 
 
 def test_weight_distribution_q2():
@@ -237,3 +280,25 @@ def test_verify_q5_upper_bound_only():
     rep = verify(field(5), budget=10**6)
     assert rep.distance == 100 and not rep.distance_exact
     assert rep.passed
+
+
+def test_macwilliams_identity_q2():
+    f = field(2)
+    basis, _ = _reduced_basis(build_generator(f))
+    k, n = basis.shape
+    rref, pivots = row_reduce(f, basis, range(n))
+    free = [c for c in range(n) if c not in pivots]
+    dual = np.zeros((n - k, n), dtype=basis.dtype)
+    for i, c in enumerate(free):
+        dual[i, c] = 1
+        dual[i, list(pivots)] = rref[:, c]  # -x = x over GF(2)
+    assert not np.any((basis.astype(np.int64) @ dual.T.astype(np.int64)) % 2)
+    assert len(row_reduce(f, dual, range(n))[1]) == n - k == 16
+    _, _, a = _exhaustive_scan(f, basis)
+    _, _, b = _exhaustive_scan(f, dual)
+
+    def krawtchouk(j, i):
+        return sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+
+    for j in range(n + 1):
+        assert 2**k * int(b[j]) == sum(int(a[i]) * krawtchouk(j, i) for i in range(n + 1))

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, is_irreducible, is_prime
+from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, is_irreducible, is_prime, row_reduce
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -189,3 +189,41 @@ def test_sub_is_add_of_negation(q, data):
     b = data.draw(st.integers(0, q - 1))
     assert f.sub(a, b) == f.add(a, f.neg(b))
     assert f.add(f.sub(a, b), b) == a
+
+
+def _reference_row_reduce(f, rows, cols):
+    """Scalar Gauss-Jordan loop with the same pivot rule, the reference for the kernel."""
+    rows = [list(r) for r in rows]
+    r = 0
+    pivots = []
+    for col in cols:
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        cinv = f.inv(rows[r][col])
+        rows[r] = [f.mul(cinv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, tuple(pivots)
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_row_reduce_matches_scalar_loop(q):
+    f = field(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 9)
+        # a sparse matrix, so that zero columns and rank deficiency occur
+        rows = [[rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        cols = rng.sample(range(ncols), rng.randrange(ncols + 1))
+        reduced, pivots = row_reduce(f, rows, cols)
+        ref_rows, ref_pivots = _reference_row_reduce(f, rows, cols)
+        assert pivots == ref_pivots
+        assert reduced.tolist() == ref_rows

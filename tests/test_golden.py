@@ -1,0 +1,66 @@
+"""Golden outputs: refactors of the engine must leave every frozen output byte for byte.
+
+The hashes and the files under tests/golden/ were recorded from the command
+line before the elimination code was unified.  ``witness_coeffs`` in the
+distance outputs depends on the pivot rule of the row reduction: where
+k = 14 < 20, each basis row has more than one expression in the 20
+original rows.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from ograss.cli import main as cli_main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+POINTS_SHA256 = {
+    2: "fd8ff9f8668ad285c179e9eae15339df7838ebc7b5d8b0cb16e855ec547cec78",
+    3: "2e9f8c39f287e4652c2a81f98a8838fadc8cad7f4e719d4534141f4898e54486",
+    4: "e21ee5ccd4893568d03407dae5b687faa530c8baab04816d41ff08aa830e292b",
+    5: "c1c00723c1af6cbdb5ad355e6541ae7cea979ed642ecaf02ab2713c339aa6714",
+    7: "6a7d6d9900282908e9861eb94c84f84c06f4f436b61f6e18f61a48654481ec5a",
+    8: "42b2362b9277e1c37839f141d71169d856bdc002d08f0ae0c062f0416b6eb6d1",
+    9: "f8c177f7d798256e2fbea5c7d7868f334406ba982fd44a829d2e1752db0fb02f",
+}
+
+GENMAT_SHA256 = {
+    2: "7a891e6ed0a10c46049adfd62c88b2357b22ef87024e6234d702b8247730a329",
+    3: "928a52578b2f56fe3c36681805cacceac977d8c19eb6967452162ca7f58f615a",
+    4: "debd9f06ccbddc7acd99bd2cc22efd53f66fca69f0fb34e6f93f78d7e2526a3b",
+    5: "531ce28d90dce5bfe42eec208962b2e88e187765b9a670a7a3ce97182d41df9e",
+    7: "619d8827ff95abb9d96a9cef55f48d8f7a344643c0f6adc3da4daf3c5330ed6c",
+    8: "6d8ec4d3354377c6959450786299110a63d90faa45033136ceef5d0e9ecbb636",
+    9: "9012f691f96ca1f3381e483ddd0eb758bf033ced2c46f281f379aba3a1b2aa0f",
+}
+
+
+def _stdout(capsys, argv):
+    assert cli_main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", sorted(POINTS_SHA256))
+def test_points_json_hash(capsys, q):
+    out = _stdout(capsys, ["points", "--q", str(q), "--format", "json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == POINTS_SHA256[q]
+
+
+@pytest.mark.parametrize("q", sorted(GENMAT_SHA256))
+def test_genmat_txt_hash(capsys, q):
+    out = _stdout(capsys, ["genmat", "--q", str(q), "--format", "txt"])
+    assert hashlib.sha256(out.encode()).hexdigest() == GENMAT_SHA256[q]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_distance_stdout(capsys, q):
+    out = _stdout(capsys, ["distance", "--q", str(q)])
+    assert out == (GOLDEN / f"distance-q{q}.json").read_text()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_verify_stdout(capsys, q):
+    out = _stdout(capsys, ["verify", "--q", str(q), "--budget", "1000"])
+    assert out == (GOLDEN / f"verify-q{q}-budget1000.txt").read_text()

@@ -5,7 +5,6 @@ from ograss.gf import field
 from ograss.polar import (
     CELL_ARITY,
     CELL_ORDER,
-    CELLS,
     CostGuardExceeded,
     brute_force_points,
     build_cell,
@@ -70,15 +69,6 @@ def test_cell_size_histogram(q):
     sizes = tuple(sum(1 for p in pts if p.pivots == piv) for piv in CELL_ORDER)
     assert sizes == (q**3, q**3, q**2, q**2, q, q, 1, 1)
     assert [CELL_ARITY[piv] for piv in CELL_ORDER] == [3, 3, 2, 2, 1, 1, 0, 0]
-
-
-def test_cell_registry():
-    assert tuple(c.pivots for c in CELLS) == CELL_ORDER
-    f = field(2)
-    cell = CELLS[0]
-    assert cell.arity == 3
-    assert len(list(cell.points(f))) == 8
-    assert cell.build(f, (1, 0, 1)).rows == build_cell(f, (4, 5, 6), (1, 0, 1)).rows
 
 
 def test_frozen_point_order():

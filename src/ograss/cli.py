@@ -27,6 +27,11 @@ _ORDERING_NOTE = (
     "order 123, 124, 125, ..., 456."
 )
 
+_THREADS_HELP = (
+    "worker threads for the full enumeration of all q^k codewords; the "
+    "information-set search used when q^k exceeds the budget runs in one thread"
+)
+
 
 def _field_from_args(args: argparse.Namespace) -> GF:
     q = args.q
@@ -86,11 +91,12 @@ def _cmd_genmat(args: argparse.Namespace) -> int:
             "q": f.q,
             "n": G.n,
             "colsets": [_cell_id(A) for A in COLUMN_SETS],
-            "rows": [[int(v) for v in row] for row in G.matrix],
+            "rows": G.matrix.tolist(),
         }
         text = _dump(payload)
     else:
-        text = "\n".join(" ".join(str(int(v)) for v in row) for row in G.matrix) + "\n"
+        strs = [str(i) for i in range(f.q)]
+        text = "\n".join(" ".join(map(strs.__getitem__, row.tolist())) for row in G.matrix) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
     sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
                     help="maximum number of codeword evaluations for exhaustive search")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
 
     sp = sub.add_parser("weights", help="weight report of a serialized coefficient vector")
@@ -195,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run all structural checks, nonzero exit on failure")
     common(sp)
     sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -17,6 +17,9 @@ diagonal:
     [1  0  0  0 0 0]     [1  0  0 0  0 0]     [1 0 0 0 0 0]     [1 0 0 0 0 0]
 
 (negation is field negation, so -a = a in even characteristic).
+``cell_rows`` states these templates once: ``build_cell`` fills them with
+scalars for one representative, the generator build with the whole
+parameter array of a cell (``cell_params``).
 
 The frozen point order -- cells as listed above, parameter tuples in
 ascending lexicographic order of their integer encodings -- fixes the
@@ -35,6 +38,8 @@ import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
+
+import numpy as np
 
 from .forms import FormSpace
 from .gf import GF
@@ -58,6 +63,46 @@ class CostGuardExceeded(RuntimeError):
     """Brute-force enumeration was requested beyond its cost guard."""
 
 
+def cell_rows(pivots: tuple[int, int, int], params, neg, zero, one) -> tuple[tuple, tuple, tuple]:
+    """The three rows of the cell template on ``pivots``, one entry per column.
+
+    The single statement of the cell layout.  ``params`` unpacks into the
+    cell's parameters and ``neg``, ``zero`` and ``one`` give field
+    negation and the two constants, so the same templates serve scalar
+    entries (one representative) and numpy arrays (a whole cell at once).
+    """
+    if pivots == (4, 5, 6):
+        a2, a3, a5 = params
+        return ((zero, a2, a3, zero, zero, one), (neg(a2), zero, a5, zero, one, zero),
+                (neg(a3), neg(a5), zero, one, zero, zero))
+    if pivots == (3, 5, 6):
+        b2, b3, b5 = params
+        return ((zero, b2, zero, b3, zero, one), (neg(b2), zero, zero, b5, one, zero),
+                (neg(b3), neg(b5), one, zero, zero, zero))
+    if pivots == (2, 4, 6):
+        c2, c3 = params
+        return ((zero, zero, c2, zero, c3, one), (neg(c2), zero, zero, one, zero, zero),
+                (neg(c3), one, zero, zero, zero, zero))
+    if pivots == (2, 3, 6):
+        d2, d3 = params
+        return ((zero, zero, zero, d2, d3, one), (neg(d2), zero, one, zero, zero, zero),
+                (neg(d3), one, zero, zero, zero, zero))
+    if pivots == (1, 4, 5):
+        (e2,) = params
+        return ((zero, zero, e2, zero, one, zero), (zero, neg(e2), zero, one, zero, zero),
+                (one, zero, zero, zero, zero, zero))
+    if pivots == (1, 3, 5):
+        (x2,) = params
+        return ((zero, zero, zero, x2, one, zero), (zero, neg(x2), one, zero, zero, zero),
+                (one, zero, zero, zero, zero, zero))
+    if pivots == (1, 2, 4):
+        return ((zero, zero, zero, one, zero, zero), (zero, one, zero, zero, zero, zero),
+                (one, zero, zero, zero, zero, zero))
+    # (1, 2, 3)
+    return ((zero, zero, one, zero, zero, zero), (zero, one, zero, zero, zero, zero),
+            (one, zero, zero, zero, zero, zero))
+
+
 def build_cell(f: GF, pivots: tuple[int, int, int], params: tuple[int, ...]) -> MatrixRep:
     """The canonical representative of the given cell at the given parameters."""
     pivots = tuple(pivots)
@@ -65,30 +110,13 @@ def build_cell(f: GF, pivots: tuple[int, int, int], params: tuple[int, ...]) -> 
         raise ValueError(f"{pivots} is not one of the eight pivot sets")
     if len(params) != CELL_ARITY[pivots]:
         raise ValueError(f"cell {pivots} takes {CELL_ARITY[pivots]} parameters, got {len(params)}")
-    n = f.neg
-    if pivots == (4, 5, 6):
-        a2, a3, a5 = params
-        rows = ((0, a2, a3, 0, 0, 1), (n(a2), 0, a5, 0, 1, 0), (n(a3), n(a5), 0, 1, 0, 0))
-    elif pivots == (3, 5, 6):
-        b2, b3, b5 = params
-        rows = ((0, b2, 0, b3, 0, 1), (n(b2), 0, 0, b5, 1, 0), (n(b3), n(b5), 1, 0, 0, 0))
-    elif pivots == (2, 4, 6):
-        c2, c3 = params
-        rows = ((0, 0, c2, 0, c3, 1), (n(c2), 0, 0, 1, 0, 0), (n(c3), 1, 0, 0, 0, 0))
-    elif pivots == (2, 3, 6):
-        d2, d3 = params
-        rows = ((0, 0, 0, d2, d3, 1), (n(d2), 0, 1, 0, 0, 0), (n(d3), 1, 0, 0, 0, 0))
-    elif pivots == (1, 4, 5):
-        (e2,) = params
-        rows = ((0, 0, e2, 0, 1, 0), (0, n(e2), 0, 1, 0, 0), (1, 0, 0, 0, 0, 0))
-    elif pivots == (1, 3, 5):
-        (x2,) = params
-        rows = ((0, 0, 0, x2, 1, 0), (0, n(x2), 1, 0, 0, 0), (1, 0, 0, 0, 0, 0))
-    elif pivots == (1, 2, 4):
-        rows = ((0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
-    else:  # (1, 2, 3)
-        rows = ((0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
-    return MatrixRep(f, rows)
+    return MatrixRep(f, cell_rows(pivots, params, f.neg, 0, 1))
+
+
+def cell_params(q: int, pivots: tuple[int, int, int]) -> np.ndarray:
+    """The cell's parameter tuples as a (q^arity, arity) array, in the frozen order."""
+    arity = CELL_ARITY[pivots]
+    return np.indices((q,) * arity).reshape(arity, q**arity).T
 
 
 @dataclass(frozen=True)

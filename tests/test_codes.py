@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from ograss import codes
 from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
@@ -22,8 +23,8 @@ from ograss.codes import (
     weight_distribution,
 )
 from ograss.gf import field, row_reduce
-from ograss.grassmann import COLUMN_SETS, MinorFunction, rank_of, reflected_complement
-from ograss.polar import CELL_ORDER, cell_slices, enumerate_points
+from ograss.grassmann import COLUMN_SETS, MinorFunction, minor, rank_of, reflected_complement
+from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_slices, enumerate_points
 
 
 def test_generator_shape_and_entries_q2():
@@ -74,7 +75,7 @@ def test_rank_oracle_agreement_q3():
 
 def test_rank_zero_matrix():
     f = field(2)
-    G = GeneratorMatrix(field=f, matrix=np.zeros((20, 12), dtype=np.uint8), points=())
+    G = GeneratorMatrix(field=f, matrix=np.zeros((20, 12), dtype=np.uint8))
     assert rank_dimension(G) == 0
 
 
@@ -129,6 +130,28 @@ def test_generator_rows_match_single_minor_codewords():
         assert np.array_equal(G.matrix[idx], codeword(MinorFunction.single(f, A), G))
         direct = [MinorFunction.single(f, A).evaluate(pt.matrix) for pt in enumerate_points(f)]
         assert list(G.matrix[idx]) == direct
+
+
+@pytest.mark.parametrize("q, poly", [(11, None), (16, (1, 0, 0, 1, 1))])
+def test_generator_equals_direct_minors(q, poly):
+    """The expansion-identity build against the direct determinant, beyond the golden fields."""
+    f = field(q, poly)
+    direct = [[minor(build_cell(f, pivots, params), A) for A in COLUMN_SETS]
+              for pivots in CELL_ORDER for params in product(range(q), repeat=CELL_ARITY[pivots])]
+    assert np.array_equal(build_generator(f).matrix, np.array(direct).T)
+
+
+def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the generator build must not use point objects or scalar minors")
+
+    monkeypatch.setattr(codes, "enumerate_points", forbidden)
+    monkeypatch.setattr(codes, "minor", forbidden)
+    f = field(49)
+    start = time.perf_counter()
+    G = build_generator.__wrapped__(f)  # past the cache, which another test may have filled
+    assert time.perf_counter() - start < 1
+    assert G.matrix.shape == (20, 240200)
 
 
 def test_minimum_distance_q2_exhaustive():

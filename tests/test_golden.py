@@ -1,10 +1,11 @@
 """Golden outputs: refactors of the engine must leave every frozen output byte for byte.
 
 The hashes and the files under tests/golden/ were recorded from the command
-line before the elimination code was unified.  ``witness_coeffs`` in the
-distance outputs depends on the pivot rule of the row reduction: where
-k = 14 < 20, each basis row has more than one expression in the 20
-original rows.
+line before the elimination code was unified; the genmat json hashes were
+recorded before the generator was rebuilt from the pivot expansion.
+``witness_coeffs`` in the distance outputs depends on the pivot rule of the
+row reduction: where k = 14 < 20, each basis row has more than one
+expression in the 20 original rows.
 """
 
 import hashlib
@@ -36,6 +37,16 @@ GENMAT_SHA256 = {
     9: "9012f691f96ca1f3381e483ddd0eb758bf033ced2c46f281f379aba3a1b2aa0f",
 }
 
+GENMAT_JSON_SHA256 = {
+    2: "35db5166943a1fdd29de9a91c4db665ebc15ab2048ca1a000b7a8966ec81adca",
+    3: "4f679652adde9a788983f5862b8ef19b63bde932d4b7bec312df2dc5e54d98ff",
+    4: "1d146cfb3a938c5b9a7afa01541e569a53d492e049b4e9f45745d3c009846301",
+    5: "b942b1e036699cfeb5dc3b4d6cbce9e06e926c688da7ae8decb85aeb8469b340",
+    7: "56a0705430bc99a3ca7c52397af01c13a41ea29e6fe0e95c2adbfc7275adf052",
+    8: "0c05e6515747813e8bb8e2e16d0cde2e75cca828d593a22ef1155b40847b2e0f",
+    9: "fe3080ec1abe0f31247ea69a771010bb61302d15fd25292670047be924a82897",
+}
+
 
 def _stdout(capsys, argv):
     assert cli_main(argv) == 0
@@ -54,10 +65,22 @@ def test_genmat_txt_hash(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == GENMAT_SHA256[q]
 
 
+@pytest.mark.parametrize("q", sorted(GENMAT_JSON_SHA256))
+def test_genmat_json_hash(capsys, q):
+    out = _stdout(capsys, ["genmat", "--q", str(q), "--format", "json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == GENMAT_JSON_SHA256[q]
+
+
 @pytest.mark.parametrize("q", [2, 4])
 def test_distance_stdout(capsys, q):
     out = _stdout(capsys, ["distance", "--q", str(q)])
     assert out == (GOLDEN / f"distance-q{q}.json").read_text()
+
+
+def test_distance_stdout_with_threads(capsys):
+    """q=4 runs the bounded search, where --threads does not apply."""
+    out = _stdout(capsys, ["distance", "--q", "4", "--threads", "2"])
+    assert out == (GOLDEN / "distance-q4.json").read_text()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

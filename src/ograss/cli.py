@@ -61,23 +61,20 @@ def _cell_id(pivots) -> str:
 
 def _cmd_points(args: argparse.Namespace) -> int:
     f = _field_from_args(args)
-    pts = polar.enumerate_points(f)
     if args.format == "json":
         payload = {
             "q": f.q,
-            "n": len(pts),
-            "points": [
-                {"cell": _cell_id(p.pivots), "params": list(p.params),
-                 "rows": [list(r) for r in p.matrix.rows]}
-                for p in pts
-            ],
+            "n": polar.point_count(f.q),
+            "points": [{"cell": _cell_id(pivots), "params": params, "rows": rows}
+                       for pivots, params, rows in polar.point_rows(f)],
         }
         text = _dump(payload)
     else:
+        strs = [str(i) for i in range(f.q)]
         blocks = []
-        for p in pts:
-            head = f"cell {_cell_id(p.pivots)} params {','.join(map(str, p.params)) if p.params else '-'}"
-            blocks.append("\n".join([head] + [" ".join(map(str, r)) for r in p.matrix.rows]))
+        for pivots, params, rows in polar.point_rows(f):
+            head = f"cell {_cell_id(pivots)} params {','.join(map(strs.__getitem__, params)) or '-'}"
+            blocks.append("\n".join([head] + [" ".join(map(strs.__getitem__, r)) for r in rows]))
         text = "\n\n".join(blocks) + "\n"
     _emit(text, args.out)
     return 0

@@ -68,8 +68,7 @@ from .grassmann import (
 from .polar import (
     CELL_ORDER,
     brute_force_points,
-    cell_params,
-    cell_rows,
+    cell_matrices,
     cell_slices,
     enumerate_points,
     point_count,
@@ -125,20 +124,18 @@ def _cell_generator(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
     """The 20 generator rows on one cell, all of its points at once.
 
     Each entry is det_A = expansion_sign(A, I) * det(reduced block), the
-    block taken from the non-pivot columns of the cell template evaluated
-    on the whole parameter array.
+    block taken from the non-pivot columns of the cell's representative
+    array (``cell_matrices``).
     """
     neg = f.np_tables()[2]
-    params = cell_params(f.q, pivots)
-    size = len(params)
-    zero = np.zeros(size, dtype=neg.dtype)
+    mats = cell_matrices(f, pivots)
+    size = mats.shape[2]
     one = np.ones(size, dtype=neg.dtype)
-    rows = cell_rows(pivots, params.T, neg.__getitem__, zero, one)
     free = [c for c in range(AMBIENT) if c + 1 not in pivots]
     out = np.empty((len(COLUMN_SETS), size), dtype=neg.dtype)
     for idx, A in enumerate(COLUMN_SETS):
         block_rows, block_cols = reduced_minor_indices(A, pivots)
-        value = _np_det(f, [[rows[r - 1][free[c - 1]] for c in block_cols] for r in block_rows], one)
+        value = _np_det(f, [[mats[r - 1, free[c - 1]] for c in block_cols] for r in block_rows], one)
         out[idx] = value if expansion_sign(A, pivots) > 0 else neg[value]
     return out
 
@@ -397,35 +394,70 @@ def _information_sets(f: GF, basis: np.ndarray):
     return sets
 
 
-def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
-    """Exact minimum weight by message-weight-ordered enumeration.
+def _messages_up_to(k: int, q: int, w: int) -> int:
+    """Number of messages of weight 1..w in GF(q)^k: one round's evaluations up to weight w."""
+    return sum(comb(k, v) * (q - 1) ** v for v in range(1, w + 1))
 
-    Returns (distance, message in basis coordinates or None if the
-    initial upper bound was never beaten, evaluations performed).
-    Raises BudgetExceeded before round 1 when the projected cost exceeds
-    the budget.  The projection counts every round up to the weight where
-    the bound meets the starting upper bound: the exact cost when that
-    upper bound is the distance, more than the cost otherwise.
+
+def _search_cost_floor(q: int, k: int, n: int, d_up: int) -> int:
+    """A lower bound on the search's projected cost, known before any information set is built.
+
+    s disjoint sets hold at most min(s*k, n) pivot columns.  At weight
+    w < k a set of rank r adds max(0, w + 1 - k + r) to the bound, convex
+    in r, 0 at r = 0 and w + 1 at r = k, so at most r*(w + 1)/k; the bound of s sets is
+    thus at most min(s*k, n)*(w + 1)/k, and their stop weight is at least
+    the least w with min(s*k, n)*(w + 1) >= d_up*k (k if there is none).
+    Past s = ceil(n/k) the column cap no longer grows, so the cost only
+    rises with s.
     """
-    k, n = basis.shape
-    q = f.q
-    sets = sorted(_information_sets(f, basis), key=lambda s: -s[3])
+    def cost(s: int) -> int:
+        cols = min(s * k, n)
+        w = next((w for w in range(k) if cols * (w + 1) >= d_up * k), k)
+        return s * _messages_up_to(k, q, w)
 
-    # enumerating a prefix of the sets is enough for the bound; pick the
-    # prefix with the cheapest projected cost against the starting bound
+    return min(cost(s) for s in range(1, -(-n // k) + 1))
+
+
+def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, int]:
+    """(cost, size) of the cheapest prefix of the information sets with these ranks.
+
+    Enumerating a prefix of the sets is enough for the bound; a prefix
+    stops at the first weight where its bound meets the starting upper
+    bound d_up (or at k).
+    """
     def stop_weight(defs):
         w = 0
         while w < k and sum(max(0, w + 1 - d) for d in defs) < d_up:
             w += 1
         return w
 
-    best_cost = None
-    best_size = len(sets)
-    for size in range(1, len(sets) + 1):
-        ws = stop_weight([k - s[3] for s in sets[:size]])
-        cost = size * sum(comb(k, ww) * (q - 1) ** ww for ww in range(1, ws + 1))
-        if best_cost is None or cost < best_cost:
-            best_cost, best_size = cost, size
+    return min((size * _messages_up_to(k, q, stop_weight([k - r for r in ranks[:size]])), size)
+               for size in range(1, len(ranks) + 1))
+
+
+def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
+    """Exact minimum weight by message-weight-ordered enumeration.
+
+    Returns (distance, message in basis coordinates or None if the
+    initial upper bound was never beaten, evaluations performed).
+    Raises BudgetExceeded before round 1 when the projected cost exceeds
+    the budget, and before the information sets are built when even the
+    floor of ``_search_cost_floor`` does.  The projection counts every
+    round up to the weight where the bound meets the starting upper bound:
+    the exact cost when that upper bound is the distance, more than the
+    cost otherwise.  The greedy sets come out with non-increasing ranks
+    (each round reduces on a subset of the previous round's unused
+    columns), so their prefixes are the cheapest choices of a given size.
+    """
+    k, n = basis.shape
+    q = f.q
+    floor = _search_cost_floor(q, k, n, d_up)
+    if floor > budget:
+        raise BudgetExceeded(
+            f"the information-set search needs at least {floor} codeword evaluations "
+            f"(budget {budget}); use method='witness' for the known upper bound")
+    sets = _information_sets(f, basis)
+    best_cost, best_size = _projected_cost(q, k, [r for _, _, _, r in sets], d_up)
     if best_cost > budget:
         raise BudgetExceeded(
             f"the search over {best_size} information sets needs {best_cost} codeword "

@@ -18,8 +18,8 @@ diagonal:
 
 (negation is field negation, so -a = a in even characteristic).
 ``cell_rows`` states these templates once: ``build_cell`` fills them with
-scalars for one representative, the generator build with the whole
-parameter array of a cell (``cell_params``).
+scalars for one representative, ``cell_matrices`` with the parameter array
+of a whole cell (``cell_params``), the array form every production path reads.
 
 The frozen point order -- cells as listed above, parameter tuples in
 ascending lexicographic order of their integer encodings -- fixes the
@@ -43,7 +43,7 @@ import numpy as np
 
 from .forms import FormSpace
 from .gf import GF
-from .grassmann import AMBIENT, ELL, MatrixRep, rref_right_to_left
+from .grassmann import AMBIENT, ELL, MatrixRep
 
 #: Cell enumeration order (also the per-cell segment order of codewords).
 CELL_ORDER: tuple[tuple[int, int, int], ...] = (
@@ -119,6 +119,14 @@ def cell_params(q: int, pivots: tuple[int, int, int]) -> np.ndarray:
     return np.indices((q,) * arity).reshape(arity, q**arity).T
 
 
+def cell_matrices(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
+    """The cell's representatives as a (3, 6, q^arity) array: [r, c] is row r, column c, in the frozen order."""
+    neg = f.np_tables()[2]
+    params = cell_params(f.q, pivots).astype(neg.dtype)
+    zero = np.zeros(len(params), dtype=neg.dtype)
+    return np.array(cell_rows(pivots, params.T, neg.__getitem__, zero, zero + 1))
+
+
 @dataclass(frozen=True)
 class Point:
     """One totally singular 3-space: cell id, parameter tuple, representative."""
@@ -134,9 +142,16 @@ def point_count(q: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_points(f: GF) -> tuple[Point, ...]:
-    """All points in the frozen order; length 2*(q^3 + q^2 + q + 1)."""
-    return tuple(Point(pivots, params, build_cell(f, pivots, params))
-                 for pivots in CELL_ORDER for params in product(range(f.q), repeat=CELL_ARITY[pivots]))
+    """All points in the frozen order, read off the cell arrays; length 2*(q^3 + q^2 + q + 1)."""
+    return tuple(Point(pivots, tuple(params), MatrixRep(f, rows)) for pivots, params, rows in point_rows(f))
+
+
+def point_rows(f: GF) -> Iterator[tuple[tuple[int, int, int], list[int], list[list[int]]]]:
+    """(pivots, params, rows) of every point in the frozen order, as lists read off the cell arrays."""
+    for pivots in CELL_ORDER:
+        mats = cell_matrices(f, pivots).transpose(2, 0, 1).tolist()
+        for params, rows in zip(cell_params(f.q, pivots).tolist(), mats):
+            yield pivots, params, rows
 
 
 def cell_slices(q: int) -> tuple[tuple[tuple[int, int, int], int, int], ...]:
@@ -191,17 +206,15 @@ def swap34_map(f: GF) -> dict[tuple[tuple[int, int, int], tuple[int, ...]], tupl
 
     Swapping columns 3 and 4 fixes both forms, so the image of a point is
     again a point; the map sends cell P_I to the cell on I with 4
-    replaced by 3.  Keys and values are (pivots, params) labels.
+    replaced by 3.  No row reduction is needed: the swapped template of
+    P_I is the target cell's template at the same parameters, which is
+    already canonical.  Keys and values are (pivots, params) labels.
     """
-    index = {pt.matrix.rows: (pt.pivots, pt.params) for pt in enumerate_points(f)}
     out = {}
-    for pt in enumerate_points(f):
-        if 4 not in pt.pivots:
-            continue
-        swapped = tuple(r[:2] + (r[3], r[2]) + r[4:] for r in pt.matrix.rows)
-        canonical, _ = rref_right_to_left(MatrixRep(f, swapped))
-        target = index.get(canonical.rows)
-        if target is None:
+    # CELL_ORDER lists each cell whose pivot set holds 4 just before its image
+    for pivots, target in zip(CELL_ORDER[::2], CELL_ORDER[1::2]):
+        if not np.array_equal(cell_matrices(f, pivots)[:, [0, 1, 3, 2, 4, 5]], cell_matrices(f, target)):
             raise RuntimeError("column swap left the point set; enumeration is inconsistent")
-        out[(pt.pivots, pt.params)] = target
+        for params in map(tuple, cell_params(f.q, pivots).tolist()):
+            out[(pivots, params)] = (target, params)
     return out

@@ -10,9 +10,13 @@ from ograss import codes
 from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
+    _bounded_search,
     _exhaustive_scan,
+    _information_sets,
     _message_to_function,
+    _projected_cost,
     _reduced_basis,
+    _search_cost_floor,
     build_generator,
     codeword,
     min_weight_witness,
@@ -192,6 +196,80 @@ def test_budget_error_raised_before_the_search():
     with pytest.raises(BudgetExceeded, match="needs 9192624 codeword evaluations"):
         minimum_distance(field(3), budget=9_192_623)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_budget_floor_raised_before_information_sets(monkeypatch, q):
+    def forbidden(*args):
+        raise AssertionError("the budget floor must reject before any information set is built")
+
+    monkeypatch.setattr(codes, "_information_sets", forbidden)
+    with pytest.raises(BudgetExceeded, match="at least .*witness"):
+        minimum_distance(field(q))
+
+
+def _search_inputs(q):
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    return f, basis, weight(min_weight_witness(f)).total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_budget_floor_never_exceeds_projection(q):
+    f, basis, d_up = _search_inputs(q)
+    k, n = basis.shape
+    ranks = [r for _, _, _, r in _information_sets(f, basis)]
+    assert _search_cost_floor(q, k, n, d_up) <= _projected_cost(q, k, ranks, d_up)[0]
+
+
+@pytest.mark.parametrize("q", [3, 4, 8])
+def test_information_set_ranks_non_increasing(q):
+    # each greedy round reduces on a subset of the previous round's unused columns
+    f, basis, _ = _search_inputs(q)
+    ranks = [r for _, _, _, r in _information_sets(f, basis)]
+    assert ranks == sorted(ranks, reverse=True)
+
+
+#: (q, rows of the reduced basis): subcodes small enough to scan exhaustively
+SUBCODES = [(3, 9), (4, 8), (8, 5), (9, 5)]
+
+
+def _subcode(q, rows):
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    return f, basis[:rows]
+
+
+@pytest.mark.parametrize("q, rows", SUBCODES)
+def test_bounded_search_matches_exhaustive_scan(q, rows):
+    f, sub = _subcode(q, rows)
+    n = sub.shape[1]
+    assert _bounded_search(f, sub, n + 1, 10**12)[0] == _exhaustive_scan(f, sub)[0]
+
+
+@pytest.mark.parametrize("q, rows", [(2, None)] + SUBCODES)
+def test_pless_power_moments(q, rows):
+    """Moments 0-2 of the weight histogram against B1, B2 of the dual, read off the columns."""
+    f, sub = _subcode(q, rows)
+    k, n = sub.shape
+    _, _, hist = _exhaustive_scan(f, sub)
+    _, mul, _, inv = f.np_tables()
+    zero_cols = 0
+    classes = {}  # nonzero columns up to scaling, each normalized to a leading 1
+    for col in sub.T:
+        nz = np.flatnonzero(col)
+        if not len(nz):
+            zero_cols += 1
+            continue
+        key = tuple(mul[inv[col[nz[0]]], col].tolist())
+        classes[key] = classes.get(key, 0) + 1
+    b1 = (q - 1) * zero_cols
+    b2 = (q - 1) * sum(comb(m, 2) for m in classes.values()) + (q - 1) ** 2 * comb(zero_cols, 2)
+    a = [int(c) for c in hist]
+    assert sum(a) == q**k
+    assert sum(i * c for i, c in enumerate(a)) == q ** (k - 1) * ((q - 1) * n - b1)
+    assert sum(i * i * c for i, c in enumerate(a)) == q ** (k - 2) * (
+        (q - 1) * n * ((q - 1) * n + 1) - (2 * (q - 1) * n + 2 - q) * b1 + 2 * b2)
 
 
 def _direct_scan(f, rows):

@@ -1,3 +1,6 @@
+import time
+from itertools import product
+
 import pytest
 
 from ograss.forms import FormSpace
@@ -8,6 +11,7 @@ from ograss.polar import (
     CostGuardExceeded,
     brute_force_points,
     build_cell,
+    cell_matrices,
     cell_slices,
     enumerate_points,
     point_count,
@@ -137,3 +141,31 @@ def test_swap34_pairs_cells():
 def test_swap34_singletons():
     mapping = swap34_map(field(2))
     assert mapping[((1, 2, 4), ())] == ((1, 2, 3), ())
+
+
+@pytest.mark.parametrize("q, poly", [(11, None), (16, (1, 0, 0, 1, 1))])
+def test_enumeration_equals_build_cell(q, poly):
+    """The view of the cell arrays against the scalar path, beyond the golden fields."""
+    f = field(q, poly)
+    expected = [(pivots, params, build_cell(f, pivots, params))
+                for pivots in CELL_ORDER for params in product(range(q), repeat=CELL_ARITY[pivots])]
+    assert [(p.pivots, p.params, p.matrix) for p in enumerate_points(f)] == expected
+
+
+def test_cell_matrices_layout():
+    f = field(4)
+    neg = f.np_tables()[2]
+    for pivots in CELL_ORDER:
+        mats = cell_matrices(f, pivots)
+        assert mats.shape == (3, 6, 4 ** CELL_ARITY[pivots]) and mats.dtype == neg.dtype
+    mats = cell_matrices(f, (4, 5, 6))
+    assert mats[:, :, 6].tolist() == [list(r) for r in build_cell(f, (4, 5, 6), (0, 1, 2)).rows]
+
+
+def test_swap34_q49_under_two_seconds():
+    f = field(49)
+    start = time.perf_counter()
+    mapping = swap34_map(f)
+    assert time.perf_counter() - start < 2
+    assert len(mapping) == 49**3 + 49**2 + 49 + 1
+    assert mapping[((4, 5, 6), (48, 0, 7))] == ((3, 5, 6), (48, 0, 7))

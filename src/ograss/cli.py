@@ -33,6 +33,18 @@ _THREADS_HELP = (
 )
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low (a usage error otherwise)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
 def _field_from_args(args: argparse.Namespace) -> GF:
     q = args.q
     factor_prime_power(q)
@@ -178,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distance", help="minimum distance (exhaustive or witness bound)")
     common(sp)
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
-    sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
                     help="maximum number of codeword evaluations for exhaustive search")
-    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
 
     sp = sub.add_parser("weights", help="weight report of a serialized coefficient vector")
@@ -192,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weight-dist", help="full weight distribution as CSV")
     common(sp)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET)
     sp.set_defaults(func=_cmd_weight_dist)
 
     sp = sub.add_parser("verify", help="run all structural checks, nonzero exit on failure")
     common(sp)
-    sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
-    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET)
+    sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -150,3 +150,18 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--q", "2", "--threads", "0"],
+    ["distance", "--q", "2", "--threads", "-3"],
+    ["verify", "--q", "2", "--threads", "0"],
+    ["verify", "--q", "2", "--budget", "-1"],
+    ["distance", "--q", "2", "--budget", "-1"],
+    ["weight-dist", "--q", "2", "--budget", "-1"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

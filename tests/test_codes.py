@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -14,8 +14,10 @@ from ograss.codes import (
     _exhaustive_scan,
     _information_sets,
     _message_to_function,
+    _np_add,
     _projected_cost,
     _reduced_basis,
+    _round_weights,
     _search_cost_floor,
     build_generator,
     codeword,
@@ -240,11 +242,88 @@ def _subcode(q, rows):
     return f, basis[:rows]
 
 
+def _scaled_rows(f, rows):
+    """(k, q-1, n): the nonzero multiples of each row, coefficient 1 first."""
+    mul = f.np_tables()[1]
+    return np.stack([mul[c, rows] for c in range(1, f.q)], axis=1)
+
+
+def _reference_round(f, rows_scaled, w):
+    """The per-support loop the prefix walk replaced: (support, weights) in the frozen order.
+
+    Each support's block of (q-1)^w codewords is rebuilt from scratch, the
+    first support position most significant, through the add table.
+    """
+    add = f.np_tables()[0]
+    n = rows_scaled.shape[2]
+    for support in combinations(range(len(rows_scaled)), w):
+        block = rows_scaled[support[0]]
+        for j in support[1:]:
+            block = add[block[:, None, :], rows_scaled[j][None, :, :]].reshape(-1, n)
+        yield support, np.count_nonzero(block, axis=1)
+
+
+@pytest.mark.parametrize("block_target", [None, 5])
+@pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
+def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
+    """The walk yields the reference weights, in the reference order; a small
+    block target splits the leaves into several runs of rows j."""
+    if block_target is not None:
+        monkeypatch.setattr(codes, "_BLOCK_TARGET", block_target)
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    rows_scaled = _scaled_rows(f, _information_sets(f, basis)[0][1][:rows])
+    for w in (1, 2, 3):
+        ref = list(_reference_round(f, rows_scaled, w))
+        chunks = list(_round_weights(f, rows_scaled, w))
+        supports = [prefix + (j,) for prefix, j0, weights in chunks
+                    for j in range(j0, j0 + len(weights) // (q - 1) ** w)]
+        assert supports == [support for support, _ in ref]
+        assert np.array_equal(np.concatenate([c[2] for c in chunks]),
+                              np.concatenate([weights for _, weights in ref]))
+
+
+def _first_minimum_message(f, basis, d_up, d):
+    """The first message of weight-d codeword in the search's enumeration order, by the reference loop."""
+    q, (k, _) = f.q, basis.shape
+    sets = _information_sets(f, basis)
+    _, size = _projected_cost(q, k, [r for _, _, _, r in sets], d_up)
+    for w in range(1, k + 1):
+        for _, sys_rows, exprs, _ in sets[:size]:
+            for support, weights in _reference_round(f, _scaled_rows(f, sys_rows), w):
+                hits = np.flatnonzero(weights == d)
+                if len(hits):
+                    idx = int(hits[0])
+                    coeffs = [idx // (q - 1) ** (w - 1 - i) % (q - 1) + 1 for i in range(w)]
+                    msg = [0] * k
+                    for j, c in zip(support, coeffs):
+                        msg = [f.add(m, f.mul(c, e)) for m, e in zip(msg, exprs[j])]
+                    return tuple(msg)
+    return None
+
+
 @pytest.mark.parametrize("q, rows", SUBCODES)
 def test_bounded_search_matches_exhaustive_scan(q, rows):
     f, sub = _subcode(q, rows)
     n = sub.shape[1]
-    assert _bounded_search(f, sub, n + 1, 10**12)[0] == _exhaustive_scan(f, sub)[0]
+    d, msg, _ = _bounded_search(f, sub, n + 1, 10**12)
+    assert d == _exhaustive_scan(f, sub)[0]
+    add, mul, _, _ = f.np_tables()
+    cw = np.zeros(n, dtype=sub.dtype)
+    for c, row in zip(msg, sub):
+        cw = add[cw, mul[c, row]]
+    assert np.count_nonzero(cw) == d
+    assert msg == _first_minimum_message(f, sub, n + 1, d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 47])
+def test_np_add_matches_scalar_table(p):
+    f = field(p)
+    dtype = f.np_tables()[0].dtype
+    x, y = (a.astype(dtype) for a in np.meshgrid(np.arange(p), np.arange(p), indexing="ij"))
+    s = _np_add(f, x, y)
+    assert s.dtype == dtype
+    assert s.tolist() == [[f.add(a, b) for b in range(p)] for a in range(p)]
 
 
 @pytest.mark.parametrize("q, rows", [(2, None)] + SUBCODES)

@@ -2,7 +2,8 @@
 
 The hashes and the files under tests/golden/ were recorded from the command
 line before the elimination code was unified; the genmat json hashes were
-recorded before the generator was rebuilt from the pivot expansion.
+recorded before the generator was rebuilt from the pivot expansion, and
+distance-q3.json before the search walked its supports depth first.
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ograss import codes
 from ograss.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,10 +73,29 @@ def test_genmat_json_hash(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == GENMAT_JSON_SHA256[q]
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_distance_stdout(capsys, q):
     out = _stdout(capsys, ["distance", "--q", str(q)])
     assert out == (GOLDEN / f"distance-q{q}.json").read_text()
+
+
+def test_distance_rounds_stay_off_stdout(monkeypatch, capsys):
+    """The per-round record adds up to the reported evaluations and changes no output."""
+    results = []
+    inner = codes.minimum_distance
+
+    def recording(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(codes, "minimum_distance", recording)
+    out = _stdout(capsys, ["distance", "--q", "4"])
+    assert out == (GOLDEN / "distance-q4.json").read_text()
+    (res,) = results
+    assert [r.w for r in res.rounds] == list(range(1, len(res.rounds) + 1))
+    assert sum(r.evaluations for r in res.rounds) == res.evaluations == 6939072
+    assert all(r.best == res.distance == 64 for r in res.rounds)
+    assert res.rounds[-2].lower_bound < res.distance <= res.rounds[-1].lower_bound
 
 
 def test_distance_stdout_with_threads(capsys):

@@ -34,11 +34,13 @@ through disjoint information sets: once every message of weight <= w has
 been enumerated against each round's systematic generator, any remaining
 codeword has weight at least sum_i max(0, w + 1 - deficit_i), and the
 search stops as soon as that bound meets the best weight found.  Each
-round walks the supports of weight w depth first, in lexicographic order:
-the block of codewords on a support prefix is built once, with one add
-from its parent's block, and one more add weighs every support that
-extends it.  For q = 3 the bound passes the witness weight 18 at w = 6
-after 9 192 624 evaluations, about 2 s of work.
+round walks the supports of weight w depth first, in lexicographic order,
+down to L levels above the leaves: the block of codewords on a support
+prefix is built once, with one add from its parent's block, and one more
+add against a table of the codewords on every L-subset of rows weighs
+every support that extends it (L = 2 for q = 3 and 4).  For q = 3 the
+bound passes the witness weight 18 at w = 6 after 9 192 624 evaluations,
+about 1 s of work.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import comb
@@ -304,7 +307,7 @@ def _scan_chunk(f, high_np, low_block, t, start, stop):
     best_msg = None
     for o in range(start, stop):
         vals = _np_add(f, low_block, offset)
-        w = np.count_nonzero(vals, axis=1)
+        w = _weights(vals)
         if o == 0:
             # inner index 0 of the zero offset is the zero message
             hist[0] += 1
@@ -447,37 +450,68 @@ def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, i
                for size in range(1, len(ranks) + 1))
 
 
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int):
-    """Weights of every message of weight w on k rows, by a depth-first walk over supports.
+def _weights(block: np.ndarray) -> np.ndarray:
+    """Hamming weights along the last axis, in the smallest unsigned type that holds n.
 
-    ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j.  The walk
-    visits the supports' first w-1 positions in lexicographic order and
-    holds, at depth i, the block of all (q-1)^i codewords on the current
-    prefix, built with one add from its parent's block.  At depth w-1 one
-    add of that block to the multiples of every later row j weighs all
-    supports that extend the prefix, laid out as (j, prefix coefficients,
-    last coefficient): supports in lexicographic order and, within a
-    support, coefficients 1..q-1 with the first position most significant
-    (``_digits_shifted``).  Leaves hold at most max(1, _BLOCK_TARGET //
-    (q-1)^(w-1)) rows j at a time.
-
-    Yields (prefix, first j, weights) per leaf.
+    A byte sum of the nonzero mask: ``count_nonzero(axis=...)`` reduces
+    the mask through intp and takes about twice as long.
     """
-    k, units, n = rows_scaled.shape
-    step = max(1, _BLOCK_TARGET // units ** (w - 1))
+    return (block != 0).view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(block.shape[-1]))
+
+
+def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
+    """(prefix, block) for every support prefix of ``depth`` rows that leaves
+    ``room`` later rows, in lexicographic order, by a depth-first walk.
+
+    ``block`` holds the (q-1)^depth codewords on the prefix, coefficients
+    1..q-1 with the first position most significant (``_digits_shifted``),
+    built with one add from its parent's block.
+    """
+    k, _, n = rows_scaled.shape
 
     def walk(prefix, block):
-        start = prefix[-1] + 1 if prefix else 0
-        if len(prefix) == w - 1:
-            for j in range(start, k, step):
-                leaf = _np_add(f, block[None, :, None, :], rows_scaled[j:j + step, None, :, :])
-                yield prefix, j, np.count_nonzero(leaf.reshape(-1, n), axis=1)
+        if len(prefix) == depth:
+            yield prefix, block
             return
-        for i in range(start, k - w + 1 + len(prefix)):
+        start = prefix[-1] + 1 if prefix else 0
+        for i in range(start, k - room - depth + len(prefix) + 1):
             child = _np_add(f, block[:, None, :], rows_scaled[i][None, :, :]).reshape(-1, n)
             yield from walk(prefix + (i,), child)
 
     yield from walk((), np.zeros((1, n), dtype=rows_scaled.dtype))
+
+
+def _round_weights(f: GF, rows_scaled: np.ndarray, w: int):
+    """Weights of every message of weight w on k rows, against a table of support suffixes.
+
+    ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j.  The
+    suffix length L is the largest L <= w whose table, the codewords of
+    every L-subset of rows, fits C(k, L) * (q-1)^L <= _BLOCK_TARGET (L = 1
+    if none does); the table is built by ``_support_blocks`` with the
+    subsets in lexicographic order.  The walk then stops at the supports'
+    first w-L positions: the suffixes that extend a prefix ending at row s
+    are the contiguous run of subsets starting after s, and one add of the
+    prefix block to that run weighs every support on the prefix, laid out
+    as (suffix, prefix coefficients, suffix coefficients): supports in
+    lexicographic order and, within a support, coefficients with the first
+    position most significant.  Leaves hold at most max(1, _BLOCK_TARGET
+    // (q-1)^(w-1)) suffixes at a time.
+
+    Yields (prefix, suffixes, weights) per leaf, and nothing when w > k.
+    """
+    k, units, _ = rows_scaled.shape
+    if w > k:
+        return
+    L = max((v for v in range(1, w + 1) if comb(k, v) * units**v <= _BLOCK_TARGET), default=1)
+    suffixes, blocks = zip(*_support_blocks(f, rows_scaled, L, 0))
+    table = np.stack(blocks)
+    firsts = [s[0] for s in suffixes]
+    step = max(1, _BLOCK_TARGET // units ** (w - 1))
+    for prefix, block in _support_blocks(f, rows_scaled, w - L, L):
+        a = bisect_left(firsts, prefix[-1] + 1) if prefix else 0
+        for b in range(a, len(suffixes), step):
+            leaf = _np_add(f, block[None, :, None, :], table[b:b + step, None])
+            yield prefix, suffixes[b:b + step], _weights(leaf).reshape(-1)
 
 
 class SearchRound(NamedTuple):
@@ -537,13 +571,13 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
         w += 1
         start, evals = time.perf_counter(), 0
         for rows_scaled, (_, _, exprs, _) in zip(scaled, sets):
-            for prefix, j0, weights in _round_weights(f, rows_scaled, w):
+            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w):
                 evals += len(weights)
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
-                    j, rest = divmod(idx, (q - 1) ** w)
+                    s, rest = divmod(idx, (q - 1) ** w)
                     msg = [0] * k
-                    for r, c in zip(prefix + (j0 + j,), _digits_shifted(rest, q - 1, w)):
+                    for r, c in zip(prefix + suffixes[s], _digits_shifted(rest, q - 1, w)):
                         for t in range(k):
                             msg[t] = f.add(msg[t], f.mul(c, exprs[r][t]))
                     best, best_msg = int(weights[idx]), tuple(msg)

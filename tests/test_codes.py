@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from itertools import combinations, product
@@ -19,6 +20,7 @@ from ograss.codes import (
     _reduced_basis,
     _round_weights,
     _search_cost_floor,
+    _weights,
     build_generator,
     codeword,
     min_weight_witness,
@@ -263,24 +265,44 @@ def _reference_round(f, rows_scaled, w):
         yield support, np.count_nonzero(block, axis=1)
 
 
-@pytest.mark.parametrize("block_target", [None, 5])
+@functools.lru_cache(maxsize=None)
+def _reference_supports_and_weights(q, rows, w):
+    """The reference round on the first rows of the first information set, supports and weights concatenated."""
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    ref = list(_reference_round(f, _scaled_rows(f, _information_sets(f, basis)[0][1][:rows]), w))
+    return [support for support, _ in ref], np.concatenate([weights for _, weights in ref])
+
+
+@pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
 def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
-    """The walk yields the reference weights, in the reference order; a small
-    block target splits the leaves into several runs of rows j."""
+    """The table kernel yields the reference weights, in the reference order.
+
+    Block target 5 leaves single rows as suffixes (L = 1) and splits each
+    run of them into several leaves; 2000 gives suffixes of two rows and
+    30000 of three on every (q, rows) here, once w reaches them.  Rounds
+    run to w = 4 while they hold at most 5e7 entries (all but q = 8, 9).
+    """
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_TARGET", block_target)
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
     rows_scaled = _scaled_rows(f, _information_sets(f, basis)[0][1][:rows])
-    for w in (1, 2, 3):
-        ref = list(_reference_round(f, rows_scaled, w))
+    n = rows_scaled.shape[2]
+    suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
+    for w in (1, 2, 3, 4):
+        if comb(rows, w) * (q - 1) ** w * n > 5 * 10**7:
+            continue
+        ref_supports, ref_weights = _reference_supports_and_weights(q, rows, w)
         chunks = list(_round_weights(f, rows_scaled, w))
-        supports = [prefix + (j,) for prefix, j0, weights in chunks
-                    for j in range(j0, j0 + len(weights) // (q - 1) ** w)]
-        assert supports == [support for support, _ in ref]
-        assert np.array_equal(np.concatenate([c[2] for c in chunks]),
-                              np.concatenate([weights for _, weights in ref]))
+        assert [prefix + suffix for prefix, suffixes, _ in chunks for suffix in suffixes] == ref_supports
+        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks]), ref_weights)
+        if suffix_length is not None:
+            assert {len(s) for _, suffixes, _ in chunks for s in suffixes} == {min(w, suffix_length)}
+        if block_target == 5:
+            prefixes = [prefix for prefix, _, _ in chunks]
+            assert len(prefixes) > len(set(prefixes))
 
 
 def _first_minimum_message(f, basis, d_up, d):
@@ -314,6 +336,18 @@ def test_bounded_search_matches_exhaustive_scan(q, rows):
         cw = add[cw, mul[c, row]]
     assert np.count_nonzero(cw) == d
     assert msg == _first_minimum_message(f, sub, n + 1, d)
+
+
+def test_weights_matches_count_nonzero():
+    """Random blocks, and all-nonzero rows longer than 255 that an 8-bit count would wrap."""
+    rng = np.random.default_rng(7)
+    for shape in [(1, 1), (5, 80), (3, 4, 6, 170), (7, 255), (2, 256), (9, 1640)]:
+        block = rng.integers(0, 4, size=shape, dtype=np.uint8)
+        assert np.array_equal(_weights(block), np.count_nonzero(block, axis=-1))
+    for n in (312, 1170):
+        block = np.full((3, n), 5, dtype=np.uint8)
+        block[1, ::2] = 0
+        assert _weights(block).tolist() == [n, n // 2, n]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 47])

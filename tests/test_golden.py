@@ -3,7 +3,8 @@
 The hashes and the files under tests/golden/ were recorded from the command
 line before the elimination code was unified; the genmat json hashes were
 recorded before the generator was rebuilt from the pivot expansion, and
-distance-q3.json before the search walked its supports depth first.
+distance-q3.json before the search walked its supports depth first;
+weight-dist-q2.csv before the scan weighed its blocks by a byte sum.
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -16,6 +17,7 @@ import pytest
 
 from ograss import codes
 from ograss.cli import main as cli_main
+from ograss.gf import field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,3 +110,14 @@ def test_distance_stdout_with_threads(capsys):
 def test_verify_stdout(capsys, q):
     out = _stdout(capsys, ["verify", "--q", str(q), "--budget", "1000"])
     assert out == (GOLDEN / f"verify-q{q}-budget1000.txt").read_text()
+
+
+def test_weight_dist_stdout(capsys):
+    out = _stdout(capsys, ["weight-dist", "--q", "2"])
+    assert out == (GOLDEN / "weight-dist-q2.csv").read_text()
+
+
+def test_weight_distribution_threads_match_golden():
+    rows = (GOLDEN / "weight-dist-q2.csv").read_text().splitlines()[1:]
+    golden = {int(w): int(c) for w, c in (row.split(",") for row in rows)}
+    assert codes.weight_distribution(field(2), threads=2) == golden

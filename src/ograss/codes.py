@@ -36,11 +36,15 @@ codeword has weight at least sum_i max(0, w + 1 - deficit_i), and the
 search stops as soon as that bound meets the best weight found.  Each
 round walks the supports of weight w depth first, in lexicographic order,
 down to L levels above the leaves: the block of codewords on a support
-prefix is built once, with one add from its parent's block, and one more
-add against a table of the codewords on every L-subset of rows weighs
-every support that extends it (L = 2 for q = 3 and 4).  For q = 3 the
-bound passes the witness weight 18 at w = 6 after 9 192 624 evaluations,
-about 1 s of work.
+prefix is built once, with one add from its parent's block, and one
+compare against a negated table of the codewords on every L-subset of
+rows weighs every support that extends it (L = 2 for q = 3 and 4; a + b
+is nonzero exactly where a != -b, so the sum is never formed).  Every
+nonzero multiple of a codeword has its weight, so only messages whose
+first coefficient is 1 are weighed, one per scalar class.  For q = 3
+the bound passes the witness weight 18 at w = 6 after 9 192 624
+evaluations (messages whose weight is established; 4 596 312 weights
+computed), about half a second of work.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -292,22 +296,26 @@ def _expand_block(f: GF, rows: np.ndarray, n: int) -> np.ndarray:
     return block
 
 
-def _scan_chunk(f, high_np, low_block, t, start, stop):
-    """Scan outer Gray indices [start, stop); returns (hist, best_w, best_msg in F_p digits)."""
+def _scan_chunk(f, neg_high, low_block, t, start, stop):
+    """Scan outer Gray indices [start, stop); returns (hist, best_w, best_msg in F_p digits).
+
+    ``neg_high`` holds the negated outer generators, so the offset is kept
+    negated and each block is weighed as ``low_block + offset`` without
+    forming the sum.
+    """
     p = f.p
     n = low_block.shape[1]
-    u = len(high_np)
+    u = len(neg_high)
     digits = _gray_digits(start, p, u)
-    offset = np.zeros(n, dtype=low_block.dtype)
+    neg_offset = np.zeros(n, dtype=low_block.dtype)
     for pos, coef in enumerate(digits):
         if coef:
-            offset = _np_add(f, offset, _np_scale(f, coef, high_np[u - 1 - pos]))
+            neg_offset = _np_add(f, neg_offset, _np_scale(f, coef, neg_high[u - 1 - pos]))
     hist = np.zeros(n + 1, dtype=np.int64)
     best_w = n + 1
     best_msg = None
     for o in range(start, stop):
-        vals = _np_add(f, low_block, offset)
-        w = _weights(vals)
+        w = _sum_weights(low_block, neg_offset)
         if o == 0:
             # inner index 0 of the zero offset is the zero message
             hist[0] += 1
@@ -327,7 +335,7 @@ def _scan_chunk(f, high_np, low_block, t, start, stop):
         if o + 1 < stop:
             pos = _trailing_max_digits(o, p)
             digits[pos] = (digits[pos] + 1) % p
-            offset = _np_add(f, offset, high_np[u - 1 - pos])
+            neg_offset = _np_add(f, neg_offset, neg_high[u - 1 - pos])
     return hist, best_w, best_msg
 
 
@@ -352,14 +360,14 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     t = max(t, 1)
     u = k * e - t
     low_block = _expand_block(f, gens[u:], n)
-    high_np = gens[:u]
+    neg_high = f.np_tables()[2][gens[:u]]
     outer_total = p**u
     ranges = _split_ranges(outer_total, threads)
     if len(ranges) == 1:
-        results = [_scan_chunk(f, high_np, low_block, t, 0, outer_total)]
+        results = [_scan_chunk(f, neg_high, low_block, t, 0, outer_total)]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
-            results = list(ex.map(lambda se: _scan_chunk(f, high_np, low_block, t, se[0], se[1]), ranges))
+            results = list(ex.map(lambda se: _scan_chunk(f, neg_high, low_block, t, se[0], se[1]), ranges))
     hist = np.zeros(n + 1, dtype=np.int64)
     best_w, best_msg = n + 1, None
     for h, w, msg in results:
@@ -450,68 +458,88 @@ def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, i
                for size in range(1, len(ranks) + 1))
 
 
-def _weights(block: np.ndarray) -> np.ndarray:
-    """Hamming weights along the last axis, in the smallest unsigned type that holds n.
+def _sum_weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
+    """Hamming weights of a + b along the last axis, given -b, without forming the sum.
 
-    A byte sum of the nonzero mask: ``count_nonzero(axis=...)`` reduces
-    the mask through intp and takes about twice as long.
+    a + b is nonzero exactly where a != -b.  The weight is a byte sum of
+    that mask in the smallest unsigned type that holds n:
+    ``count_nonzero(axis=...)`` reduces the mask through intp and takes
+    about twice as long.
     """
-    return (block != 0).view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(block.shape[-1]))
+    mask = a != neg_b
+    return mask.view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
 
 
-def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
+def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int, normalized: bool):
     """(prefix, block) for every support prefix of ``depth`` rows that leaves
     ``room`` later rows, in lexicographic order, by a depth-first walk.
 
-    ``block`` holds the (q-1)^depth codewords on the prefix, coefficients
-    1..q-1 with the first position most significant (``_digits_shifted``),
-    built with one add from its parent's block.
+    ``block`` holds the codewords on the prefix, coefficients 1..q-1 with
+    the first position most significant (``_digits_shifted``), built with
+    one add from its parent's block: all (q-1)^depth of them, or, when
+    ``normalized``, the (q-1)^(depth-1) whose first coefficient is 1.
     """
     k, _, n = rows_scaled.shape
+    if depth == 0:
+        yield (), np.zeros((1, n), dtype=rows_scaled.dtype)
+        return
 
     def walk(prefix, block):
         if len(prefix) == depth:
             yield prefix, block
             return
-        start = prefix[-1] + 1 if prefix else 0
-        for i in range(start, k - room - depth + len(prefix) + 1):
+        for i in range(prefix[-1] + 1, k - room - depth + len(prefix) + 1):
             child = _np_add(f, block[:, None, :], rows_scaled[i][None, :, :]).reshape(-1, n)
             yield from walk(prefix + (i,), child)
 
-    yield from walk((), np.zeros((1, n), dtype=rows_scaled.dtype))
+    for i in range(k - room - depth + 1):
+        yield from walk((i,), rows_scaled[i, :1] if normalized else rows_scaled[i])
 
 
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int):
-    """Weights of every message of weight w on k rows, against a table of support suffixes.
+def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
+    """Weights of every message of weight w on k rows whose first coefficient is 1.
+
+    Every nonzero multiple of a message has its weight, so the normal
+    form c1^-1 * m of each message m (c1 its first coefficient) stands for
+    its q-1 multiples; in the order below it comes no later than m, so
+    the first message of a given weight is always a normal form.
 
     ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j.  The
     suffix length L is the largest L <= w whose table, the codewords of
     every L-subset of rows, fits C(k, L) * (q-1)^L <= _BLOCK_TARGET (L = 1
     if none does); the table is built by ``_support_blocks`` with the
-    subsets in lexicographic order.  The walk then stops at the supports'
-    first w-L positions: the suffixes that extend a prefix ending at row s
-    are the contiguous run of subsets starting after s, and one add of the
-    prefix block to that run weighs every support on the prefix, laid out
-    as (suffix, prefix coefficients, suffix coefficients): supports in
-    lexicographic order and, within a support, coefficients with the first
-    position most significant.  Leaves hold at most max(1, _BLOCK_TARGET
-    // (q-1)^(w-1)) suffixes at a time.
+    subsets in lexicographic order, negated through the ``neg`` table, and
+    kept in ``tables`` under L, so one table serves every round of an
+    information set.  The walk then stops at the supports' first w-L
+    positions, the first with coefficient 1 only: the suffixes that extend
+    a prefix ending at row s are the contiguous run of subsets starting
+    after s, and one compare of the prefix block with that run of the
+    negated table weighs every support on the prefix (a + b != 0 exactly
+    where a != -b), laid out as (suffix, prefix coefficients, suffix
+    coefficients): supports in lexicographic order and, within a support,
+    coefficients with the first position most significant.  When w = L
+    the prefix is empty and the table's coefficient-1 slice is weighed
+    instead.  Leaves hold at most max(1, _BLOCK_TARGET // (q-1)^(w-1))
+    suffixes at a time.
 
     Yields (prefix, suffixes, weights) per leaf, and nothing when w > k.
     """
-    k, units, _ = rows_scaled.shape
+    k, units, n = rows_scaled.shape
     if w > k:
         return
     L = max((v for v in range(1, w + 1) if comb(k, v) * units**v <= _BLOCK_TARGET), default=1)
-    suffixes, blocks = zip(*_support_blocks(f, rows_scaled, L, 0))
-    table = np.stack(blocks)
-    firsts = [s[0] for s in suffixes]
+    if L not in tables:
+        suffixes, blocks = zip(*_support_blocks(f, rows_scaled, L, 0, normalized=False))
+        tables[L] = suffixes, [s[0] for s in suffixes], f.np_tables()[2][np.stack(blocks)]
+    suffixes, firsts, neg_table = tables[L]
+    if w == L:
+        neg_table = neg_table.reshape(len(suffixes), units, -1, n)[:, 0]
     step = max(1, _BLOCK_TARGET // units ** (w - 1))
-    for prefix, block in _support_blocks(f, rows_scaled, w - L, L):
+    for prefix, block in _support_blocks(f, rows_scaled, w - L, L, normalized=True):
         a = bisect_left(firsts, prefix[-1] + 1) if prefix else 0
         for b in range(a, len(suffixes), step):
-            leaf = _np_add(f, block[None, :, None, :], table[b:b + step, None])
-            yield prefix, suffixes[b:b + step], _weights(leaf).reshape(-1)
+            weights = _sum_weights(block[None, :, None, :], neg_table[b:b + step, None])
+            yield prefix, suffixes[b:b + step], weights.reshape(-1)
 
 
 class SearchRound(NamedTuple):
@@ -530,8 +558,12 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     Returns (distance, message in basis coordinates or None if the
     initial upper bound was never beaten, the rounds as ``SearchRound``
     records).  Round w weighs, set by set, every message of weight w
-    through ``_round_weights``; the first message that beats the best
-    weight so far in that order is kept.
+    whose first coefficient is 1 through ``_round_weights``; the first
+    message in that order that beats the best weight so far is kept, and
+    no message of weight w before it in the full order beats it.  Each
+    weight computed stands for the q-1 multiples of its message, so a
+    round's ``evaluations`` counts messages whose weight the search
+    established: (sets searched) * C(k, w) * (q-1)^w.
     Raises BudgetExceeded before round 1 when the projected cost exceeds
     the budget, and before the information sets are built when even the
     floor of ``_search_cost_floor`` does.  The projection counts every
@@ -563,6 +595,7 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     # per set, the q-1 nonzero scalings of each systematic row: shape (k, q-1, n)
     scaled = [np.stack([_np_scale(f, c, sys_rows) for c in range(1, q)], axis=1)
               for _, sys_rows, _, _ in sets]
+    tables = [{} for _ in sets]
     best = d_up
     best_msg = None
     rounds = []
@@ -570,14 +603,14 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     while lower_bound(w) < best:
         w += 1
         start, evals = time.perf_counter(), 0
-        for rows_scaled, (_, _, exprs, _) in zip(scaled, sets):
-            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w):
-                evals += len(weights)
+        for rows_scaled, set_tables, (_, _, exprs, _) in zip(scaled, tables, sets):
+            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables):
+                evals += len(weights) * (q - 1)
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
-                    s, rest = divmod(idx, (q - 1) ** w)
+                    s, rest = divmod(idx, (q - 1) ** (w - 1))
                     msg = [0] * k
-                    for r, c in zip(prefix + suffixes[s], _digits_shifted(rest, q - 1, w)):
+                    for r, c in zip(prefix + suffixes[s], (1,) + _digits_shifted(rest, q - 1, w - 1)):
                         for t in range(k):
                             msg[t] = f.add(msg[t], f.mul(c, exprs[r][t]))
                     best, best_msg = int(weights[idx]), tuple(msg)
@@ -596,8 +629,12 @@ def _digits_shifted(i: int, base: int, ndigits: int) -> tuple[int, ...]:
 
 @dataclass
 class DistanceResult:
-    """``rounds`` records the information-set search, round by round; it
-    is empty when all q^k codewords were scanned or in witness mode."""
+    """``evaluations`` counts the messages whose weight was established:
+    q^k for the full scan, 1 in witness mode, and in the information-set
+    search every message of each round, though the search computes one
+    weight per scalar class.  ``rounds`` records that search, round by
+    round; it is empty when all q^k codewords were scanned or in witness
+    mode."""
 
     q: int
     n: int

@@ -20,7 +20,7 @@ from ograss.codes import (
     _reduced_basis,
     _round_weights,
     _search_cost_floor,
-    _weights,
+    _sum_weights,
     build_generator,
     codeword,
     min_weight_witness,
@@ -235,7 +235,7 @@ def test_information_set_ranks_non_increasing(q):
 
 
 #: (q, rows of the reduced basis): subcodes small enough to scan exhaustively
-SUBCODES = [(3, 9), (4, 8), (8, 5), (9, 5)]
+SUBCODES = [(3, 9), (4, 8), (5, 6), (8, 5), (9, 5)]
 
 
 def _subcode(q, rows):
@@ -274,15 +274,29 @@ def _reference_supports_and_weights(q, rows, w):
     return [support for support, _ in ref], np.concatenate([weights for _, weights in ref])
 
 
+def _normal_form_index(f, w):
+    """For each coefficient tuple (c1..cw) of a support, first position most
+    significant, the index of its normal form c1^-1 * (c1..cw)."""
+    q = f.q
+    out = []
+    for coeffs in product(range(1, q), repeat=w):
+        inv = f.inv(coeffs[0])
+        out.append(sum((f.mul(inv, c) - 1) * (q - 1) ** (w - 1 - i) for i, c in enumerate(coeffs)))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
 def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
-    """The table kernel yields the reference weights, in the reference order.
+    """The table kernel yields the reference weights of the messages whose
+    first coefficient is 1, in the reference order.
 
-    Block target 5 leaves single rows as suffixes (L = 1) and splits each
-    run of them into several leaves; 2000 gives suffixes of two rows and
-    30000 of three on every (q, rows) here, once w reaches them.  Rounds
-    run to w = 4 while they hold at most 5e7 entries (all but q = 8, 9).
+    Each reference weight equals that of its normal form, which is what
+    lets the kernel skip the other q-2 multiples.  Block target 5 leaves
+    single rows as suffixes (L = 1) and splits each run of them into
+    several leaves; 2000 gives suffixes of two rows and 30000 of three on
+    every (q, rows) here, once w reaches them.  Rounds run to w = 4 while
+    they hold at most 5e7 entries (all but q = 8, 9).
     """
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_TARGET", block_target)
@@ -291,13 +305,17 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
     rows_scaled = _scaled_rows(f, _information_sets(f, basis)[0][1][:rows])
     n = rows_scaled.shape[2]
     suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
+    tables = {}
     for w in (1, 2, 3, 4):
         if comb(rows, w) * (q - 1) ** w * n > 5 * 10**7:
             continue
         ref_supports, ref_weights = _reference_supports_and_weights(q, rows, w)
-        chunks = list(_round_weights(f, rows_scaled, w))
+        per_support = ref_weights.reshape(len(ref_supports), -1)
+        assert np.array_equal(per_support[:, _normal_form_index(f, w)], per_support)
+        chunks = list(_round_weights(f, rows_scaled, w, tables))
         assert [prefix + suffix for prefix, suffixes, _ in chunks for suffix in suffixes] == ref_supports
-        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks]), ref_weights)
+        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks]),
+                              per_support[:, :(q - 1) ** (w - 1)].reshape(-1))
         if suffix_length is not None:
             assert {len(s) for _, suffixes, _ in chunks for s in suffixes} == {min(w, suffix_length)}
         if block_target == 5:
@@ -339,15 +357,33 @@ def test_bounded_search_matches_exhaustive_scan(q, rows):
 
 
 def test_weights_matches_count_nonzero():
-    """Random blocks, and all-nonzero rows longer than 255 that an 8-bit count would wrap."""
+    """_sum_weights(a, -b) counts the nonzero entries of a + b, broadcasting
+    like the add; all-nonzero rows longer than 255 would wrap an 8-bit count."""
     rng = np.random.default_rng(7)
-    for shape in [(1, 1), (5, 80), (3, 4, 6, 170), (7, 255), (2, 256), (9, 1640)]:
-        block = rng.integers(0, 4, size=shape, dtype=np.uint8)
-        assert np.array_equal(_weights(block), np.count_nonzero(block, axis=-1))
+    for q in (2, 3, 4, 5, 9):
+        add, _, neg, _ = field(q).np_tables()
+        for shape_a, shape_b in [((1, 1), (1, 1)), ((5, 80), (80,)), ((3, 1, 6, 170), (1, 4, 1, 170)),
+                                 ((7, 255), (7, 255)), ((2, 256), (256,)), ((9, 1640), (1, 1640))]:
+            a = rng.integers(0, q, size=shape_a, dtype=np.uint8)
+            b = rng.integers(0, q, size=shape_b, dtype=np.uint8)
+            assert np.array_equal(_sum_weights(a, neg[b]), np.count_nonzero(add[a, b], axis=-1))
     for n in (312, 1170):
-        block = np.full((3, n), 5, dtype=np.uint8)
-        block[1, ::2] = 0
-        assert _weights(block).tolist() == [n, n // 2, n]
+        a = np.full((3, n), 5, dtype=np.uint8)
+        a[1, ::2] = 0
+        assert _sum_weights(a, np.zeros(n, dtype=np.uint8)).tolist() == [n, n // 2, n]
+
+
+@pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
+def test_round_evaluations_count_every_message(q, rows):
+    """Each round counts all C(k, w) * (q-1)^w messages of weight w per set
+    searched, though it computes one weight per scalar class."""
+    f, sub = _subcode(q, rows)
+    k, n = sub.shape
+    _, size = _projected_cost(q, k, [r for _, _, _, r in _information_sets(f, sub)], n + 1)
+    _, _, rounds = _bounded_search(f, sub, n + 1, 10**12)
+    assert rounds
+    for r in rounds:
+        assert r.evaluations == size * comb(k, r.w) * (q - 1) ** r.w
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 47])
@@ -413,6 +449,24 @@ def test_exhaustive_scan_matches_direct_enumeration(q, rows):
     basis, _ = _reduced_basis(build_generator(f))
     d, msg, hist = _exhaustive_scan(f, basis[:rows])
     d0, msg0, hist0 = _direct_scan(f, basis[:rows])
+    assert (d, msg) == (d0, msg0)
+    assert np.array_equal(hist, hist0)
+
+
+@pytest.mark.parametrize("q, rows", [(3, 9), (5, 5), (9, 4)])
+def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
+    """A low block of p codewords leaves nearly every generator to the Gray
+    code, and rows r_i + 2*r_(i-1) put the minimum words on messages that
+    step them, so the message found depends on the outer offsets."""
+    f = field(q)
+    monkeypatch.setattr(codes, "_BLOCK_TARGET", f.p)
+    basis, _ = _reduced_basis(build_generator(f))
+    sub = basis[:rows].copy()
+    for i in range(1, rows):
+        sub[i] = _np_add(f, sub[i], f.np_tables()[1][2, sub[i - 1]])
+    d, msg, hist = _exhaustive_scan(f, sub)
+    d0, msg0, hist0 = _direct_scan(f, sub)
+    assert any(msg0[:-1])
     assert (d, msg) == (d0, msg0)
     assert np.array_equal(hist, hist0)
 

@@ -15,17 +15,17 @@ lookup tables for all of the cell's points at once.  The direct 3x3
 ``minor`` on each representative stays as the oracle: ``verify``
 compares the two on every point and every column set.
 
-Exhaustive weight scans enumerate all q^k codewords as F_p-combinations
-of the F_p-expansion of a reduced row-space basis (q = p^e; each basis
-row r gives the e generators x^j * r).  The low t generators are expanded
-once into a block of p^t codewords; the remaining ones step through a
-base-p modular Gray code, so each block advance is a single vectorized
-row addition and the amortized cost per codeword is O(n) field
-additions (in prime fields a compare-and-subtract, no modulo).  The
-message space splits into contiguous outer ranges for multi-threaded
-scans; each worker keeps a local minimum and histogram and the merge is
-deterministic (ties broken by the lexicographically smallest message
-vector).
+One kernel, ``_round_weights``, enumerates codewords for both the full
+scan and the information-set search described below: one round weighs
+every message of one weight w on a set of rows.  Every nonzero multiple
+of a codeword has its weight, so a round weighs only the messages whose
+first coefficient is 1, one per scalar class.  The full scan of all q^k
+codewords of a reduced basis runs the rounds w = 1..k, scales the
+histogram by q-1 and keeps the lexicographically least minimum-weight
+message, which has first coefficient 1 and so is always weighed.  With
+several threads the rounds go to a pool, largest first, and the merge
+(histograms summed, minimum over (weight, message)) does not depend on
+the thread count or the completion order.
 
 The dimension is 14 in even characteristic (reflected-complement minors
 coincide on the point set) but the full 20 for odd q, where q^k dwarfs
@@ -39,9 +39,7 @@ down to L levels above the leaves: the block of codewords on a support
 prefix is built once, with one add from its parent's block, and one
 compare against a negated table of the codewords on every L-subset of
 rows weighs every support that extends it (L = 2 for q = 3 and 4; a + b
-is nonzero exactly where a != -b, so the sum is never formed).  Every
-nonzero multiple of a codeword has its weight, so only messages whose
-first coefficient is 1 are weighed, one per scalar class.  For q = 3
+is nonzero exactly where a != -b, so the sum is never formed).  For q = 3
 the bound passes the witness weight 18 at w = 6 after 9 192 624
 evaluations (messages whose weight is established; 4 596 312 weights
 computed), about half a second of work.
@@ -250,132 +248,47 @@ def min_weight_witness(f: GF) -> MinorFunction:
 # exhaustive codeword scan
 # ---------------------------------------------------------------------------
 
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step, rem = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        stop = start + step + (1 if i < rem else 0)
-        out.append((start, stop))
-        start = stop
-    return out
-
-
-def _gray_digits(i: int, q: int, ndigits: int) -> list[int]:
-    """Base-q modular Gray code of i, least significant digit first."""
-    a = []
-    for _ in range(ndigits + 1):
-        a.append(i % q)
-        i //= q
-    return [(a[j] - a[j + 1]) % q for j in range(ndigits)]
-
-
-def _trailing_max_digits(i: int, q: int) -> int:
-    c = 0
-    while i % q == q - 1:
-        c += 1
-        i //= q
-    return c
-
-
-def _digits_msd(i: int, q: int, ndigits: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(ndigits):
-        out.append(i % q)
-        i //= q
-    return tuple(reversed(out))
-
-
-def _expand_block(f: GF, rows: np.ndarray, n: int) -> np.ndarray:
-    """All p^t F_p-combinations of the given generators, first row most significant."""
-    block = np.zeros((1, n), dtype=rows.dtype if len(rows) else np.uint8)
-    for row in rows:
-        scaled = np.stack([_np_scale(f, c, row) for c in range(f.p)])
-        block = _np_add(f, block[:, None, :], scaled[None, :, :]).reshape(-1, n)
-    return block
-
-
-def _scan_chunk(f, neg_high, low_block, t, start, stop):
-    """Scan outer Gray indices [start, stop); returns (hist, best_w, best_msg in F_p digits).
-
-    ``neg_high`` holds the negated outer generators, so the offset is kept
-    negated and each block is weighed as ``low_block + offset`` without
-    forming the sum.
-    """
-    p = f.p
-    n = low_block.shape[1]
-    u = len(neg_high)
-    digits = _gray_digits(start, p, u)
-    neg_offset = np.zeros(n, dtype=low_block.dtype)
-    for pos, coef in enumerate(digits):
-        if coef:
-            neg_offset = _np_add(f, neg_offset, _np_scale(f, coef, neg_high[u - 1 - pos]))
-    hist = np.zeros(n + 1, dtype=np.int64)
-    best_w = n + 1
-    best_msg = None
-    for o in range(start, stop):
-        w = _sum_weights(low_block, neg_offset)
-        if o == 0:
-            # inner index 0 of the zero offset is the zero message
-            hist[0] += 1
-            w = w[1:]
-            base = 1
-        else:
-            base = 0
-        if w.size:
-            hist += np.bincount(w, minlength=n + 1)
-            wmin = int(w.min())
-            if wmin <= best_w:
-                high_part = tuple(digits[u - 1 - i] for i in range(u))
-                for j in np.flatnonzero(w == wmin):
-                    msg = high_part + _digits_msd(int(j) + base, p, t)
-                    if wmin < best_w or best_msg is None or msg < best_msg:
-                        best_w, best_msg = wmin, msg
-        if o + 1 < stop:
-            pos = _trailing_max_digits(o, p)
-            digits[pos] = (digits[pos] + 1) % p
-            neg_offset = _np_add(f, neg_offset, neg_high[u - 1 - pos])
-    return hist, best_w, best_msg
-
-
 def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, tuple[int, ...], np.ndarray]:
     """Minimum nonzero weight, its lex-least message vector, and the full histogram.
 
-    The scan runs over the F_p-expansion of the basis, row i giving the
-    generators x^(e-1)*r_i, ..., x*r_i, r_i (x^j has the encoding p^j), so
-    each Gray step adds one generator once and every F_q multiple of every
-    row is reached.  The e digits of row i, most significant first, are the
-    base-p digits of its F_q coefficient: lex order on F_p messages is lex
-    order on F_q messages.  In prime fields the expansion is the basis.
+    Runs the rounds w = 1..k of ``_round_weights`` on the basis rows, one
+    message per scalar class, and scales the histogram by q-1.  The
+    lex-least member of a scalar class has first coefficient 1, so the
+    lex-least minimum-weight message is among those weighed.  Every
+    suffix table the rounds need is built by ``_suffix_table`` before
+    they start, into one ``tables`` dict that the rounds only read, so the
+    threads share it.  Rounds run on ``threads`` workers, the costliest,
+    C(k, w) * (q-1)^(w-1) weights, first; the merge is independent of
+    completion order.
     """
     k, n = basis.shape
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
-    p, e = f.p, f.e
-    gens = np.stack([_np_scale(f, p**j, row) for row in basis for j in range(e - 1, -1, -1)])
-    t = 0
-    while t < k * e and p ** (t + 1) <= _BLOCK_TARGET:
-        t += 1
-    t = max(t, 1)
-    u = k * e - t
-    low_block = _expand_block(f, gens[u:], n)
-    neg_high = f.np_tables()[2][gens[:u]]
-    outer_total = p**u
-    ranges = _split_ranges(outer_total, threads)
-    if len(ranges) == 1:
-        results = [_scan_chunk(f, neg_high, low_block, t, 0, outer_total)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
-            results = list(ex.map(lambda se: _scan_chunk(f, neg_high, low_block, t, se[0], se[1]), ranges))
-    hist = np.zeros(n + 1, dtype=np.int64)
-    best_w, best_msg = n + 1, None
-    for h, w, msg in results:
-        hist += h
-        if msg is not None and (w < best_w or (w == best_w and msg < best_msg)):
-            best_w, best_msg = w, msg
-    if best_msg is not None:
-        best_msg = tuple(f.element_from_coeffs(best_msg[i:i + e][::-1]) for i in range(0, k * e, e))
+    q = f.q
+    rows_scaled = np.stack([_np_scale(f, c, basis) for c in range(1, q)], axis=1)
+    tables = {}
+    _suffix_table(f, rows_scaled, max(_suffix_length(k, q - 1, w) for w in range(1, k + 1)), tables)
+
+    def scan_round(w):
+        hist = np.zeros(n + 1, dtype=np.int64)
+        best = (n + 1, ())
+        for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, tables):
+            hist += np.bincount(weights, minlength=n + 1)
+            wmin = int(weights.min())
+            if wmin <= best[0]:
+                for idx in np.flatnonzero(weights == wmin):
+                    msg = [0] * k
+                    for r, c in zip(*_leaf_message(q, w, prefix, suffixes, int(idx))):
+                        msg[r] = c
+                    best = min(best, (wmin, tuple(msg)))
+        return hist, best
+
+    rounds = sorted(range(1, k + 1), key=lambda w: comb(k, w) * (q - 1) ** (w - 1), reverse=True)
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        results = list(ex.map(scan_round, rounds))
+    hist = sum(h for h, _ in results) * (q - 1)
+    hist[0] = 1
+    best_w, best_msg = min(b for _, b in results)
     return best_w, best_msg, hist
 
 
@@ -470,14 +383,13 @@ def _sum_weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
 
 
-def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int, normalized: bool):
+def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
     """(prefix, block) for every support prefix of ``depth`` rows that leaves
     ``room`` later rows, in lexicographic order, by a depth-first walk.
 
-    ``block`` holds the codewords on the prefix, coefficients 1..q-1 with
-    the first position most significant (``_digits_shifted``), built with
-    one add from its parent's block: all (q-1)^depth of them, or, when
-    ``normalized``, the (q-1)^(depth-1) whose first coefficient is 1.
+    ``block`` holds the (q-1)^(depth-1) codewords on the prefix whose first
+    coefficient is 1, the first position most significant, built with one
+    add from its parent's block.
     """
     k, _, n = rows_scaled.shape
     if depth == 0:
@@ -493,7 +405,39 @@ def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int, norma
             yield from walk(prefix + (i,), child)
 
     for i in range(k - room - depth + 1):
-        yield from walk((i,), rows_scaled[i, :1] if normalized else rows_scaled[i])
+        yield from walk((i,), rows_scaled[i, :1])
+
+
+def _suffix_length(k: int, units: int, w: int) -> int:
+    """The largest L <= w whose suffix table fits C(k, L) * units^L <= _BLOCK_TARGET (1 if none does)."""
+    return max((v for v in range(1, w + 1) if comb(k, v) * units**v <= _BLOCK_TARGET), default=1)
+
+
+def _suffix_table(f: GF, rows_scaled: np.ndarray, L: int, tables: dict):
+    """(subsets, their first rows, negated codewords) on every L-subset of rows.
+
+    The subsets come in lexicographic order, each with all (q-1)^L
+    coefficient vectors, the first position most significant.  The
+    L-subsets that start at row i are i followed by the (L-1)-subsets that
+    start after it, a contiguous tail of table L-1, so table L takes one
+    add per row from table L-1; -(a + b) = -a + -b, so it is built from
+    the negated rows directly.  Tables are kept in ``tables`` under L.
+    """
+    if L not in tables:
+        if L == 1:
+            k = len(rows_scaled)
+            tables[1] = [(i,) for i in range(k)], list(range(k)), f.np_tables()[2][rows_scaled]
+        else:
+            _, _, neg_rows = _suffix_table(f, rows_scaled, 1, tables)
+            prev_subsets, prev_firsts, prev = _suffix_table(f, rows_scaled, L - 1, tables)
+            subsets, blocks = [], []
+            for i, neg_row in enumerate(neg_rows):
+                b = bisect_left(prev_firsts, i + 1)
+                subsets += [(i,) + s for s in prev_subsets[b:]]
+                blocks.append(_np_add(f, neg_row[None, :, None, :], prev[b:, None]))
+            units, n = neg_rows.shape[1:]
+            tables[L] = subsets, [s[0] for s in subsets], np.concatenate(blocks).reshape(-1, units**L, n)
+    return tables[L]
 
 
 def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
@@ -505,12 +449,10 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
     the first message of a given weight is always a normal form.
 
     ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j.  The
-    suffix length L is the largest L <= w whose table, the codewords of
-    every L-subset of rows, fits C(k, L) * (q-1)^L <= _BLOCK_TARGET (L = 1
-    if none does); the table is built by ``_support_blocks`` with the
-    subsets in lexicographic order, negated through the ``neg`` table, and
-    kept in ``tables`` under L, so one table serves every round of an
-    information set.  The walk then stops at the supports' first w-L
+    suffix length L is ``_suffix_length(k, q-1, w)``, and the negated
+    table of the codewords on every L-subset of rows comes from
+    ``_suffix_table``, kept in ``tables`` so that one table serves every
+    round on the same rows.  The walk then stops at the supports' first w-L
     positions, the first with coefficient 1 only: the suffixes that extend
     a prefix ending at row s are the contiguous run of subsets starting
     after s, and one compare of the prefix block with that run of the
@@ -520,26 +462,30 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
     coefficients with the first position most significant.  When w = L
     the prefix is empty and the table's coefficient-1 slice is weighed
     instead.  Leaves hold at most max(1, _BLOCK_TARGET // (q-1)^(w-1))
-    suffixes at a time.
+    suffixes at a time; ``_leaf_message`` decodes a leaf index.
 
     Yields (prefix, suffixes, weights) per leaf, and nothing when w > k.
     """
     k, units, n = rows_scaled.shape
     if w > k:
         return
-    L = max((v for v in range(1, w + 1) if comb(k, v) * units**v <= _BLOCK_TARGET), default=1)
-    if L not in tables:
-        suffixes, blocks = zip(*_support_blocks(f, rows_scaled, L, 0, normalized=False))
-        tables[L] = suffixes, [s[0] for s in suffixes], f.np_tables()[2][np.stack(blocks)]
-    suffixes, firsts, neg_table = tables[L]
+    L = _suffix_length(k, units, w)
+    suffixes, firsts, neg_table = _suffix_table(f, rows_scaled, L, tables)
     if w == L:
         neg_table = neg_table.reshape(len(suffixes), units, -1, n)[:, 0]
     step = max(1, _BLOCK_TARGET // units ** (w - 1))
-    for prefix, block in _support_blocks(f, rows_scaled, w - L, L, normalized=True):
+    for prefix, block in _support_blocks(f, rows_scaled, w - L, L):
         a = bisect_left(firsts, prefix[-1] + 1) if prefix else 0
         for b in range(a, len(suffixes), step):
             weights = _sum_weights(block[None, :, None, :], neg_table[b:b + step, None])
             yield prefix, suffixes[b:b + step], weights.reshape(-1)
+
+
+def _leaf_message(q: int, w: int, prefix, suffixes, idx: int):
+    """(support, coefficients) of entry idx of a ``_round_weights`` leaf of weight w."""
+    s, rest = divmod(idx, (q - 1) ** (w - 1))
+    coeffs = [1] + [rest // (q - 1) ** j % (q - 1) + 1 for j in range(w - 2, -1, -1)]
+    return prefix + suffixes[s], coeffs
 
 
 class SearchRound(NamedTuple):
@@ -608,23 +554,13 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
                 evals += len(weights) * (q - 1)
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
-                    s, rest = divmod(idx, (q - 1) ** (w - 1))
                     msg = [0] * k
-                    for r, c in zip(prefix + suffixes[s], (1,) + _digits_shifted(rest, q - 1, w - 1)):
+                    for r, c in zip(*_leaf_message(q, w, prefix, suffixes, idx)):
                         for t in range(k):
                             msg[t] = f.add(msg[t], f.mul(c, exprs[r][t]))
                     best, best_msg = int(weights[idx]), tuple(msg)
         rounds.append(SearchRound(w, lower_bound(w), best, evals, time.perf_counter() - start))
     return best, best_msg, tuple(rounds)
-
-
-def _digits_shifted(i: int, base: int, ndigits: int) -> tuple[int, ...]:
-    """Index of a nonzero-coefficient combination -> coefficients in 1..base."""
-    out = []
-    for _ in range(ndigits):
-        out.append(i % base + 1)
-        i //= base
-    return tuple(reversed(out))
 
 
 @dataclass
@@ -647,6 +583,11 @@ class DistanceResult:
     rounds: tuple[SearchRound, ...] = ()
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
 def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BUDGET,
                      threads: int = 1) -> DistanceResult:
     """Minimum Hamming weight of a nonzero codeword.
@@ -658,6 +599,7 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     evaluations).  ``witness`` only evaluates the known minimum-weight
     codeword and reports its weight, an upper bound on the distance.
     """
+    _check_threads(threads)
     G = build_generator(f)
     if method == "witness":
         wit = min_weight_witness(f)
@@ -684,6 +626,7 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
 
 def weight_distribution(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> dict[int, int]:
     """weight -> number of codewords, over all q^k codewords (zero included)."""
+    _check_threads(threads)
     basis, _ = _reduced_basis(build_generator(f))
     k = len(basis)
     total = f.q**k
@@ -733,6 +676,7 @@ class VerificationReport:
 
 def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> VerificationReport:
     """Run every checkable structural claim for this q and report pass/fail."""
+    _check_threads(threads)
     q = f.q
     checks: list[Check] = []
 

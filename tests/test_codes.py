@@ -455,9 +455,10 @@ def test_exhaustive_scan_matches_direct_enumeration(q, rows):
 
 @pytest.mark.parametrize("q, rows", [(3, 9), (5, 5), (9, 4)])
 def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
-    """A low block of p codewords leaves nearly every generator to the Gray
-    code, and rows r_i + 2*r_(i-1) put the minimum words on messages that
-    step them, so the message found depends on the outer offsets."""
+    """A block target of p forces suffix tables of single rows (L = 1) and
+    splits each leaf's run of suffixes, and rows r_i + 2*r_(i-1) put the
+    minimum words on messages that span several rows, so the message found
+    depends on the prefix walk and on the decode of split leaves."""
     f = field(q)
     monkeypatch.setattr(codes, "_BLOCK_TARGET", f.p)
     basis, _ = _reduced_basis(build_generator(f))
@@ -503,14 +504,20 @@ def test_scan_invariant_under_basis_choice_q2():
     assert np.array_equal(h1, h2)
 
 
-def test_scan_threads_deterministic():
-    f = field(2)
-    basis, _ = _reduced_basis(build_generator(f))
+@pytest.mark.parametrize("q, rows", [(2, None), (3, 9), (9, 5)])
+def test_scan_threads_deterministic(q, rows):
+    f, basis = _subcode(q, rows)
     single = _exhaustive_scan(f, basis, threads=1)
     multi = _exhaustive_scan(f, basis, threads=3)
     assert single[0] == multi[0]
     assert single[1] == multi[1]
     assert np.array_equal(single[2], multi[2])
+
+
+@pytest.mark.parametrize("call", [minimum_distance, weight_distribution, verify])
+def test_threads_below_one_rejected(call):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        call(field(2), threads=0)
 
 
 def test_sampled_messages_direct_recount():

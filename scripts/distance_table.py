@@ -15,6 +15,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qs", default="2,3,4,5,7,8,9")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--csv", default=None, help="optional output path, columns q,n,k,d,exact")
     args = ap.parse_args()
     rows = []
@@ -22,7 +23,7 @@ def main() -> int:
     for q in (int(t) for t in args.qs.split(",")):
         f = field(q)
         try:
-            res = minimum_distance(f, budget=args.budget)
+            res = minimum_distance(f, budget=args.budget, threads=args.threads)
             mark = ""
         except BudgetExceeded:
             res = minimum_distance(f, method="witness")

@@ -36,13 +36,15 @@ codeword has weight at least sum_i max(0, w + 1 - deficit_i), and the
 search stops as soon as that bound meets the best weight found.  Each
 round walks the supports of weight w depth first, in lexicographic order,
 down to L levels above the leaves: the block of codewords on a support
-prefix is built once, with one add from its parent's block, and one
-compare against a negated table of the codewords on every L-subset of
-rows weighs every support that extends it (L = 2 for q = 3 and 4; a + b
-is nonzero exactly where a != -b, so the sum is never formed).  For q = 3
+prefix is built once, with one add from its parent's block, and packed
+into bit planes (``_pack``).  One XOR of that block against a packed,
+negated table of the codewords on every L-subset of rows, the OR of the
+planes and a popcount weigh every support that extends the prefix (a + b
+is nonzero exactly where a != -b, so the sum is never formed and one
+kernel serves every field; L = 3 for q = 3 and 2 for q = 4).  For q = 3
 the bound passes the witness weight 18 at w = 6 after 9 192 624
 evaluations (messages whose weight is established; 4 596 312 weights
-computed), about half a second of work.
+computed), about a tenth of a second of work.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -54,9 +56,9 @@ from __future__ import annotations
 
 import functools
 import time
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -86,7 +88,7 @@ from .polar import (
 )
 
 DEFAULT_BUDGET = 10**8
-_BLOCK_TARGET = 4096
+_BLOCK_BYTES = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -255,11 +257,13 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     message per scalar class, and scales the histogram by q-1.  The
     lex-least member of a scalar class has first coefficient 1, so the
     lex-least minimum-weight message is among those weighed.  Every
-    suffix table the rounds need is built by ``_suffix_table`` before
+    suffix table the rounds need is built by ``_suffix_tables`` before
     they start, into one ``tables`` dict that the rounds only read, so the
-    threads share it.  Rounds run on ``threads`` workers, the costliest,
-    C(k, w) * (q-1)^(w-1) weights, first; the merge is independent of
-    completion order.
+    threads share it.  A round weighs C(k, w) * (q-1)^(w-1) messages;
+    one whose packed codewords fit in _BLOCK_BYTES, about one leaf, runs
+    in the calling thread, where a worker would only add overhead, and the
+    others run on ``threads`` workers, the costliest first.  The merge is
+    independent of completion order.
     """
     k, n = basis.shape
     if k == 0:
@@ -267,25 +271,28 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     q = f.q
     rows_scaled = np.stack([_np_scale(f, c, basis) for c in range(1, q)], axis=1)
     tables = {}
-    _suffix_table(f, rows_scaled, max(_suffix_length(k, q - 1, w) for w in range(1, k + 1)), tables)
+    _suffix_tables(f, rows_scaled, _suffix_length(f, rows_scaled, k), tables)
 
     def scan_round(w):
         hist = np.zeros(n + 1, dtype=np.int64)
-        best = (n + 1, ())
+        least, hits = n + 1, []
         for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, tables):
             hist += np.bincount(weights, minlength=n + 1)
             wmin = int(weights.min())
-            if wmin <= best[0]:
-                for idx in np.flatnonzero(weights == wmin):
-                    msg = [0] * k
-                    for r, c in zip(*_leaf_message(q, w, prefix, suffixes, int(idx))):
-                        msg[r] = c
-                    best = min(best, (wmin, tuple(msg)))
-        return hist, best
+            if wmin < least:
+                least, hits = wmin, []
+            if wmin == least:
+                hits.append(_leaf_messages(q, w, prefix, suffixes, np.flatnonzero(weights == wmin)))
+        supports, coeffs = (np.concatenate(parts) for parts in zip(*hits))
+        msgs = np.zeros((len(coeffs), k), dtype=np.int64)
+        np.put_along_axis(msgs, supports, coeffs, axis=1)
+        return hist, (least, tuple(msgs[np.lexsort(msgs.T[::-1])[0]].tolist()))
 
-    rounds = sorted(range(1, k + 1), key=lambda w: comb(k, w) * (q - 1) ** (w - 1), reverse=True)
+    work = {w: comb(k, w) * (q - 1) ** (w - 1) * _packed_row_bytes(q, n) for w in range(1, k + 1)}
+    rounds = sorted(work, key=work.get, reverse=True)
+    results = [scan_round(w) for w in rounds if work[w] <= _BLOCK_BYTES]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        results = list(ex.map(scan_round, rounds))
+        results += ex.map(scan_round, [w for w in rounds if work[w] > _BLOCK_BYTES])
     hist = sum(h for h, _ in results) * (q - 1)
     hist[0] = 1
     best_w, best_msg = min(b for _, b in results)
@@ -371,76 +378,125 @@ def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, i
                for size in range(1, len(ranks) + 1))
 
 
-def _sum_weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
-    """Hamming weights of a + b along the last axis, given -b, without forming the sum.
+def _packed_row_bytes(q: int, n: int) -> int:
+    """Bytes of one codeword of length n over GF(q) in ``_pack`` form."""
+    return (q - 1).bit_length() * -(-n // 64) * 8
 
-    a + b is nonzero exactly where a != -b.  The weight is a byte sum of
-    that mask in the smallest unsigned type that holds n:
-    ``count_nonzero(axis=...)`` reduces the mask through intp and takes
-    about twice as long.
+
+def _pack(x: np.ndarray, planes: int) -> np.ndarray:
+    """The bit planes of the encodings x (*rows, n), each packed over n: (planes, words, *rows) uint64.
+
+    Plane j holds bit j of every entry, position i in bit i % 64 of word
+    i // 64, and positions past n are 0 in every plane, so two packed
+    codewords are equal exactly where every plane of their XOR is 0.
     """
-    mask = a != neg_b
-    return mask.view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
+    *rows, n = x.shape
+    words = -(-n // 64)
+    padded = np.zeros((*rows, 64 * words), dtype=x.dtype)
+    padded[..., :n] = x
+    bits = padded & (1 << np.arange(planes, dtype=x.dtype)).reshape(-1, *[1] * x.ndim)
+    packed = np.packbits(bits, bitorder="little").view(np.uint64).reshape(planes, *rows, words)
+    return np.ascontiguousarray(packed.transpose(0, x.ndim, *range(1, x.ndim)))
 
 
-def _support_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
-    """(prefix, block) for every support prefix of ``depth`` rows that leaves
-    ``room`` later rows, in lexicographic order, by a depth-first walk.
+def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
+    """Hamming weights of a + b, given a and -b in ``_pack`` form, broadcast like their XOR.
 
-    ``block`` holds the (q-1)^(depth-1) codewords on the prefix whose first
-    coefficient is 1, the first position most significant, built with one
-    add from its parent's block.
+    a + b is nonzero exactly where a != -b, that is where some plane of
+    a XOR -b has a 1, so no sum is formed: the weight is the popcount of
+    the OR of the planes, summed over the words in the smallest unsigned
+    type that holds the packed length.  The same test serves every field.
+    """
+    x = a ^ neg_b
+    diff = x[0]
+    for plane in x[1:]:
+        diff |= plane
+    counts = np.bitwise_count(diff)
+    return counts.sum(axis=0, dtype=np.min_scalar_type(64 * len(counts)))
+
+
+def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
+    """(prefix, packed block) for every support prefix of ``depth`` rows that
+    leaves ``room`` later rows, in lexicographic order, by a depth-first walk.
+
+    The block holds the (q-1)^(depth-1) codewords on the prefix whose first
+    coefficient is 1, the first position most significant, in ``_pack``
+    form.  The blocks of all children of a prefix are built with one add
+    from its block, and those of the last level packed at once.
     """
     k, _, n = rows_scaled.shape
+    planes = (f.q - 1).bit_length()
     if depth == 0:
-        yield (), np.zeros((1, n), dtype=rows_scaled.dtype)
+        yield (), _pack(np.zeros((1, n), dtype=rows_scaled.dtype), planes)
         return
 
     def walk(prefix, block):
-        if len(prefix) == depth:
-            yield prefix, block
-            return
-        for i in range(prefix[-1] + 1, k - room - depth + len(prefix) + 1):
-            child = _np_add(f, block[:, None, :], rows_scaled[i][None, :, :]).reshape(-1, n)
-            yield from walk(prefix + (i,), child)
-
-    for i in range(k - room - depth + 1):
-        yield from walk((i,), rows_scaled[i, :1])
-
-
-def _suffix_length(k: int, units: int, w: int) -> int:
-    """The largest L <= w whose suffix table fits C(k, L) * units^L <= _BLOCK_TARGET (1 if none does)."""
-    return max((v for v in range(1, w + 1) if comb(k, v) * units**v <= _BLOCK_TARGET), default=1)
-
-
-def _suffix_table(f: GF, rows_scaled: np.ndarray, L: int, tables: dict):
-    """(subsets, their first rows, negated codewords) on every L-subset of rows.
-
-    The subsets come in lexicographic order, each with all (q-1)^L
-    coefficient vectors, the first position most significant.  The
-    L-subsets that start at row i are i followed by the (L-1)-subsets that
-    start after it, a contiguous tail of table L-1, so table L takes one
-    add per row from table L-1; -(a + b) = -a + -b, so it is built from
-    the negated rows directly.  Tables are kept in ``tables`` under L.
-    """
-    if L not in tables:
-        if L == 1:
-            k = len(rows_scaled)
-            tables[1] = [(i,) for i in range(k)], list(range(k)), f.np_tables()[2][rows_scaled]
+        lo, hi = (prefix[-1] + 1 if prefix else 0), k - room - depth + len(prefix) + 1
+        if prefix:
+            children = _np_add(f, block[None, :, None, :], rows_scaled[lo:hi, None]).reshape(hi - lo, -1, n)
         else:
-            _, _, neg_rows = _suffix_table(f, rows_scaled, 1, tables)
-            prev_subsets, prev_firsts, prev = _suffix_table(f, rows_scaled, L - 1, tables)
-            subsets, blocks = [], []
-            for i, neg_row in enumerate(neg_rows):
-                b = bisect_left(prev_firsts, i + 1)
-                subsets += [(i,) + s for s in prev_subsets[b:]]
-                blocks.append(_np_add(f, neg_row[None, :, None, :], prev[b:, None]))
-            units, n = neg_rows.shape[1:]
-            tables[L] = subsets, [s[0] for s in subsets], np.concatenate(blocks).reshape(-1, units**L, n)
-    return tables[L]
+            children = rows_scaled[lo:hi, :1]
+        if len(prefix) + 1 == depth:
+            packed = _pack(children, planes)
+            for i in range(lo, hi):
+                yield prefix + (i,), packed[:, :, i - lo]
+        else:
+            for i in range(lo, hi):
+                yield from walk(prefix + (i,), children[i - lo])
+
+    yield from walk((), None)
 
 
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
+def _suffix_length(f: GF, rows_scaled: np.ndarray, w: int, sets: int = 1) -> int:
+    """min(w, L) for the largest L such that each suffix table 2..L is no
+    larger than the largest round on the rows and, in ``_pack`` form, fits
+    in _BLOCK_BYTES shared by the ``sets`` sets of rows whose tables are
+    kept at once (L = 1 if table 2 does not).
+
+    The table on j-subsets of k rows holds C(k, j) * (q-1)^j codewords and
+    round v weighs C(k, v) * (q-1)^(v-1), so L grows with the work until
+    the tables reach their share of memory.
+    """
+    k, units, n = rows_scaled.shape
+    cap = min(_BLOCK_BYTES // (_packed_row_bytes(f.q, n) * sets),
+              max(comb(k, v) * units ** (v - 1) for v in range(1, k + 1)))
+    L = 1
+    while L < w and comb(k, L + 1) * units ** (L + 1) <= cap:
+        L += 1
+    return L
+
+
+def _suffix_tables(f: GF, rows_scaled: np.ndarray, L: int, tables: dict) -> None:
+    """Put in ``tables[j]``, for j = 1..L, the negated codewords on every j-subset of rows.
+
+    The subsets come in lexicographic order (that of ``combinations``),
+    each with all (q-1)^j coefficient vectors, the first position most
+    significant; the codewords are kept only in ``_pack`` form, shaped
+    (planes, words, C(k, j), (q-1)^j).  The j-subsets that start at row i
+    are i followed by the (j-1)-subsets that start after it, the last
+    C(k-i-1, j-1) of level j-1, so level j takes one add per row from
+    level j-1's codewords, which are dropped once it is built;
+    -(a + b) = -a + -b, so it is built from the negated rows directly.
+    """
+    if L in tables:
+        return
+    k, units, n = rows_scaled.shape
+    planes = (f.q - 1).bit_length()
+    neg_rows = f.np_tables()[2][rows_scaled]
+    blocks = [neg_rows]
+    for j in range(1, L + 1):
+        if j > 1:
+            tails = (prev[len(prev) - comb(k - i - 1, j - 1):] for i in range(k))
+            blocks = (_np_add(f, row[None, :, None, :], tail[:, None]).reshape(-1, units**j, n)
+                      for row, tail in zip(neg_rows, tails))
+        if j < L:
+            prev = np.concatenate(list(blocks))
+            blocks = [prev]
+        if j not in tables:
+            tables[j] = np.concatenate([_pack(block, planes) for block in blocks], axis=2)
+
+
+def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict, sets: int = 1):
     """Weights of every message of weight w on k rows whose first coefficient is 1.
 
     Every nonzero multiple of a message has its weight, so the normal
@@ -448,44 +504,54 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict):
     its q-1 multiples; in the order below it comes no later than m, so
     the first message of a given weight is always a normal form.
 
-    ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j.  The
-    suffix length L is ``_suffix_length(k, q-1, w)``, and the negated
-    table of the codewords on every L-subset of rows comes from
-    ``_suffix_table``, kept in ``tables`` so that one table serves every
-    round on the same rows.  The walk then stops at the supports' first w-L
-    positions, the first with coefficient 1 only: the suffixes that extend
-    a prefix ending at row s are the contiguous run of subsets starting
-    after s, and one compare of the prefix block with that run of the
-    negated table weighs every support on the prefix (a + b != 0 exactly
-    where a != -b), laid out as (suffix, prefix coefficients, suffix
+    ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j, and
+    ``sets`` counts the sets of rows whose tables are kept at once.  The
+    suffix length L is ``_suffix_length``, and the negated table of the
+    codewords on every L-subset of rows comes from ``_suffix_tables``,
+    kept in ``tables`` so that one table serves every round on the same
+    rows.  The walk then stops at the supports' first w-L positions, the
+    first with coefficient 1 only, and packs each prefix block once: the
+    suffixes that extend a prefix ending at row s are the contiguous run
+    of subsets starting after s, and ``_weights`` of the packed prefix
+    block against that run of the table weighs every support on the
+    prefix.  The longer operand runs along the contiguous inner axis, and
+    the weights are laid out as (suffix, prefix coefficients, suffix
     coefficients): supports in lexicographic order and, within a support,
     coefficients with the first position most significant.  When w = L
-    the prefix is empty and the table's coefficient-1 slice is weighed
-    instead.  Leaves hold at most max(1, _BLOCK_TARGET // (q-1)^(w-1))
-    suffixes at a time; ``_leaf_message`` decodes a leaf index.
+    the prefix is empty and the table's coefficient-1 slice is kept.
+    Leaves take as many suffixes as keep the packed XOR within the rows'
+    share of _BLOCK_BYTES (see ``_suffix_length``), at least one;
+    ``_leaf_messages`` decodes leaf indices.
 
     Yields (prefix, suffixes, weights) per leaf, and nothing when w > k.
     """
     k, units, n = rows_scaled.shape
     if w > k:
         return
-    L = _suffix_length(k, units, w)
-    suffixes, firsts, neg_table = _suffix_table(f, rows_scaled, L, tables)
-    if w == L:
-        neg_table = neg_table.reshape(len(suffixes), units, -1, n)[:, 0]
-    step = max(1, _BLOCK_TARGET // units ** (w - 1))
-    for prefix, block in _support_blocks(f, rows_scaled, w - L, L):
-        a = bisect_left(firsts, prefix[-1] + 1) if prefix else 0
+    L = _suffix_length(f, rows_scaled, w, sets)
+    _suffix_tables(f, rows_scaled, L, tables)
+    table, suffixes = tables[L], list(combinations(range(k), L))
+    step = max(1, _BLOCK_BYTES // sets // (_packed_row_bytes(f.q, n) * units ** max(w - 1, L)))
+    for prefix, packed in _prefix_blocks(f, rows_scaled, w - L, L):
+        a = len(suffixes) - comb(k - prefix[-1] - 1, L) if prefix else 0
         for b in range(a, len(suffixes), step):
-            weights = _sum_weights(block[None, :, None, :], neg_table[b:b + step, None])
+            run = table[:, :, b:b + step]
+            if packed.shape[2] > run[0, 0].size:
+                weights = _weights(run[..., None], packed[:, :, None, None]).transpose(0, 2, 1)
+            else:
+                weights = _weights(packed[:, :, :, None, None], run[:, :, None]).transpose(1, 0, 2)
+            if w == L:
+                weights = weights[:, :, :units ** (L - 1)]
             yield prefix, suffixes[b:b + step], weights.reshape(-1)
 
 
-def _leaf_message(q: int, w: int, prefix, suffixes, idx: int):
-    """(support, coefficients) of entry idx of a ``_round_weights`` leaf of weight w."""
-    s, rest = divmod(idx, (q - 1) ** (w - 1))
-    coeffs = [1] + [rest // (q - 1) ** j % (q - 1) + 1 for j in range(w - 2, -1, -1)]
-    return prefix + suffixes[s], coeffs
+def _leaf_messages(q: int, w: int, prefix, suffixes, idx):
+    """(supports, coefficients), each (len(idx), w), of the entries idx of a
+    ``_round_weights`` leaf of weight w."""
+    units = q - 1
+    s, rest = np.divmod(np.asarray(idx), units ** (w - 1))
+    supports = np.array([prefix + suffixes[i] for i in s.tolist()], dtype=np.intp).reshape(-1, w)
+    return supports, rest[:, None] // units ** np.arange(w - 1, -1, -1) % units + 1
 
 
 class SearchRound(NamedTuple):
@@ -550,12 +616,13 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
         w += 1
         start, evals = time.perf_counter(), 0
         for rows_scaled, set_tables, (_, _, exprs, _) in zip(scaled, tables, sets):
-            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables):
+            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, len(sets)):
                 evals += len(weights) * (q - 1)
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
+                    supports, coeffs = _leaf_messages(q, w, prefix, suffixes, [idx])
                     msg = [0] * k
-                    for r, c in zip(*_leaf_message(q, w, prefix, suffixes, idx)):
+                    for r, c in zip(supports[0].tolist(), coeffs[0].tolist()):
                         for t in range(k):
                             msg[t] = f.add(msg[t], f.mul(c, exprs[r][t]))
                     best, best_msg = int(weights[idx]), tuple(msg)

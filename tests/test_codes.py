@@ -16,11 +16,13 @@ from ograss.codes import (
     _information_sets,
     _message_to_function,
     _np_add,
+    _pack,
+    _packed_row_bytes,
     _projected_cost,
     _reduced_basis,
     _round_weights,
     _search_cost_floor,
-    _sum_weights,
+    _weights,
     build_generator,
     codeword,
     min_weight_witness,
@@ -292,18 +294,19 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
     first coefficient is 1, in the reference order.
 
     Each reference weight equals that of its normal form, which is what
-    lets the kernel skip the other q-2 multiples.  Block target 5 leaves
+    lets the kernel skip the other q-2 multiples.  A block target of t
+    packed codewords (_BLOCK_BYTES = t * the bytes of one) of 5 leaves
     single rows as suffixes (L = 1) and splits each run of them into
     several leaves; 2000 gives suffixes of two rows and 30000 of three on
     every (q, rows) here, once w reaches them.  Rounds run to w = 4 while
     they hold at most 5e7 entries (all but q = 8, 9).
     """
-    if block_target is not None:
-        monkeypatch.setattr(codes, "_BLOCK_TARGET", block_target)
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
     rows_scaled = _scaled_rows(f, _information_sets(f, basis)[0][1][:rows])
     n = rows_scaled.shape[2]
+    if block_target is not None:
+        monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
     suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
     tables = {}
     for w in (1, 2, 3, 4):
@@ -357,20 +360,28 @@ def test_bounded_search_matches_exhaustive_scan(q, rows):
 
 
 def test_weights_matches_count_nonzero():
-    """_sum_weights(a, -b) counts the nonzero entries of a + b, broadcasting
-    like the add; all-nonzero rows longer than 255 would wrap an 8-bit count."""
+    """_weights of packed a and -b counts the nonzero entries of a + b,
+    broadcasting over the rows like the add, for 1 to 6 bit planes and
+    lengths on both sides of a word and of an 8-bit count."""
     rng = np.random.default_rng(7)
-    for q in (2, 3, 4, 5, 9):
+    shapes = [((1, 1), (1, 1)), ((5, 80), (80,)), ((3, 1, 6, 170), (1, 4, 1, 170)),
+              ((7, 255), (7, 255)), ((2, 256), (256,)), ((9, 1640), (1, 1640))]
+    for n in (1, 63, 64, 65, 255, 256, 1170, 1640):
+        shapes += [((7, n), (7, n)), ((3, 1, n), (1, 4, n))]
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 49):
         add, _, neg, _ = field(q).np_tables()
-        for shape_a, shape_b in [((1, 1), (1, 1)), ((5, 80), (80,)), ((3, 1, 6, 170), (1, 4, 1, 170)),
-                                 ((7, 255), (7, 255)), ((2, 256), (256,)), ((9, 1640), (1, 1640))]:
+        planes = (q - 1).bit_length()
+        for shape_a, shape_b in shapes:
             a = rng.integers(0, q, size=shape_a, dtype=np.uint8)
             b = rng.integers(0, q, size=shape_b, dtype=np.uint8)
-            assert np.array_equal(_sum_weights(a, neg[b]), np.count_nonzero(add[a, b], axis=-1))
-    for n in (312, 1170):
-        a = np.full((3, n), 5, dtype=np.uint8)
-        a[1, ::2] = 0
-        assert _sum_weights(a, np.zeros(n, dtype=np.uint8)).tolist() == [n, n // 2, n]
+            b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
+            got = _weights(_pack(a, planes), _pack(neg[b], planes))
+            assert np.array_equal(got, np.count_nonzero(add[a, b], axis=-1))
+        for n in (255, 256, 312, 1170, 1640):
+            a = np.full((3, n), q - 1, dtype=np.uint8)
+            a[1, ::2] = 0
+            got = _weights(_pack(a, planes), _pack(np.zeros((1, n), dtype=np.uint8), planes))
+            assert got.tolist() == [n, n // 2, n]
 
 
 @pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
@@ -455,13 +466,14 @@ def test_exhaustive_scan_matches_direct_enumeration(q, rows):
 
 @pytest.mark.parametrize("q, rows", [(3, 9), (5, 5), (9, 4)])
 def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
-    """A block target of p forces suffix tables of single rows (L = 1) and
-    splits each leaf's run of suffixes, and rows r_i + 2*r_(i-1) put the
-    minimum words on messages that span several rows, so the message found
-    depends on the prefix walk and on the decode of split leaves."""
+    """A block target of p packed codewords forces suffix tables of single
+    rows (L = 1) and splits each leaf's run of suffixes, and rows
+    r_i + 2*r_(i-1) put the minimum words on messages that span several
+    rows, so the message found depends on the prefix walk and on the
+    decode of split leaves."""
     f = field(q)
-    monkeypatch.setattr(codes, "_BLOCK_TARGET", f.p)
     basis, _ = _reduced_basis(build_generator(f))
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", f.p * _packed_row_bytes(q, basis.shape[1]))
     sub = basis[:rows].copy()
     for i in range(1, rows):
         sub[i] = _np_add(f, sub[i], f.np_tables()[1][2, sub[i - 1]])

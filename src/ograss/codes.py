@@ -12,8 +12,9 @@ det_A = expansion_sign(A, I) * det(reduced block), the block on the
 index sets of ``reduced_minor_indices(A, I)``; that determinant (size 0
 to 3, size 0 giving 1) is evaluated in closed form over the field's
 lookup tables for all of the cell's points at once.  The direct 3x3
-``minor`` on each representative stays as the oracle: ``verify``
-compares the two on every point and every column set.
+determinant of each column triple stays as the oracle: ``verify``
+evaluates it on the same cell arrays and compares the two on every point
+and every column set.
 
 One kernel, ``_round_weights``, enumerates codewords for both the full
 scan and the information-set search described below: one round weighs
@@ -64,28 +65,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import FormSpace
+from .forms import totally_singular_mask
 from .gf import GF, row_reduce
 from .grassmann import (
     AMBIENT,
     COLUMN_SETS,
     COLSET_INDEX,
-    MatrixRep,
     MinorFunction,
     expansion_sign,
-    minor,
     reduced_minor_indices,
     reflected_complement,
 )
-from .polar import (
-    CELL_ORDER,
-    brute_force_points,
-    cell_matrices,
-    cell_slices,
-    enumerate_points,
-    point_count,
-    swap34_map,
-)
+from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_BYTES = 1 << 20
@@ -95,7 +86,7 @@ class BudgetExceeded(RuntimeError):
     """The exhaustive scan would need more codeword evaluations than allowed."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorMatrix:
     """20 x n generator matrix; row i lists minor COLUMN_SETS[i] over all points."""
 
@@ -130,6 +121,12 @@ def _np_det(f: GF, block, one: np.ndarray) -> np.ndarray:
     t2 = mul[b, sub(mul[d, j], mul[g, h])]
     t3 = mul[c, sub(mul[d, i], mul[e, h])]
     return add[sub(t1, t2), t3]
+
+
+def _direct_minors(f: GF, mats: np.ndarray) -> np.ndarray:
+    """The 20 minors of every representative in a (3, 6, count) array, each the
+    determinant of its full 3x3 column triple: the oracle of the pivot expansion."""
+    return np.array([_np_det(f, mats[:, [a - 1 for a in A]], None) for A in COLUMN_SETS])
 
 
 def _cell_generator(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
@@ -179,8 +176,6 @@ def _np_add(f: GF, x, y):
 
 
 def _np_scale(f: GF, c: int, x):
-    if c == 0:
-        return np.zeros_like(x)
     if c == 1:
         return x
     return f.np_tables()[1][c, x]
@@ -192,10 +187,15 @@ def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
         G = build_generator(fn.field)
     if fn.field != G.field:
         raise ValueError("coefficient vector and generator matrix use different fields")
-    out = np.zeros(G.n, dtype=G.matrix.dtype)
-    for idx, c in enumerate(fn.coeffs):
-        if c:
-            out = _np_add(fn.field, out, _np_scale(fn.field, c, G.matrix[idx]))
+    return _combine(fn.field, fn.coeffs, G.matrix)
+
+
+def _combine(f: GF, coeffs, rows) -> np.ndarray:
+    """sum_i coeffs[i] * rows[i] over GF(q), for a 2-D array (or nested sequence) of rows."""
+    terms = f.np_tables()[1][np.asarray(coeffs)[:, None], np.asarray(rows)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = _np_add(f, out, term)
     return out
 
 
@@ -203,13 +203,19 @@ def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
 # rank and reduced basis
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _reduced_basis(G: GeneratorMatrix) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Row-reduce [G | I]; returns (basis rows, their expressions in the 20 original rows)."""
+    """Row-reduce [G | I]; returns (basis rows, their expressions in the 20 original rows).
+
+    Cached per generator, which hashes by identity; the basis is read-only
+    because every caller shares it."""
     n, nrows = G.n, G.matrix.shape[0]
     aug = np.hstack([G.matrix, np.eye(nrows, dtype=G.matrix.dtype)])
     reduced, pivots = row_reduce(G.field, aug, range(n))
     k = len(pivots)
-    return reduced[:k, :n], tuple(map(tuple, reduced[:k, n:].tolist()))
+    basis = reduced[:k, :n]
+    basis.setflags(write=False)
+    return basis, tuple(map(tuple, reduced[:k, n:].tolist()))
 
 
 def rank_dimension(G: GeneratorMatrix) -> int:
@@ -300,11 +306,7 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
 
 
 def _message_to_function(f: GF, msg: tuple[int, ...], exprs) -> MinorFunction:
-    coeffs = [0] * len(COLUMN_SETS)
-    for mi, expr in zip(msg, exprs):
-        if mi:
-            coeffs = [f.add(a, f.mul(mi, c)) for a, c in zip(coeffs, expr)]
-    return MinorFunction(f, tuple(coeffs))
+    return MinorFunction(f, tuple(_combine(f, msg, exprs).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +623,8 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
                     supports, coeffs = _leaf_messages(q, w, prefix, suffixes, [idx])
-                    msg = [0] * k
-                    for r, c in zip(supports[0].tolist(), coeffs[0].tolist()):
-                        for t in range(k):
-                            msg[t] = f.add(msg[t], f.mul(c, exprs[r][t]))
-                    best, best_msg = int(weights[idx]), tuple(msg)
+                    msg = _combine(f, coeffs[0], [exprs[r] for r in supports[0]])
+                    best, best_msg = int(weights[idx]), tuple(msg.tolist())
         rounds.append(SearchRound(w, lower_bound(w), best, evals, time.perf_counter() - start))
     return best, best_msg, tuple(rounds)
 
@@ -750,19 +749,21 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
     def add_check(name, expected, actual):
         checks.append(Check(name, expected, actual, expected == actual))
 
-    pts = enumerate_points(f)
-    add_check("point count", point_count(q), len(pts))
-    sizes = tuple(sum(1 for p in pts if p.pivots == piv) for piv in CELL_ORDER)
-    add_check("cell sizes", (q**3, q**3, q**2, q**2, q, q, 1, 1), sizes)
-    add_check("pivot sets avoid mirrored column pairs", True,
-              all(not any(7 - i in p.pivots for i in p.pivots) for p in pts))
-    space = FormSpace(f, 3)
-    add_check("points totally singular", True,
-              all(space.is_totally_singular(p.matrix) for p in pts))
-    add_check("representatives pairwise distinct", len(pts), len({p.matrix.rows for p in pts}))
+    # every point check reads the eight cell arrays, (3, 6, n) once joined
+    cells = [cell_matrices(f, pivots) for pivots in CELL_ORDER]
+    mats = np.concatenate(cells, axis=2)
+    n = mats.shape[2]
+    add_check("point count", point_count(q), n)
+    add_check("cell sizes", (q**3, q**3, q**2, q**2, q, q, 1, 1), tuple(c.shape[2] for c in cells))
+    # a row's pivot is its last nonzero column; columns c and 5 - c (0-based) are mirrored
+    lead = AMBIENT - 1 - np.argmax(mats[:, ::-1] != 0, axis=1)
+    add_check("pivot sets avoid mirrored column pairs", True, not np.any(lead[:, None] + lead == AMBIENT - 1))
+    add_check("points totally singular", True, bool(totally_singular_mask(f, mats).all()))
+    flat = mats.reshape(-1, n)
+    add_check("representatives pairwise distinct", n, np.unique(flat, axis=1).shape[1])
     if q <= 3:
-        add_check("cell enumeration equals reduced-form scan", True,
-                  frozenset(p.matrix.rows for p in pts) == brute_force_points(f))
+        scan = frozenset(sum(rows, ()) for rows in brute_force_points(f))
+        add_check("cell enumeration equals reduced-form scan", True, frozenset(map(tuple, flat.T.tolist())) == scan)
     mapping = swap34_map(f)
     targets_ok = all(dst[0] == tuple(sorted((set(src[0]) - {4}) | {3}))
                      for src, dst in mapping.items())
@@ -770,7 +771,7 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
               targets_ok and len(set(mapping.values())) == len(mapping))
     # the generator is built through the pivot expansion; the direct minors are its oracle
     G = build_generator(f)
-    direct = np.array([[minor(p.matrix, A) for p in pts] for A in COLUMN_SETS], dtype=G.matrix.dtype)
+    direct = _direct_minors(f, mats)
     add_check("pivot expansion equals direct minor", 0, int(np.count_nonzero(direct != G.matrix)))
     add_check("reduced index transpose duality", True,
               all(reduced_minor_indices(A, I)[0] == reduced_minor_indices(reflected_complement(A), I)[1]

@@ -13,13 +13,15 @@ own.
 A subspace is totally singular when Q vanishes on all of it and B on all
 pairs.  Checking the rows of a spanning matrix suffices in every
 characteristic because Q(v + w) = Q(v) + Q(w) + B(v, w) holds identically
-for this pair.
+for this pair.  ``totally_singular_mask`` runs the test on a whole array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .gf import GF
 
@@ -81,3 +83,21 @@ class FormSpace:
                 if self.bilinear(rows[i], rows[j]) != 0:
                     return False
         return True
+
+
+def totally_singular_mask(f: GF, mats: np.ndarray) -> np.ndarray:
+    """``FormSpace.is_totally_singular`` of each matrix in a (rows, 2*ell, count) array of table encodings.
+
+    Entry i is True iff Q(r) = 0 for every row r of mats[:, :, i] and
+    B(r, s) = 0 for every pair of its rows.
+    """
+    add, mul, _, _ = f.np_tables()
+    rows, m, _ = mats.shape
+    ok = True
+    for i in range(rows):
+        for j in range(i, rows):
+            acc = 0
+            for t in range(m // 2 if i == j else m):  # Q(r_i) when j == i, else B(r_i, r_j)
+                acc = add[acc, mul[mats[i, t], mats[j, m - 1 - t]]]
+            ok = ok & (acc == 0)
+    return ok

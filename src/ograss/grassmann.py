@@ -97,20 +97,9 @@ class MatrixRep:
 
 def mat_mul(f: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Exact matrix product over GF(q)."""
-    inner = len(b)
-    if any(len(r) != inner for r in a):
+    if any(len(r) != len(b) for r in a):
         raise ValueError("inner dimensions do not match")
-    cols = len(b[0])
-    out = []
-    for arow in a:
-        row = []
-        for c in range(cols):
-            acc = 0
-            for k in range(inner):
-                acc = f.add(acc, f.mul(arow[k], b[k][c]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(functools.reduce(f.add, map(f.mul, arow, col), 0) for col in zip(*b)) for arow in a)
 
 
 def rank_of(f: GF, rows: Sequence[Sequence[int]]) -> int:
@@ -401,11 +390,7 @@ def mirrored_permutation(f: GF, eta: Sequence[int], ell: int = ELL) -> ColumnTra
     m = 2 * ell
     if sorted(eta) != list(range(1, ell + 1)):
         raise ValueError(f"eta must be a permutation of 1..{ell}")
-    sigma = {}
-    for i in range(1, ell + 1):
-        sigma[i] = eta[i - 1]
-    for i in range(ell + 1, m + 1):
-        sigma[i] = m + 1 - eta[m - i]
+    sigma = {i: eta[i - 1] if i <= ell else m + 1 - eta[m - i] for i in range(1, m + 1)}
     mat = [[0] * m for _ in range(m)]
     for c in range(1, m + 1):
         mat[sigma[c] - 1][c - 1] = 1
@@ -429,12 +414,5 @@ def apply_transform(fn: MinorFunction, T: ColumnTransform) -> MinorFunction:
     """The coefficient vector of g with g(M) = fn(M*T), via Cauchy-Binet."""
     _same_field(fn.field, T.field)
     f = fn.field
-    comp = third_compound(f, T.matrix)
-    out = []
-    for brow in comp:
-        acc = 0
-        for entry, c in zip(brow, fn.coeffs):
-            if c and entry:
-                acc = f.add(acc, f.mul(entry, c))
-        out.append(acc)
-    return MinorFunction(f, tuple(out))
+    return MinorFunction(f, tuple(functools.reduce(f.add, map(f.mul, brow, fn.coeffs), 0)
+                                  for brow in third_compound(f, T.matrix)))

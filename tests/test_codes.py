@@ -12,6 +12,7 @@ from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
     _bounded_search,
+    _direct_minors,
     _exhaustive_scan,
     _information_sets,
     _message_to_function,
@@ -33,8 +34,9 @@ from ograss.codes import (
     weight_distribution,
 )
 from ograss.gf import field, row_reduce
-from ograss.grassmann import COLUMN_SETS, MinorFunction, minor, rank_of, reflected_complement
-from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_slices, enumerate_points
+from ograss.forms import FormSpace, totally_singular_mask
+from ograss.grassmann import COLUMN_SETS, MatrixRep, MinorFunction, minor, rank_of, reflected_complement
+from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points
 
 
 def test_generator_shape_and_entries_q2():
@@ -81,6 +83,16 @@ def test_rank_oracle_agreement_q3():
                 rows[i] = [f.sub(v, f.mul(c, w)) for v, w in zip(rows[i], rows[r0])]
         r0 += 1
     assert k == r0 == 20
+
+
+def test_reduced_basis_computed_once_per_generator_and_read_only():
+    G = build_generator(field(3))
+    basis, exprs = _reduced_basis(G)
+    assert _reduced_basis(G)[0] is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0
+    assert rank_dimension(G) == len(exprs) == 20
 
 
 def test_rank_zero_matrix():
@@ -153,15 +165,18 @@ def test_generator_equals_direct_minors(q, poly):
 
 def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the generator build must not use point objects or scalar minors")
+        raise AssertionError("the generator build and verify must not build per-point matrix objects")
 
-    monkeypatch.setattr(codes, "enumerate_points", forbidden)
-    monkeypatch.setattr(codes, "minor", forbidden)
+    for name in ("enumerate_points", "MatrixRep", "minor", "FormSpace"):
+        assert not hasattr(codes, name)
+    monkeypatch.setattr(MatrixRep, "__post_init__", forbidden)
     f = field(49)
     start = time.perf_counter()
     G = build_generator.__wrapped__(f)  # past the cache, which another test may have filled
     assert time.perf_counter() - start < 1
     assert G.matrix.shape == (20, 240200)
+    for q in (3, 8):
+        assert verify(field(q)).passed
 
 
 def test_minimum_distance_q2_exhaustive():
@@ -561,6 +576,75 @@ def test_verify_q2_report():
     lines = rep.lines()
     assert lines[0].endswith("n=30 k=14 d=8")
     assert all(line.startswith(("PASS", "polar", "14/14")) for line in lines)
+
+
+_ORACLE_FIELDS = [(2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None), (9, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("q, poly", _ORACLE_FIELDS)
+def test_array_oracles_match_scalar_references(q, poly):
+    """The direct minors and the singularity mask of verify, against ``minor`` and ``FormSpace``."""
+    f = field(q, poly)
+    pts = enumerate_points(f)
+    mats = np.concatenate([cell_matrices(f, pivots) for pivots in CELL_ORDER], axis=2)
+    assert np.array_equal(_direct_minors(f, mats), [[minor(p.matrix, A) for p in pts] for A in COLUMN_SETS])
+    assert totally_singular_mask(f, mats).all()
+    # random 3x6 matrices, most of them not totally singular
+    rng = np.random.default_rng(q)
+    mats = rng.integers(0, q, size=(3, 6, 300)).astype(mats.dtype)
+    mats[:, :, :q] = 0  # the zero matrix is singular
+    mats[0, 0, 1:q] = np.arange(1, q)  # a lone nonzero x1 (x6 = 0): Q and B still vanish
+    space = FormSpace(f, 3)
+    reps = [MatrixRep(f, mats[:, :, i].tolist()) for i in range(mats.shape[2])]
+    mask = totally_singular_mask(f, mats)
+    assert mask.tolist() == [space.is_totally_singular(M) for M in reps]
+    assert 0 < mask.sum() < len(mask)
+    assert np.array_equal(_direct_minors(f, mats), [[minor(M, A) for M in reps] for A in COLUMN_SETS])
+
+
+def _corrupt_point(mats):
+    mats[0, 0, 0] = 1  # row e6 of the first P456 point becomes e1 + e6, where Q = 1
+
+
+def _duplicate_point(mats):
+    mats[:, :, 0] = mats[:, :, 1]
+
+
+def _mirror_pivots(mats):
+    mats[2, :, 0] = 0
+    mats[2, 0, 0] = 1  # pivots 6, 5, 1: columns 1 and 6 are mirrored
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    (_corrupt_point, {"points totally singular", "cell enumeration equals reduced-form scan"}),
+    (_duplicate_point, {"representatives pairwise distinct", "cell enumeration equals reduced-form scan"}),
+    (_mirror_pivots, {"pivot sets avoid mirrored column pairs", "points totally singular",
+                      "cell enumeration equals reduced-form scan"}),
+])
+def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, failing):
+    f = field(3)
+    build_generator(f)  # cached from the true cells before they are corrupted
+
+    def corrupted(f, pivots):
+        mats = cell_matrices(f, pivots)
+        if pivots == (4, 5, 6):
+            corrupt(mats)
+        return mats
+
+    monkeypatch.setattr(codes, "cell_matrices", corrupted)
+    rep = verify(f, budget=1000)
+    assert {c.name for c in rep.checks if not c.passed} == failing | {"pivot expansion equals direct minor"}
+
+
+def test_verify_direct_minor_check_fails_on_a_flipped_generator_entry(monkeypatch):
+    f = field(3)
+    G = build_generator(f)
+    matrix = G.matrix.copy()
+    matrix[7, 11] = f.add(int(matrix[7, 11]), 1)
+    monkeypatch.setattr(codes, "build_generator", lambda f: GeneratorMatrix(field=f, matrix=matrix))
+    rep = verify(f, budget=1000)
+    check = next(c for c in rep.checks if c.name == "pivot expansion equals direct minor")
+    assert (check.expected, check.actual, check.passed) == (0, 1, False)
 
 
 def test_verify_q5_upper_bound_only():

@@ -59,7 +59,6 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -175,10 +174,9 @@ def _np_add(f: GF, x, y):
     return f.np_tables()[0][x, y]
 
 
-def _np_scale(f: GF, c: int, x):
-    if c == 1:
-        return x
-    return f.np_tables()[1][c, x]
+def _scaled_rows(f: GF, rows: np.ndarray) -> np.ndarray:
+    """(k, q-1, n): the q-1 nonzero multiples of each of the k rows, coefficient 1 first."""
+    return f.np_tables()[1][np.arange(1, f.q)[:, None], rows[:, None, :]]
 
 
 def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
@@ -262,10 +260,9 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     Runs the rounds w = 1..k of ``_round_weights`` on the basis rows, one
     message per scalar class, and scales the histogram by q-1.  The
     lex-least member of a scalar class has first coefficient 1, so the
-    lex-least minimum-weight message is among those weighed.  Every
-    suffix table the rounds need is built by ``_suffix_tables`` before
-    they start, into one ``tables`` dict that the rounds only read, so the
-    threads share it.  A round weighs C(k, w) * (q-1)^(w-1) messages;
+    lex-least minimum-weight message is among those weighed.  The suffix
+    tables are built once, before the rounds, which only read them, so the
+    threads share them.  A round weighs C(k, w) * (q-1)^(w-1) messages;
     one whose packed codewords fit in _BLOCK_BYTES, about one leaf, runs
     in the calling thread, where a worker would only add overhead, and the
     others run on ``threads`` workers, the costliest first.  The merge is
@@ -275,14 +272,13 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
     q = f.q
-    rows_scaled = np.stack([_np_scale(f, c, basis) for c in range(1, q)], axis=1)
-    tables = {}
-    _suffix_tables(f, rows_scaled, _suffix_length(f, rows_scaled, k), tables)
+    rows_scaled = _scaled_rows(f, basis)
+    tables = _suffix_tables(f, rows_scaled, _BLOCK_BYTES)
 
     def scan_round(w):
         hist = np.zeros(n + 1, dtype=np.int64)
         least, hits = n + 1, []
-        for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, tables):
+        for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, tables, _BLOCK_BYTES):
             hist += np.bincount(weights, minlength=n + 1)
             wmin = int(weights.min())
             if wmin < least:
@@ -449,57 +445,44 @@ def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
     yield from walk((), None)
 
 
-def _suffix_length(f: GF, rows_scaled: np.ndarray, w: int, sets: int = 1) -> int:
-    """min(w, L) for the largest L such that each suffix table 2..L is no
-    larger than the largest round on the rows and, in ``_pack`` form, fits
-    in _BLOCK_BYTES shared by the ``sets`` sets of rows whose tables are
-    kept at once (L = 1 if table 2 does not).
+def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(packed negated codewords, subsets) on the j-subsets of rows, for j = 1..L.
 
-    The table on j-subsets of k rows holds C(k, j) * (q-1)^j codewords and
-    round v weighs C(k, v) * (q-1)^(v-1), so L grows with the work until
-    the tables reach their share of memory.
+    L is the largest length such that each table 2..L is no larger than
+    the largest round on the rows (round v weighs C(k, v) * (q-1)^(v-1)
+    codewords) and, in ``_pack`` form, fits in ``share`` bytes.  Level j
+    lists the (C(k, j), j) subsets in lexicographic order, each with all
+    (q-1)^j coefficient vectors, the first position most significant; its
+    codewords are (planes, words, C(k, j), (q-1)^j).  The j-subsets that
+    start at row i are i followed by the last C(k-i-1, j-1) subsets of
+    level j-1, so each level takes one add per row from the one before and
+    is packed block by block; -(a + b) = -a + -b, so the negated rows
+    build it directly.
     """
     k, units, n = rows_scaled.shape
-    cap = min(_BLOCK_BYTES // (_packed_row_bytes(f.q, n) * sets),
+    cap = min(share // _packed_row_bytes(f.q, n),
               max(comb(k, v) * units ** (v - 1) for v in range(1, k + 1)))
-    L = 1
-    while L < w and comb(k, L + 1) * units ** (L + 1) <= cap:
-        L += 1
-    return L
-
-
-def _suffix_tables(f: GF, rows_scaled: np.ndarray, L: int, tables: dict) -> None:
-    """Put in ``tables[j]``, for j = 1..L, the negated codewords on every j-subset of rows.
-
-    The subsets come in lexicographic order (that of ``combinations``),
-    each with all (q-1)^j coefficient vectors, the first position most
-    significant; the codewords are kept only in ``_pack`` form, shaped
-    (planes, words, C(k, j), (q-1)^j).  The j-subsets that start at row i
-    are i followed by the (j-1)-subsets that start after it, the last
-    C(k-i-1, j-1) of level j-1, so level j takes one add per row from
-    level j-1's codewords, which are dropped once it is built;
-    -(a + b) = -a + -b, so it is built from the negated rows directly.
-    """
-    if L in tables:
-        return
-    k, units, n = rows_scaled.shape
     planes = (f.q - 1).bit_length()
     neg_rows = f.np_tables()[2][rows_scaled]
-    blocks = [neg_rows]
-    for j in range(1, L + 1):
+    blocks, subsets, tables = [neg_rows], np.arange(k)[:, None], []
+    for j in range(1, k + 1):
         if j > 1:
-            tails = (prev[len(prev) - comb(k - i - 1, j - 1):] for i in range(k))
-            blocks = (_np_add(f, row[None, :, None, :], tail[:, None]).reshape(-1, units**j, n)
-                      for row, tail in zip(neg_rows, tails))
-        if j < L:
+            starts = [len(subsets) - comb(k - i - 1, j - 1) for i in range(k)]
+            blocks = (_np_add(f, row[None, :, None, :], prev[s:, None]).reshape(-1, units**j, n)
+                      for row, s in zip(neg_rows, starts))
+            subsets = np.concatenate([np.column_stack((np.full(len(subsets) - s, i), subsets[s:]))
+                                      for i, s in enumerate(starts)])
+        last = j == k or comb(k, j + 1) * units ** (j + 1) > cap
+        if not last:
             prev = np.concatenate(list(blocks))
             blocks = [prev]
-        if j not in tables:
-            tables[j] = np.concatenate([_pack(block, planes) for block in blocks], axis=2)
+        tables.append((np.concatenate([_pack(block, planes) for block in blocks], axis=2), subsets))
+        if last:
+            return tables
 
 
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict, sets: int = 1):
-    """Weights of every message of weight w on k rows whose first coefficient is 1.
+def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
+    """Weights of every message of weight w <= k on k rows whose first coefficient is 1.
 
     Every nonzero multiple of a message has its weight, so the normal
     form c1^-1 * m of each message m (c1 its first coefficient) stands for
@@ -507,36 +490,30 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict, sets: i
     the first message of a given weight is always a normal form.
 
     ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j, and
-    ``sets`` counts the sets of rows whose tables are kept at once.  The
-    suffix length L is ``_suffix_length``, and the negated table of the
-    codewords on every L-subset of rows comes from ``_suffix_tables``,
-    kept in ``tables`` so that one table serves every round on the same
-    rows.  The walk then stops at the supports' first w-L positions, the
-    first with coefficient 1 only, and packs each prefix block once: the
-    suffixes that extend a prefix ending at row s are the contiguous run
-    of subsets starting after s, and ``_weights`` of the packed prefix
+    ``tables`` are its ``_suffix_tables``.  With L = min(w, len(tables))
+    the walk stops at the supports' first w-L positions, the first with
+    coefficient 1 only, and packs each prefix block once: the suffixes
+    that extend a prefix ending at row s are the contiguous run of
+    L-subsets starting after s, and ``_weights`` of the packed prefix
     block against that run of the table weighs every support on the
     prefix.  The longer operand runs along the contiguous inner axis, and
     the weights are laid out as (suffix, prefix coefficients, suffix
     coefficients): supports in lexicographic order and, within a support,
     coefficients with the first position most significant.  When w = L
     the prefix is empty and the table's coefficient-1 slice is kept.
-    Leaves take as many suffixes as keep the packed XOR within the rows'
-    share of _BLOCK_BYTES (see ``_suffix_length``), at least one;
-    ``_leaf_messages`` decodes leaf indices.
+    Leaves take as many suffixes as keep the packed XOR within ``share``
+    bytes, at least one; ``_leaf_messages`` decodes leaf indices.
 
-    Yields (prefix, suffixes, weights) per leaf, and nothing when w > k.
+    Yields (prefix, suffixes, weights) per leaf, the suffixes a slice of
+    the (C(k, L), L) subsets array.
     """
     k, units, n = rows_scaled.shape
-    if w > k:
-        return
-    L = _suffix_length(f, rows_scaled, w, sets)
-    _suffix_tables(f, rows_scaled, L, tables)
-    table, suffixes = tables[L], list(combinations(range(k), L))
-    step = max(1, _BLOCK_BYTES // sets // (_packed_row_bytes(f.q, n) * units ** max(w - 1, L)))
+    L = min(w, len(tables))
+    table, subsets = tables[L - 1]
+    step = max(1, share // (_packed_row_bytes(f.q, n) * units ** max(w - 1, L)))
     for prefix, packed in _prefix_blocks(f, rows_scaled, w - L, L):
-        a = len(suffixes) - comb(k - prefix[-1] - 1, L) if prefix else 0
-        for b in range(a, len(suffixes), step):
+        a = len(subsets) - comb(k - prefix[-1] - 1, L) if prefix else 0
+        for b in range(a, len(subsets), step):
             run = table[:, :, b:b + step]
             if packed.shape[2] > run[0, 0].size:
                 weights = _weights(run[..., None], packed[:, :, None, None]).transpose(0, 2, 1)
@@ -544,7 +521,7 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables: dict, sets: i
                 weights = _weights(packed[:, :, :, None, None], run[:, :, None]).transpose(1, 0, 2)
             if w == L:
                 weights = weights[:, :, :units ** (L - 1)]
-            yield prefix, suffixes[b:b + step], weights.reshape(-1)
+            yield prefix, subsets[b:b + step], weights.reshape(-1)
 
 
 def _leaf_messages(q: int, w: int, prefix, suffixes, idx):
@@ -552,7 +529,9 @@ def _leaf_messages(q: int, w: int, prefix, suffixes, idx):
     ``_round_weights`` leaf of weight w."""
     units = q - 1
     s, rest = np.divmod(np.asarray(idx), units ** (w - 1))
-    supports = np.array([prefix + suffixes[i] for i in s.tolist()], dtype=np.intp).reshape(-1, w)
+    supports = np.empty((len(s), w), dtype=np.intp)
+    supports[:, :len(prefix)] = prefix
+    supports[:, len(prefix):] = suffixes[s]
     return supports, rest[:, None] // units ** np.arange(w - 1, -1, -1) % units + 1
 
 
@@ -577,7 +556,10 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     no message of weight w before it in the full order beats it.  Each
     weight computed stands for the q-1 multiples of its message, so a
     round's ``evaluations`` counts messages whose weight the search
-    established: (sets searched) * C(k, w) * (q-1)^w.
+    established: (sets searched) * C(k, w) * (q-1)^w.  Each set's suffix
+    tables are built once, before round 1, in an equal share of
+    _BLOCK_BYTES.  The search ends at w = k at the latest: the first set
+    has full rank, so its rounds 1..k have weighed every codeword.
     Raises BudgetExceeded before round 1 when the projected cost exceeds
     the budget, and before the information sets are built when even the
     floor of ``_search_cost_floor`` does.  The projection counts every
@@ -606,19 +588,18 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     def lower_bound(w: int) -> int:
         return sum(max(0, w + 1 - d) for d in deficits)
 
-    # per set, the q-1 nonzero scalings of each systematic row: shape (k, q-1, n)
-    scaled = [np.stack([_np_scale(f, c, sys_rows) for c in range(1, q)], axis=1)
-              for _, sys_rows, _, _ in sets]
-    tables = [{} for _ in sets]
+    share = _BLOCK_BYTES // len(sets)
+    scaled = [_scaled_rows(f, sys_rows) for _, sys_rows, _, _ in sets]
+    tables = [_suffix_tables(f, rows_scaled, share) for rows_scaled in scaled]
     best = d_up
     best_msg = None
     rounds = []
     w = 0
-    while lower_bound(w) < best:
+    while w < k and lower_bound(w) < best:
         w += 1
         start, evals = time.perf_counter(), 0
         for rows_scaled, set_tables, (_, _, exprs, _) in zip(scaled, tables, sets):
-            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, len(sets)):
+            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, share):
                 evals += len(weights) * (q - 1)
                 if int(weights.min()) < best:
                     idx = int(weights.argmin())
@@ -760,7 +741,10 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
     add_check("pivot sets avoid mirrored column pairs", True, not np.any(lead[:, None] + lead == AMBIENT - 1))
     add_check("points totally singular", True, bool(totally_singular_mask(f, mats).all()))
     flat = mats.reshape(-1, n)
-    add_check("representatives pairwise distinct", n, np.unique(flat, axis=1).shape[1])
+    # sorted, equal columns are adjacent (np.unique would import numpy.ma, about 40 ms)
+    cols = flat[:, np.lexsort(flat)]
+    add_check("representatives pairwise distinct", n,
+              1 + int(np.count_nonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0))))
     if q <= 3:
         scan = frozenset(sum(rows, ()) for rows in brute_force_points(f))
         add_check("cell enumeration equals reduced-form scan", True, frozenset(map(tuple, flat.T.tolist())) == scan)

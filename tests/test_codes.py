@@ -23,6 +23,7 @@ from ograss.codes import (
     _reduced_basis,
     _round_weights,
     _search_cost_floor,
+    _suffix_tables,
     _weights,
     build_generator,
     codeword,
@@ -323,15 +324,16 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
     suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
-    tables = {}
+    tables = _suffix_tables(f, rows_scaled, codes._BLOCK_BYTES)
     for w in (1, 2, 3, 4):
         if comb(rows, w) * (q - 1) ** w * n > 5 * 10**7:
             continue
         ref_supports, ref_weights = _reference_supports_and_weights(q, rows, w)
         per_support = ref_weights.reshape(len(ref_supports), -1)
         assert np.array_equal(per_support[:, _normal_form_index(f, w)], per_support)
-        chunks = list(_round_weights(f, rows_scaled, w, tables))
-        assert [prefix + suffix for prefix, suffixes, _ in chunks for suffix in suffixes] == ref_supports
+        chunks = list(_round_weights(f, rows_scaled, w, tables, codes._BLOCK_BYTES))
+        supports = [prefix + tuple(suffix) for prefix, suffixes, _ in chunks for suffix in suffixes]
+        assert supports == ref_supports
         assert np.array_equal(np.concatenate([weights for _, _, weights in chunks]),
                               per_support[:, :(q - 1) ** (w - 1)].reshape(-1))
         if suffix_length is not None:
@@ -407,9 +409,26 @@ def test_round_evaluations_count_every_message(q, rows):
     k, n = sub.shape
     _, size = _projected_cost(q, k, [r for _, _, _, r in _information_sets(f, sub)], n + 1)
     _, _, rounds = _bounded_search(f, sub, n + 1, 10**12)
-    assert rounds
+    assert [r.w for r in rounds] == list(range(1, len(rounds) + 1))
+    assert 0 < len(rounds) <= k
     for r in rounds:
         assert r.evaluations == size * comb(k, r.w) * (q - 1) ** r.w
+
+
+@pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
+def test_suffix_tables_carry_the_lexicographic_subsets(q, rows):
+    """Level j of the suffix tables lists the j-subsets of rows in the order
+    of ``combinations``, for the q = 2 basis (k = 14) and the first
+    information set at q = 3 (k = 20)."""
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    sys_rows = _information_sets(f, basis)[0][1][:rows]
+    k = len(sys_rows)
+    tables = _suffix_tables(f, _scaled_rows(f, sys_rows), codes._BLOCK_BYTES)
+    assert len(tables) > 1
+    for j, (packed, subsets) in enumerate(tables, start=1):
+        assert subsets.tolist() == [list(s) for s in combinations(range(k), j)]
+        assert packed.shape[2:] == (comb(k, j), (q - 1) ** j)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 47])

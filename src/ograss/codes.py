@@ -318,8 +318,8 @@ def _information_sets(f: GF, basis: np.ndarray):
     (pivot columns, systematic rows, expressions in basis coordinates,
     rank).  Rounds may be rank deficient: rows past the rank vanish on
     every unused column.  Once every message of weight <= w has been
-    enumerated against each round's generator, any remaining codeword has
-    weight at least sum_i max(0, w + 1 - (k - rank_i)).
+    enumerated against each round's generator, ``_bound_table`` bounds the
+    weight of any remaining codeword.
     """
     k, n = basis.shape
     aug = np.hstack([basis, np.eye(k, dtype=basis.dtype)])
@@ -340,23 +340,21 @@ def _messages_up_to(k: int, q: int, w: int) -> int:
     return sum(comb(k, v) * (q - 1) ** v for v in range(1, w + 1))
 
 
+def _bound_table(k: int, ranks: list[int]) -> np.ndarray:
+    """bound[s, w] = sum_{i <= s} max(0, w + 1 - (k - ranks[i])), w = 0..k: a
+    lower bound on the weight of every codeword not yet seen once all messages
+    of weight <= w have been enumerated on the first s + 1 sets.  Non-decreasing in w."""
+    return np.cumsum(np.maximum(0, np.arange(k + 1) + 1 - k + np.asarray(ranks)[:, None]), axis=0)
+
+
 def _search_cost_floor(q: int, k: int, n: int, d_up: int) -> int:
     """A lower bound on the search's projected cost, known before any information set is built.
 
-    s disjoint sets hold at most min(s*k, n) pivot columns.  At weight
-    w < k a set of rank r adds max(0, w + 1 - k + r) to the bound, convex
-    in r, 0 at r = 0 and w + 1 at r = k, so at most r*(w + 1)/k; the bound of s sets is
-    thus at most min(s*k, n)*(w + 1)/k, and their stop weight is at least
-    the least w with min(s*k, n)*(w + 1) >= d_up*k (k if there is none).
-    Past s = ceil(n/k) the column cap no longer grows, so the cost only
-    rises with s.
+    It is the projection of the best sets n columns allow: k columns each,
+    the rest in one.  g(r) = max(0, w + 1 - k + r) is convex and non-decreasing,
+    so no ranks with sum <= n and entries <= k give a larger bound (majorization).
     """
-    def cost(s: int) -> int:
-        cols = min(s * k, n)
-        w = next((w for w in range(k) if cols * (w + 1) >= d_up * k), k)
-        return s * _messages_up_to(k, q, w)
-
-    return min(cost(s) for s in range(1, -(-n // k) + 1))
+    return _projected_cost(q, k, [k] * (n // k) + ([n % k] if n % k else []), d_up)[0]
 
 
 def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, int]:
@@ -366,14 +364,9 @@ def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, i
     stops at the first weight where its bound meets the starting upper
     bound d_up (or at k).
     """
-    def stop_weight(defs):
-        w = 0
-        while w < k and sum(max(0, w + 1 - d) for d in defs) < d_up:
-            w += 1
-        return w
-
-    return min((size * _messages_up_to(k, q, stop_weight([k - r for r in ranks[:size]])), size)
-               for size in range(1, len(ranks) + 1))
+    stops = np.count_nonzero(_bound_table(k, ranks)[:, :k] < d_up, axis=1)
+    up_to = [_messages_up_to(k, q, w) for w in range(k + 1)]
+    return min((size * up_to[w], size) for size, w in enumerate(stops.tolist(), 1))
 
 
 def _packed_row_bytes(q: int, n: int) -> int:
@@ -577,17 +570,14 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
             f"the information-set search needs at least {floor} codeword evaluations "
             f"(budget {budget}); use method='witness' for the known upper bound")
     sets = _information_sets(f, basis)
-    best_cost, best_size = _projected_cost(q, k, [r for _, _, _, r in sets], d_up)
+    ranks = [r for _, _, _, r in sets]
+    best_cost, best_size = _projected_cost(q, k, ranks, d_up)
     if best_cost > budget:
         raise BudgetExceeded(
             f"the search over {best_size} information sets needs {best_cost} codeword "
             f"evaluations (budget {budget}); use method='witness' for the known upper bound")
     sets = sets[:best_size]
-    deficits = [k - r for _, _, _, r in sets]
-
-    def lower_bound(w: int) -> int:
-        return sum(max(0, w + 1 - d) for d in deficits)
-
+    bound = _bound_table(k, ranks)[best_size - 1].tolist()
     share = _BLOCK_BYTES // len(sets)
     scaled = [_scaled_rows(f, sys_rows) for _, sys_rows, _, _ in sets]
     tables = [_suffix_tables(f, rows_scaled, share) for rows_scaled in scaled]
@@ -595,7 +585,7 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     best_msg = None
     rounds = []
     w = 0
-    while w < k and lower_bound(w) < best:
+    while w < k and bound[w] < best:
         w += 1
         start, evals = time.perf_counter(), 0
         for rows_scaled, set_tables, (_, _, exprs, _) in zip(scaled, tables, sets):
@@ -606,7 +596,7 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
                     supports, coeffs = _leaf_messages(q, w, prefix, suffixes, [idx])
                     msg = _combine(f, coeffs[0], [exprs[r] for r in supports[0]])
                     best, best_msg = int(weights[idx]), tuple(msg.tolist())
-        rounds.append(SearchRound(w, lower_bound(w), best, evals, time.perf_counter() - start))
+        rounds.append(SearchRound(w, bound[w], best, evals, time.perf_counter() - start))
     return best, best_msg, tuple(rounds)
 
 
@@ -749,8 +739,9 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
         scan = frozenset(sum(rows, ()) for rows in brute_force_points(f))
         add_check("cell enumeration equals reduced-form scan", True, frozenset(map(tuple, flat.T.tolist())) == scan)
     mapping = swap34_map(f)
-    targets_ok = all(dst[0] == tuple(sorted((set(src[0]) - {4}) | {3}))
-                     for src, dst in mapping.items())
+    # the target-cell rule, once per (source cell, target cell) pair
+    cell_pairs = {(src[0], dst[0]) for src, dst in mapping.items()}
+    targets_ok = all(dst == tuple(sorted((set(src) - {4}) | {3})) for src, dst in cell_pairs)
     add_check("column 3/4 swap pairs the cells bijectively", True,
               targets_ok and len(set(mapping.values())) == len(mapping))
     # the generator is built through the pivot expansion; the direct minors are its oracle

@@ -48,17 +48,6 @@ class FieldMismatchError(ValueError):
     """Objects over two different fields were combined."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime.  Raises ValueError otherwise."""
     if q < 2:

@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ograss import codes
 from ograss.codes import (
@@ -37,7 +38,7 @@ from ograss.codes import (
 from ograss.gf import field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import COLUMN_SETS, MatrixRep, MinorFunction, minor, rank_of, reflected_complement
-from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points
+from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, point_count
 
 
 def test_generator_shape_and_entries_q2():
@@ -220,7 +221,7 @@ def test_budget_error_raised_before_the_search():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("q", [5, 8])
+@pytest.mark.parametrize("q", [5, 8, 16, 49])
 def test_budget_floor_raised_before_information_sets(monkeypatch, q):
     def forbidden(*args):
         raise AssertionError("the budget floor must reject before any information set is built")
@@ -242,6 +243,53 @@ def test_budget_floor_never_exceeds_projection(q):
     k, n = basis.shape
     ranks = [r for _, _, _, r in _information_sets(f, basis)]
     assert _search_cost_floor(q, k, n, d_up) <= _projected_cost(q, k, ranks, d_up)[0]
+
+
+def _reference_projected_cost(q, k, ranks, d_up):
+    """The per-prefix stop-weight loop the bound table replaced."""
+    def stop_weight(defs):
+        w = 0
+        while w < k and sum(max(0, w + 1 - d) for d in defs) < d_up:
+            w += 1
+        return w
+
+    def up_to(w):
+        return sum(comb(k, v) * (q - 1) ** v for v in range(1, w + 1))
+
+    return min((size * up_to(stop_weight([k - r for r in ranks[:size]])), size)
+               for size in range(1, len(ranks) + 1))
+
+
+def _draw_ranks(data, k):
+    """Non-increasing ranks of 1 to 200 information sets, each 1..k."""
+    return sorted(data.draw(st.lists(st.integers(1, k), min_size=1, max_size=200)), reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(1, 20),
+       data=st.data(), d_up=st.integers(1, 2000))
+def test_projected_cost_matches_per_prefix_loop(q, k, data, d_up):
+    ranks = _draw_ranks(data, k)
+    assert _projected_cost(q, k, ranks, d_up) == _reference_projected_cost(q, k, ranks, d_up)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(1, 20),
+       data=st.data(), spare=st.integers(0, 50), d_up=st.integers(1, 2000))
+def test_budget_floor_never_exceeds_projection_of_any_ranks(q, k, data, spare, d_up):
+    """No non-increasing ranks <= k on at most n columns project below the floor."""
+    ranks = _draw_ranks(data, k)
+    n = sum(ranks) + spare
+    assert _search_cost_floor(q, k, n, d_up) <= _projected_cost(q, k, ranks, d_up)[0]
+
+
+@pytest.mark.parametrize("q, floor", [
+    (3, 349_760), (4, 6_360_816), (5, 2_639_301_840), (8, 28_821_547_454),
+    (9, 14_034_092_454_432), (16, 20_966_048_894_910), (49, 2_659_731_947_541_160_643_524_800)])
+def test_budget_floor_values(q, floor):
+    k = 14 if q % 2 == 0 else 20
+    d_up = q**3 if q % 2 == 0 else q**3 - q**2
+    assert _search_cost_floor(q, k, point_count(q), d_up) == floor
 
 
 @pytest.mark.parametrize("q", [3, 4, 8])

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, is_irreducible, is_prime, row_reduce
+from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, is_irreducible, row_reduce
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -17,10 +17,6 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 12, 100, 9999):
         with pytest.raises(ValueError):
             factor_prime_power(bad)
-
-
-def test_is_prime():
-    assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_elements_enumeration():

@@ -4,6 +4,12 @@ All outputs are byte-deterministic: JSON uses sorted keys and exact
 integers only, matrices and points follow the frozen orderings spelled
 out in --help.  Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.
+
+``genmat`` writes its matrix as bytes, row by row, in both formats: one
+table per field holds each element's ASCII digits and separator, a row is
+one ``np.take`` of that table, and no Python object is made per entry.
+The JSON text is the one ``json.dumps(..., indent=2)`` gives, with the
+rows spliced in where the dump of an empty list stands.
 """
 
 from __future__ import annotations
@@ -11,7 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from . import codes, polar
 from .gf import GF, factor_prime_power, field
@@ -56,11 +66,14 @@ def _field_from_args(args: argparse.Namespace) -> GF:
     return field(q, poly)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable, out: str | None) -> None:
+    """Write byte chunks (bytes or 1-D uint8 arrays) to the file ``out``, else to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
 
 
 def _dump(payload) -> str:
@@ -88,25 +101,49 @@ def _cmd_points(args: argparse.Namespace) -> int:
             head = f"cell {_cell_id(pivots)} params {','.join(map(strs.__getitem__, params)) or '-'}"
             blocks.append("\n".join([head] + [" ".join(map(strs.__getitem__, r)) for r in rows]))
         text = "\n\n".join(blocks) + "\n"
-    _emit(text, args.out)
+    _emit([text.encode()], args.out)
     return 0
+
+
+def _matrix_rows(matrix: np.ndarray, q: int, lead: bytes, sep: bytes):
+    """Each row of a matrix over GF(q) as one uint8 array: every entry as
+    ``lead``, its decimal digits and ``sep``, the row's last ``sep`` cut to
+    a newline.
+
+    The (q, width) table holds every element's bytes, zero-padded on the
+    right to the widest; the pad exists only when q > 10, and one boolean
+    mask drops it from a row.
+    """
+    table = np.zeros((q, len(lead) + len(str(q - 1)) + len(sep)), dtype=np.uint8)
+    for v in range(q):
+        cell = b"%s%d%s" % (lead, v, sep)
+        table[v, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    for row in matrix:
+        cells = np.take(table, row, axis=0).ravel()
+        if q > 10:
+            cells = cells[cells != 0]  # ndarray.compress would hold an intp index per byte
+        end = len(cells) - len(sep)
+        cells[end] = ord("\n")
+        yield cells[:end + 1]
 
 
 def _cmd_genmat(args: argparse.Namespace) -> int:
     f = _field_from_args(args)
     G = codes.build_generator(f)
     if args.format == "json":
-        payload = {
+        head, foot = _dump({
             "q": f.q,
             "n": G.n,
             "colsets": [_cell_id(A) for A in COLUMN_SETS],
-            "rows": G.matrix.tolist(),
-        }
-        text = _dump(payload)
+            "rows": [],
+        }).rsplit("[]", 1)
+        rows = _matrix_rows(G.matrix, f.q, b" " * 6, b",\n")
+        framed = chain.from_iterable((b",\n    [\n" if i else b"[\n    [\n", row, b"    ]")
+                                     for i, row in enumerate(rows))
+        chunks = chain([head.encode()], framed, [b"\n  ]" + foot.encode()])
     else:
-        strs = [str(i) for i in range(f.q)]
-        text = "\n".join(" ".join(map(strs.__getitem__, row.tolist())) for row in G.matrix) + "\n"
-    _emit(text, args.out)
+        chunks = _matrix_rows(G.matrix, f.q, b"", b" ")
+    _emit(chunks, args.out)
     return 0
 
 
@@ -149,7 +186,7 @@ def _cmd_weight_dist(args: argparse.Namespace) -> int:
     f = _field_from_args(args)
     dist = codes.weight_distribution(f, budget=args.budget)
     lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit([("\n".join(lines) + "\n").encode()], args.out)
     return 0
 
 

@@ -11,7 +11,10 @@ every minor is a signed minor of the skew-symmetric non-pivot block,
 det_A = expansion_sign(A, I) * det(reduced block), the block on the
 index sets of ``reduced_minor_indices(A, I)``; that determinant (size 0
 to 3, size 0 giving 1) is evaluated in closed form over the field's
-lookup tables for all of the cell's points at once.  The direct 3x3
+lookup tables for all of the cell's points at once, each product and
+difference one ``gf.gather`` from a flattened (q, q) table; every other
+two-operand table lookup in this module (``_np_add`` in extension fields,
+``_scaled_rows``, ``_combine``) goes through it too.  The direct 3x3
 determinant of each column triple stays as the oracle: ``verify``
 evaluates it on the same cell arrays and compares the two on every point
 and every column set.
@@ -65,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import totally_singular_mask
-from .gf import GF, row_reduce
+from .gf import GF, gather, row_reduce
 from .grassmann import (
     AMBIENT,
     COLUMN_SETS,
@@ -103,9 +106,13 @@ class GeneratorMatrix:
 def _np_det(f: GF, block, one: np.ndarray) -> np.ndarray:
     """Closed-form determinant of a square block (size 0 to 3) of equal-length arrays."""
     add, mul, neg, _ = f.np_tables()
+    minus = add[:, neg]  # minus[x, y] = x - y
 
     def sub(x, y):
-        return add[x, neg[y]]
+        return gather(minus, x, y)
+
+    def times(x, y):
+        return gather(mul, x, y)
 
     n = len(block)
     if n == 0:
@@ -114,12 +121,12 @@ def _np_det(f: GF, block, one: np.ndarray) -> np.ndarray:
         return block[0][0]
     if n == 2:
         (a, b), (c, d) = block
-        return sub(mul[a, d], mul[b, c])
+        return sub(times(a, d), times(b, c))
     (a, b, c), (d, e, g), (h, i, j) = block
-    t1 = mul[a, sub(mul[e, j], mul[g, i])]
-    t2 = mul[b, sub(mul[d, j], mul[g, h])]
-    t3 = mul[c, sub(mul[d, i], mul[e, h])]
-    return add[sub(t1, t2), t3]
+    t1 = times(a, sub(times(e, j), times(g, i)))
+    t2 = times(b, sub(times(d, j), times(g, h)))
+    t3 = times(c, sub(times(d, i), times(e, h)))
+    return gather(add, sub(t1, t2), t3)
 
 
 def _direct_minors(f: GF, mats: np.ndarray) -> np.ndarray:
@@ -171,12 +178,12 @@ def _np_add(f: GF, x, y):
         s = x + y
         np.minimum(s, s - f.p, out=s)
         return s
-    return f.np_tables()[0][x, y]
+    return gather(f.np_tables()[0], x, y)
 
 
 def _scaled_rows(f: GF, rows: np.ndarray) -> np.ndarray:
     """(k, q-1, n): the q-1 nonzero multiples of each of the k rows, coefficient 1 first."""
-    return f.np_tables()[1][np.arange(1, f.q)[:, None], rows[:, None, :]]
+    return gather(f.np_tables()[1], np.arange(1, f.q)[:, None], rows[:, None, :])
 
 
 def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
@@ -190,7 +197,7 @@ def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
 
 def _combine(f: GF, coeffs, rows) -> np.ndarray:
     """sum_i coeffs[i] * rows[i] over GF(q), for a 2-D array (or nested sequence) of rows."""
-    terms = f.np_tables()[1][np.asarray(coeffs)[:, None], np.asarray(rows)]
+    terms = gather(f.np_tables()[1], np.asarray(coeffs)[:, None], np.asarray(rows))
     out = terms[0]
     for term in terms[1:]:
         out = _np_add(f, out, term)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import GF
+from .gf import GF, gather
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,6 @@ def totally_singular_mask(f: GF, mats: np.ndarray) -> np.ndarray:
         for j in range(i, rows):
             acc = 0
             for t in range(m // 2 if i == j else m):  # Q(r_i) when j == i, else B(r_i, r_j)
-                acc = add[acc, mul[mats[i, t], mats[j, m - 1 - t]]]
+                acc = gather(add, acc, gather(mul, mats[i, t], mats[j, m - 1 - t]))
             ok = ok & (acc == 0)
     return ok

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from ograss import codes
 from ograss.cli import main
 from ograss.codes import min_weight_witness
 from ograss.gf import field
+from ograss.grassmann import COLUMN_SETS
 
 
 def run(capsys, *argv):
@@ -165,3 +168,43 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def _reference_txt(q, matrix):
+    """The txt formatter genmat used before its byte table: str() per entry."""
+    strs = [str(i) for i in range(q)]
+    return "\n".join(" ".join(map(strs.__getitem__, row.tolist())) for row in matrix) + "\n"
+
+
+def _reference_json(q, matrix):
+    payload = {"q": q, "n": matrix.shape[1], "colsets": ["".join(map(str, A)) for A in COLUMN_SETS],
+               "rows": matrix.tolist()}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _random_matrices(q):
+    rng = np.random.default_rng(q)
+    yield rng.integers(0, q, (20, 37))
+    yield rng.integers(0, q, (1, 1))  # one row and one column
+    yield rng.integers(0, q, (1, 41))  # one row
+    yield rng.integers(0, q, (5, 1))  # one column
+    yield np.full((2, 3), q - 1)  # the widest entry only: no pad
+    yield np.zeros((2, 3), dtype=int)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49])
+def test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q):
+    """Both formats, on stdout and with --out, on random matrices whose entries
+    mix one and two digits wherever q > 10."""
+    f = field(q)
+    out_path = tmp_path / "genmat"
+    for matrix in _random_matrices(q):
+        G = codes.GeneratorMatrix(field=f, matrix=matrix.astype(f.np_tables()[0].dtype))
+        monkeypatch.setattr(codes, "build_generator", lambda _f, G=G: G)
+        for fmt, reference in (("txt", _reference_txt), ("json", _reference_json)):
+            expected = reference(q, matrix).encode()
+            assert main(["genmat", "--q", str(q), "--format", fmt]) == 0
+            assert capsysbinary.readouterr().out == expected
+            assert main(["genmat", "--q", str(q), "--format", fmt, "--out", str(out_path)]) == 0
+            assert capsysbinary.readouterr().out == b""
+            assert out_path.read_bytes() == expected

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, is_irreducible, row_reduce
+from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, gather, is_irreducible, row_reduce
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -223,3 +224,37 @@ def test_row_reduce_matches_scalar_loop(q):
         ref_rows, ref_pivots = _reference_row_reduce(f, rows, cols)
         assert pivots == ref_pivots
         assert reduced.tolist() == ref_rows
+
+
+GATHER_FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)] + [
+    (9, (2, 1, 1)),
+    (49, (1, 0, 1)),  # x^2 + 1, not the Conway polynomial
+    (256, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # q^2 - 1 is the largest uint16 index
+    (257, None),  # uint16 tables, uint32 index
+]
+
+
+@pytest.mark.parametrize("q, poly", GATHER_FIELDS)
+def test_gather_equals_2d_indexing(q, poly):
+    f = field(q, poly)
+    rng = np.random.default_rng(q)
+    add, mul, neg, _ = f.np_tables()
+    minus = add[:, neg]
+    x = rng.integers(0, q, (3, 1, 5)).astype(add.dtype)
+    y = rng.integers(0, q, (4, 5)).astype(add.dtype)
+    every = np.arange(q)
+    cases = [
+        (every[:, None], every[None, :]),  # the whole table
+        (x, y),  # broadcast to (3, 4, 5)
+        (y, x),
+        (0, y),  # scalar operands, Python and numpy
+        (x, q - 1),
+        (x[0, 0, 0], y[1, 2]),
+        (x.tolist(), y.tolist()),  # nested sequences of Python ints
+        (x[:, :, ::2], y[::-1, ::2]),  # strided views
+    ]
+    for table in (add, mul, minus):
+        for a, b in cases:
+            got, want = gather(table, a, b), table[a, b]
+            assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -4,7 +4,9 @@ The hashes and the files under tests/golden/ were recorded from the command
 line before the elimination code was unified; the genmat json hashes were
 recorded before the generator was rebuilt from the pivot expansion, and
 distance-q3.json before the search walked its supports depth first;
-weight-dist-q2.csv before the scan weighed its blocks by a byte sum.
+weight-dist-q2.csv before the scan weighed its blocks by a byte sum; the
+two-digit genmat hashes (q = 11, 16, 25) before genmat wrote its rows from a
+byte table.
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -51,6 +53,16 @@ GENMAT_JSON_SHA256 = {
     9: "fe3080ec1abe0f31247ea69a771010bb61302d15fd25292670047be924a82897",
 }
 
+#: (txt, json) for fields whose entries run to two digits
+GENMAT_TWO_DIGIT_SHA256 = {
+    11: ("98382ead2772947224c610a28b2882df18e9560d48a0654cfff053c82e125c93",
+         "cd6996e96d58069073370bf450e828ae0be58e60fe39b457b301997b7801f757"),
+    16: ("3b09d2a0a73c4c460a87259f9f74d119af430a2731ae83ad5e7d19e32908167c",
+         "3e96fd0c44b43a76f1b1aa15079f92652f2e6f4eb8e47a794a2ea024ee9264bf"),
+    25: ("ab531d21b404256a038548bf2123ffb8d19ad7286ac07558c8b3dce6d41341b3",
+         "c1e7afb5318570ae558caa4ff953e18e65ea795ac7024c406d8e28f4a1915321"),
+}
+
 
 def _stdout(capsys, argv):
     assert cli_main(argv) == 0
@@ -73,6 +85,20 @@ def test_genmat_txt_hash(capsys, q):
 def test_genmat_json_hash(capsys, q):
     out = _stdout(capsys, ["genmat", "--q", str(q), "--format", "json"])
     assert hashlib.sha256(out.encode()).hexdigest() == GENMAT_JSON_SHA256[q]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("q", sorted(GENMAT_TWO_DIGIT_SHA256))
+def test_genmat_two_digit_hash(capsys, q, fmt):
+    """Entries of one and two digits in one row, so the byte table's zero pad is live.
+
+    Recorded from the command line while genmat still formatted each entry
+    with str() and the JSON with json.dumps, before it wrote rows from a
+    byte table.
+    """
+    out = _stdout(capsys, ["genmat", "--q", str(q), "--format", fmt])
+    expected = GENMAT_TWO_DIGIT_SHA256[q][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -38,17 +38,22 @@ through disjoint information sets: once every message of weight <= w has
 been enumerated against each round's systematic generator, any remaining
 codeword has weight at least sum_i max(0, w + 1 - deficit_i), and the
 search stops as soon as that bound meets the best weight found.  Each
-round walks the supports of weight w depth first, in lexicographic order,
-down to L levels above the leaves: the block of codewords on a support
-prefix is built once, with one add from its parent's block, and packed
-into bit planes (``_pack``).  One XOR of that block against a packed,
-negated table of the codewords on every L-subset of rows, the OR of the
-planes and a popcount weigh every support that extends the prefix (a + b
-is nonzero exactly where a != -b, so the sum is never formed and one
-kernel serves every field; L = 3 for q = 3 and 2 for q = 4).  For q = 3
-the bound passes the witness weight 18 at w = 6 after 9 192 624
-evaluations (messages whose weight is established; 4 596 312 weights
-computed), about a tenth of a second of work.
+round splits every support of weight w into a prefix and a suffix of L
+rows, and keeps a packed, negated table of the codewords on every
+L-subset of rows (``_pack``).  The prefixes that end at one row s all
+meet the same run of suffixes, the L-subsets after s, so one XOR of their
+packed codewords against that run, the OR of the planes and a popcount
+weigh all of those supports at once (a + b is nonzero exactly where
+a != -b, so the sum is never formed and one kernel serves every field;
+L = 3 for q = 3 and 2 for q = 4).  Short prefixes are read from the
+tables themselves, longer ones built by a depth-first walk that adds
+each row once to its parent's block.  Leaves come out grouped by s, not
+in the order of the messages, so each leaf is reduced to its least
+weight and the rank of its first message of that weight, and the search
+keeps the least (weight, w, set, rank): the message that comes first in
+the frozen order.  For q = 3 the bound passes the witness weight 18 at
+w = 6 after 9 192 624 evaluations (messages whose weight is established;
+4 596 312 weights computed), about 70 ms of work on a 2-core machine.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -60,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import NamedTuple
@@ -275,6 +279,8 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     others run on ``threads`` workers, the costliest first.  The merge is
     independent of completion order.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging; only a full scan uses the pool
+
     k, n = basis.shape
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
@@ -285,13 +291,13 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     def scan_round(w):
         hist = np.zeros(n + 1, dtype=np.int64)
         least, hits = n + 1, []
-        for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, tables, _BLOCK_BYTES):
+        for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, tables, _BLOCK_BYTES):
             hist += np.bincount(weights, minlength=n + 1)
             wmin = int(weights.min())
             if wmin < least:
                 least, hits = wmin, []
             if wmin == least:
-                hits.append(_leaf_messages(q, w, prefix, suffixes, np.flatnonzero(weights == wmin)))
+                hits.append(_leaf_messages(q, w, prefixes, suffixes, np.flatnonzero(weights == wmin)))
         supports, coeffs = (np.concatenate(parts) for parts in zip(*hits))
         msgs = np.zeros((len(coeffs), k), dtype=np.int64)
         np.put_along_axis(msgs, supports, coeffs, axis=1)
@@ -414,8 +420,8 @@ def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
 
 
 def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
-    """(prefix, packed block) for every support prefix of ``depth`` rows that
-    leaves ``room`` later rows, in lexicographic order, by a depth-first walk.
+    """(prefix, packed block) for every support prefix of ``depth`` >= 1 rows
+    that leaves ``room`` later rows, in lexicographic order, by a depth-first walk.
 
     The block holds the (q-1)^(depth-1) codewords on the prefix whose first
     coefficient is 1, the first position most significant, in ``_pack``
@@ -424,9 +430,6 @@ def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
     """
     k, _, n = rows_scaled.shape
     planes = (f.q - 1).bit_length()
-    if depth == 0:
-        yield (), _pack(np.zeros((1, n), dtype=rows_scaled.dtype), planes)
-        return
 
     def walk(prefix, block):
         lo, hi = (prefix[-1] + 1 if prefix else 0), k - room - depth + len(prefix) + 1
@@ -443,6 +446,52 @@ def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
                 yield from walk(prefix + (i,), children[i - lo])
 
     yield from walk((), None)
+
+
+def _walked_prefixes(f: GF, rows_scaled: np.ndarray, depth: int, L: int, cap: int):
+    """The ``_prefix_blocks`` of ``depth`` rows gathered by their last row s:
+    (s, prefixes, packed block (planes, words, prefixes, (q-1)^(depth-1))),
+    at most max(1, cap // C(k-s-1, L)) prefixes at a time.  Each last row
+    fills its own buffer, passed on once full and the rest at the end."""
+    k = len(rows_scaled)
+    pending = {}
+    for prefix, packed in _prefix_blocks(f, rows_scaled, depth, L):
+        s = prefix[-1]
+        if s not in pending:
+            size = min(max(1, cap // comb(k - s - 1, L)), comb(s, depth - 1))
+            pending[s] = [], np.empty((*packed.shape[:2], size, packed.shape[2]), dtype=packed.dtype)
+        prefixes, block = pending[s]
+        block[:, :, len(prefixes)] = packed
+        prefixes.append(prefix)
+        if len(prefixes) == block.shape[2]:
+            del pending[s]
+            yield s, np.array(prefixes), block
+    for s, (prefixes, block) in pending.items():
+        yield s, np.array(prefixes), block[:, :, :len(prefixes)]
+
+
+def _table_prefixes(f: GF, tables, k: int, depth: int, L: int, cap: int):
+    """What ``_walked_prefixes`` yields, read from the level-``depth`` suffix
+    table instead of walked, the prefixes of each last row in lexicographic order.
+
+    The table holds -x for every codeword x on a subset, so its entries whose
+    first coefficient is -1 are the codewords of the messages with first
+    coefficient 1; ``cols`` lists them in the order of those messages'
+    coefficients, the first position most significant.  They are gathered
+    once, a (q-1)-th of the table, sorted by last row.
+    """
+    units = f.q - 1
+    table, subsets = tables[depth - 1]
+    negated = f.np_tables()[2][_coefficients(np.arange(units ** (depth - 1)), depth, units)]
+    cols = (negated.astype(np.intp) - 1) @ units ** np.arange(depth - 1, -1, -1)
+    order = np.argsort(subsets[:, -1], kind="stable")
+    stops = np.cumsum(np.bincount(subsets[:, -1], minlength=k)).tolist()
+    prefixes, block = subsets[order], table[:, :, order[:, None], cols]
+    for s in range(depth - 1, k - L):
+        step = max(1, cap // comb(k - s - 1, L))
+        for i in range(stops[s - 1] if s else 0, stops[s], step):
+            j = min(i + step, stops[s])
+            yield s, prefixes[i:j], block[:, :, i:j]
 
 
 def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -486,53 +535,82 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
 
     Every nonzero multiple of a message has its weight, so the normal
     form c1^-1 * m of each message m (c1 its first coefficient) stands for
-    its q-1 multiples; in the order below it comes no later than m, so
-    the first message of a given weight is always a normal form.
+    its q-1 multiples, and a message's rank (its support, then its
+    coefficients, in lexicographic order) is never below its normal form's.
 
     ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j, and
     ``tables`` are its ``_suffix_tables``.  With L = min(w, len(tables))
-    the walk stops at the supports' first w-L positions, the first with
-    coefficient 1 only, and packs each prefix block once: the suffixes
+    each support splits into a prefix of w-L rows, the first with
+    coefficient 1 only, and a suffix from the level-L table.  The suffixes
     that extend a prefix ending at row s are the contiguous run of
-    L-subsets starting after s, and ``_weights`` of the packed prefix
-    block against that run of the table weighs every support on the
-    prefix.  The longer operand runs along the contiguous inner axis, and
-    the weights are laid out as (suffix, prefix coefficients, suffix
-    coefficients): supports in lexicographic order and, within a support,
-    coefficients with the first position most significant.  When w = L
-    the prefix is empty and the table's coefficient-1 slice is kept.
-    Leaves take as many suffixes as keep the packed XOR within ``share``
-    bytes, at least one; ``_leaf_messages`` decodes leaf indices.
+    L-subsets starting after s, so a leaf weighs the packed blocks of
+    several prefixes that end at s against a slice of that run in one
+    broadcast ``_weights``, the longer operand along the contiguous inner
+    axis.  Prefixes of at most len(tables) rows are read from their own
+    level (``_table_prefixes``), deeper ones walked (``_walked_prefixes``);
+    when w = L the prefix is empty and the table's coefficient-1 slice is
+    weighed.  A leaf holds at most max(1, max(share, _BLOCK_BYTES / 2) //
+    (bytes of (q-1)^(w-1) packed codewords)) (prefix, suffix) pairs, each
+    pair with every coefficient of both.  The tables of all information
+    sets live through a search and split _BLOCK_BYTES into shares, while a
+    leaf lives for one call, so it may take half the budget: that weighs
+    the q = 3 and 4 searches and the q = 8 half as fast as the whole budget
+    and adds half as much to the peak memory.
 
-    Yields (prefix, suffixes, weights) per leaf, the suffixes a slice of
-    the (C(k, L), L) subsets array.
+    Yields (prefixes, suffixes, weights) per leaf, in no particular order:
+    the prefixes an array of supports, the suffixes a slice of the (C(k, L),
+    L) subsets array, and the weights laid out as (prefix, suffix, prefix
+    coefficients, suffix coefficients), in rank order within the leaf;
+    ``_leaf_messages`` decodes leaf indices.
     """
     k, units, n = rows_scaled.shape
     L = min(w, len(tables))
+    depth = w - L
     table, subsets = tables[L - 1]
-    step = max(1, share // (_packed_row_bytes(f.q, n) * units ** max(w - 1, L)))
-    for prefix, packed in _prefix_blocks(f, rows_scaled, w - L, L):
-        a = len(subsets) - comb(k - prefix[-1] - 1, L) if prefix else 0
+    cap = max(1, max(share, _BLOCK_BYTES // 2) // (_packed_row_bytes(f.q, n) * units ** (w - 1)))
+    if depth == 0:
+        groups = [(-1, np.empty((1, 0), dtype=subsets.dtype), np.zeros((*table.shape[:2], 1, 1), dtype=table.dtype))]
+        table = table[..., :units ** (L - 1)]
+    elif depth <= len(tables):
+        groups = _table_prefixes(f, tables, k, depth, L, cap)
+    else:
+        groups = _walked_prefixes(f, rows_scaled, depth, L, cap)
+    units_l = table.shape[3]
+    flat = table.reshape(*table.shape[:2], -1)
+    for s, prefixes, block in groups:
+        count, units_d = block.shape[2:]
+        rows = block.reshape(*block.shape[:2], -1)
+        a = len(subsets) - comb(k - s - 1, L)
+        step = min(cap, len(subsets) - a)
         for b in range(a, len(subsets), step):
-            run = table[:, :, b:b + step]
-            if packed.shape[2] > run[0, 0].size:
-                weights = _weights(run[..., None], packed[:, :, None, None]).transpose(0, 2, 1)
+            run = flat[:, :, b * units_l:(b + step) * units_l]
+            suffixes = subsets[b:b + step]
+            if rows.shape[2] > run.shape[2]:
+                weights = _weights(run[..., None], rows[:, :, None])
+                weights = weights.reshape(len(suffixes), units_l, count, units_d).transpose(2, 0, 3, 1)
             else:
-                weights = _weights(packed[:, :, :, None, None], run[:, :, None]).transpose(1, 0, 2)
-            if w == L:
-                weights = weights[:, :, :units ** (L - 1)]
-            yield prefix, subsets[b:b + step], weights.reshape(-1)
+                weights = _weights(rows[..., None], run[:, :, None])
+                weights = weights.reshape(count, units_d, len(suffixes), units_l).transpose(0, 2, 1, 3)
+            yield prefixes, suffixes, weights.reshape(-1)
 
 
-def _leaf_messages(q: int, w: int, prefix, suffixes, idx):
+def _coefficients(idx, w: int, units: int) -> np.ndarray:
+    """(len(idx), w): the coefficients 1..q-1 of the messages idx on a support
+    of w rows, idx counting their (q-1)^w vectors with the first position most significant."""
+    return np.asarray(idx)[:, None] // units ** np.arange(w - 1, -1, -1) % units + 1
+
+
+def _leaf_messages(q: int, w: int, prefixes, suffixes, idx):
     """(supports, coefficients), each (len(idx), w), of the entries idx of a
-    ``_round_weights`` leaf of weight w."""
-    units = q - 1
-    s, rest = np.divmod(np.asarray(idx), units ** (w - 1))
-    supports = np.empty((len(s), w), dtype=np.intp)
-    supports[:, :len(prefix)] = prefix
-    supports[:, len(prefix):] = suffixes[s]
-    return supports, rest[:, None] // units ** np.arange(w - 1, -1, -1) % units + 1
+    ``_round_weights`` leaf of weight w.
+
+    Entry i of a leaf with P prefixes and S suffixes is the pair (prefix
+    i // ((q-1)^(w-1) * S), suffix i // (q-1)^(w-1) % S), with coefficient
+    vector i % (q-1)^(w-1) in ``_coefficients`` order; the first
+    coefficient is always 1."""
+    pair, rest = np.divmod(np.asarray(idx), (q - 1) ** (w - 1))
+    p, s = np.divmod(pair, len(suffixes))
+    return np.hstack([prefixes[p], suffixes[s]]), _coefficients(rest, w, q - 1)
 
 
 class SearchRound(NamedTuple):
@@ -551,9 +629,15 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     Returns (distance, message in basis coordinates or None if the
     initial upper bound was never beaten, the rounds as ``SearchRound``
     records).  Round w weighs, set by set, every message of weight w
-    whose first coefficient is 1 through ``_round_weights``; the first
-    message in that order that beats the best weight so far is kept, and
-    no message of weight w before it in the full order beats it.  Each
+    whose first coefficient is 1 through ``_round_weights``.  The
+    frozen order of the messages is (w, set, support, coefficients),
+    supports and coefficients lexicographic; the leaves come in another
+    order, so each is reduced to its least weight and the support and
+    coefficients of its first entry of that weight (its entries are in
+    frozen order), and the search keeps the least (weight, w, set index,
+    support, coefficients).  Only a leaf that ties the best weight in the
+    round and set where that weight was found can move the witness, so
+    it is the first message in frozen order that beats d_up.  Each
     weight computed stands for the q-1 multiples of its message, so a
     round's ``evaluations`` counts messages whose weight the search
     established: (sets searched) * C(k, w) * (q-1)^w.  Each set's suffix
@@ -588,23 +672,25 @@ def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
     share = _BLOCK_BYTES // len(sets)
     scaled = [_scaled_rows(f, sys_rows) for _, sys_rows, _, _ in sets]
     tables = [_suffix_tables(f, rows_scaled, share) for rows_scaled in scaled]
-    best = d_up
-    best_msg = None
+    best = (d_up,)  # then (weight, w, set index, support, coefficients)
     rounds = []
     w = 0
-    while w < k and bound[w] < best:
+    while w < k and bound[w] < best[0]:
         w += 1
         start, evals = time.perf_counter(), 0
-        for rows_scaled, set_tables, (_, _, exprs, _) in zip(scaled, tables, sets):
-            for prefix, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, share):
+        for i, (rows_scaled, set_tables) in enumerate(zip(scaled, tables)):
+            for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, share):
                 evals += len(weights) * (q - 1)
-                if int(weights.min()) < best:
-                    idx = int(weights.argmin())
-                    supports, coeffs = _leaf_messages(q, w, prefix, suffixes, [idx])
-                    msg = _combine(f, coeffs[0], [exprs[r] for r in supports[0]])
-                    best, best_msg = int(weights[idx]), tuple(msg.tolist())
-        rounds.append(SearchRound(w, bound[w], best, evals, time.perf_counter() - start))
-    return best, best_msg, tuple(rounds)
+                least = int(weights.min())
+                if least < best[0] or (least == best[0] and best[1:3] == (w, i)):
+                    supports, coeffs = _leaf_messages(q, w, prefixes, suffixes, [int(weights.argmin())])
+                    best = min(best, (least, w, i, tuple(supports[0].tolist()), tuple(coeffs[0].tolist())))
+        rounds.append(SearchRound(w, bound[w], best[0], evals, time.perf_counter() - start))
+    if len(best) == 1:
+        return d_up, None, tuple(rounds)
+    least, _, i, support, coeffs = best
+    exprs = sets[i][2]
+    return least, tuple(_combine(f, coeffs, [exprs[r] for r in support]).tolist()), tuple(rounds)
 
 
 @dataclass

@@ -361,8 +361,14 @@ def row_reduce(f: GF, rows, cols: Sequence[int]) -> tuple[np.ndarray, tuple[int,
     pivots: list[int] = []
     pos = 0
     for r in range(a.shape[0]):
-        live = np.flatnonzero(a[r:, order[pos:]].any(axis=0))
-        if not live.size:
+        # the next live column, tested in chunks that double from pos on
+        width = 64
+        while pos < len(order):
+            live = np.flatnonzero(a[r:, order[pos:pos + width]].any(axis=0))
+            if live.size:
+                break
+            pos, width = pos + width, 2 * width
+        else:
             break
         pos += int(live[0])
         c = int(order[pos])

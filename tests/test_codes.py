@@ -1,5 +1,8 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations, product
 from math import comb
@@ -16,6 +19,7 @@ from ograss.codes import (
     _direct_minors,
     _exhaustive_scan,
     _information_sets,
+    _leaf_messages,
     _message_to_function,
     _np_add,
     _pack,
@@ -354,16 +358,19 @@ def _normal_form_index(f, w):
 @pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
 def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
-    """The table kernel yields the reference weights of the messages whose
-    first coefficient is 1, in the reference order.
+    """The table kernel yields the reference weight of every message whose
+    first coefficient is 1, each exactly once, in leaves of any order.
 
     Each reference weight equals that of its normal form, which is what
-    lets the kernel skip the other q-2 multiples.  A block target of t
-    packed codewords (_BLOCK_BYTES = t * the bytes of one) of 5 leaves
-    single rows as suffixes (L = 1) and splits each run of them into
-    several leaves; 2000 gives suffixes of two rows and 30000 of three on
-    every (q, rows) here, once w reaches them.  Rounds run to w = 4 while
-    they hold at most 5e7 entries (all but q = 8, 9).
+    lets the kernel skip the other q-2 multiples.  Every leaf entry is
+    decoded and labelled with its reference rank (support index, then
+    coefficient index); the labels must be exactly 0..count-1 and carry
+    the reference weights.  A block target of t packed codewords
+    (_BLOCK_BYTES = t * the bytes of one) of 5 leaves single rows as
+    suffixes (L = 1) and splits each run of them into several leaves; 2000
+    gives suffixes of two rows and 30000 of three on every (q, rows) here,
+    once w reaches them.  Rounds run to w = 4 while they hold at most 5e7
+    entries (all but q = 8, 9).
     """
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
@@ -380,14 +387,21 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
         per_support = ref_weights.reshape(len(ref_supports), -1)
         assert np.array_equal(per_support[:, _normal_form_index(f, w)], per_support)
         chunks = list(_round_weights(f, rows_scaled, w, tables, codes._BLOCK_BYTES))
-        supports = [prefix + tuple(suffix) for prefix, suffixes, _ in chunks for suffix in suffixes]
-        assert supports == ref_supports
-        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks]),
+        support_index = {support: i for i, support in enumerate(ref_supports)}
+        ranks = []
+        for prefixes, suffixes, weights in chunks:
+            supports, coeffs = _leaf_messages(q, w, prefixes, suffixes, np.arange(len(weights)))
+            assert np.all(coeffs[:, 0] == 1)
+            ranks.append(np.array([support_index[s] for s in map(tuple, supports.tolist())]) * (q - 1) ** (w - 1)
+                         + (coeffs - 1) @ (q - 1) ** np.arange(w - 1, -1, -1))
+        ranks = np.concatenate(ranks)
+        assert np.array_equal(np.sort(ranks), np.arange(len(ref_supports) * (q - 1) ** (w - 1)))
+        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks])[np.argsort(ranks)],
                               per_support[:, :(q - 1) ** (w - 1)].reshape(-1))
         if suffix_length is not None:
             assert {len(s) for _, suffixes, _ in chunks for s in suffixes} == {min(w, suffix_length)}
         if block_target == 5:
-            prefixes = [prefix for prefix, _, _ in chunks]
+            prefixes = [tuple(prefix) for ps, _, _ in chunks for prefix in ps.tolist()]
             assert len(prefixes) > len(set(prefixes))
 
 
@@ -422,6 +436,64 @@ def test_bounded_search_matches_exhaustive_scan(q, rows):
         cw = add[cw, mul[c, row]]
     assert np.count_nonzero(cw) == d
     assert msg == _first_minimum_message(f, sub, n + 1, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 4, 5, 7, 8, 9]), data=st.data(), spread=st.booleans(),
+       block_target=st.sampled_from([None, 1, 3, 7, 40]), shuffle=st.randoms(use_true_random=False))
+def test_bounded_search_witness_is_the_first_in_the_frozen_order(q, data, spread, block_target, shuffle):
+    """Random subcodes of a few basis rows, with rows r_i + 2*r_(i-1) when
+    ``spread`` (minimum words on messages over several rows), block targets
+    of t packed codewords that force L = 1 and split leaves, and each
+    round's leaves shuffled: however the leaves come out, the search keeps
+    the first minimum-weight message of the reference order."""
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    picked = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=4 if q > 5 else 5, unique=True))
+    sub = basis[picked].copy()
+    if spread:
+        for i in range(1, len(sub)):
+            sub[i] = _np_add(f, sub[i], f.np_tables()[1][2, sub[i - 1]])
+    n = sub.shape[1]
+    leaves = codes._round_weights
+
+    def shuffled(*args):
+        out = list(leaves(*args))
+        shuffle.shuffle(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if block_target is not None:
+            mp.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
+        mp.setattr(codes, "_round_weights", shuffled)
+        d, msg, _ = _bounded_search(f, sub, n + 1, 10**12)
+    assert msg == _first_minimum_message(f, sub, n + 1, d)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_leaves_and_prefix_buffers_stay_within_block_bytes(monkeypatch, q):
+    """Every XOR a leaf computes and every prefix block the leaves read,
+    walked or read from a table, fits in _BLOCK_BYTES during the search."""
+    sizes = []
+    weights = codes._weights
+
+    def recorded(a, neg_b):
+        sizes.append(np.prod(np.broadcast_shapes(a.shape, neg_b.shape)) * 8)
+        return weights(a, neg_b)
+
+    def recording(groups):
+        def wrapped(*args):
+            for group in groups(*args):
+                sizes.append(group[2].nbytes)
+                yield group
+        return wrapped
+
+    monkeypatch.setattr(codes, "_weights", recorded)
+    monkeypatch.setattr(codes, "_table_prefixes", recording(codes._table_prefixes))
+    monkeypatch.setattr(codes, "_walked_prefixes", recording(codes._walked_prefixes))
+    f, basis, d_up = _search_inputs(q)
+    assert _bounded_search(f, basis, d_up, codes.DEFAULT_BUDGET)[0] == d_up
+    assert sizes and max(sizes) <= codes._BLOCK_BYTES
 
 
 def test_weights_matches_count_nonzero():
@@ -606,6 +678,16 @@ def test_scan_threads_deterministic(q, rows):
     assert single[0] == multi[0]
     assert single[1] == multi[1]
     assert np.array_equal(single[2], multi[2])
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """Only a threaded full scan uses concurrent.futures (and the logging it
+    loads), so importing the package and building a field leave it out."""
+    src = os.path.dirname(os.path.dirname(codes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ograss; ograss.field(3); print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("call", [minimum_distance, weight_distribution, verify])

@@ -226,6 +226,66 @@ def test_row_reduce_matches_scalar_loop(q):
         assert reduced.tolist() == ref_rows
 
 
+def _row_reduce_by_full_scans(f, rows, cols):
+    """The elimination loop that scanned every remaining column at each pivot,
+    kept as the reference for the chunked scan of ``row_reduce``."""
+    add, mul, neg, inv = f.np_tables()
+    a = np.array(rows, dtype=add.dtype, ndmin=2)
+    order = np.asarray(cols, dtype=np.intp)
+    pivots = []
+    pos = 0
+    for r in range(a.shape[0]):
+        live = np.flatnonzero(a[r:, order[pos:]].any(axis=0))
+        if not live.size:
+            break
+        pos += int(live[0])
+        c = int(order[pos])
+        pos += 1
+        p = r + int(np.flatnonzero(a[r:, c])[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = gather(mul, inv[a[r, c]], a[r])
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others] = gather(add, a[others], gather(mul, neg[a[others, c]][:, None], a[r]))
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 49])
+def test_row_reduce_matches_full_column_scans(q):
+    """Pivots and reduced rows equal those of the full-scan loop on wide
+    matrices with zero runs of one chunk and longer, in natural and permuted
+    column order, at full rank and rank deficient (rows repeated as
+    combinations of others, or zero from some column on)."""
+    f = field(q)
+    rng = np.random.default_rng(q)
+    mul = f.np_tables()[1]
+    # live columns right after dead runs of one, two and three whole chunks (64, 64 + 128, 64 + 128 + 256)
+    gapped = np.zeros((6, 1200), dtype=mul.dtype)
+    live = np.cumsum([0, 65, 193, 1, 449, 65, 2])
+    gapped[:, live] = rng.integers(0, q, (6, len(live)))
+    gapped[np.arange(len(live)) % 6, live] = 1
+    reduced, pivots = row_reduce(f, gapped, range(1200))
+    ref, ref_pivots = _row_reduce_by_full_scans(f, gapped, range(1200))
+    assert pivots == ref_pivots and np.array_equal(reduced, ref)
+    for nrows, ncols in [(1, 5), (4, 70), (6, 300), (20, 2000)]:
+        for deficient in (False, True):
+            a = rng.integers(0, q, (nrows, ncols)).astype(mul.dtype)
+            a[:, rng.random(ncols) < 0.6] = 0
+            a[:, ncols // 4:ncols // 4 + 150] = 0
+            if deficient and nrows > 1:
+                a[nrows // 2:, ncols // 2:] = 0
+                a[-1] = gather(mul, 2 % q, a[0])
+            for cols in (range(ncols), rng.permutation(ncols), rng.permutation(ncols)[: ncols // 2]):
+                reduced, pivots = row_reduce(f, a, cols)
+                ref, ref_pivots = _row_reduce_by_full_scans(f, a, cols)
+                assert pivots == ref_pivots
+                assert np.array_equal(reduced, ref)
+                if deficient and nrows > 1:
+                    assert len(pivots) < nrows
+
+
 GATHER_FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)] + [
     (9, (2, 1, 1)),
     (49, (1, 0, 1)),  # x^2 + 1, not the Conway polynomial

@@ -5,19 +5,26 @@ and one column per point (frozen cell order), entry = that minor on that
 point's representative.  Codewords are the row-space vectors; the
 dimension is always computed by elimination, never assumed.
 
-The matrix is built one pivot cell at a time, from the cell's parameter
-tuples as one array and never from per-point objects.  On the cell P_I
-every minor is a signed minor of the skew-symmetric non-pivot block,
-det_A = expansion_sign(A, I) * det(reduced block), the block on the
-index sets of ``reduced_minor_indices(A, I)``; that determinant (size 0
-to 3, size 0 giving 1) is evaluated in closed form over the field's
-lookup tables for all of the cell's points at once, each product and
-difference one ``gf.gather`` from a flattened (q, q) table; every other
-two-operand table lookup in this module (``_np_add`` in extension fields,
-``_scaled_rows``, ``_combine``) goes through it too.  The direct 3x3
+The matrix is built one pivot cell at a time, never from per-point
+objects.  On the cell P_I every minor is a signed minor of the
+skew-symmetric non-pivot block, det_A = expansion_sign(A, I) *
+det(reduced block), the block on the index sets of
+``reduced_minor_indices(A, I)``; that determinant (size 0 to 3, size 0
+giving 1) is evaluated in closed form over the field's lookup tables,
+each product and difference one ``gf.gather`` from a flattened (q, q)
+table; every other two-operand table lookup in this module (``_np_add``
+in extension fields, ``_scaled_rows``, ``_combine``) goes through it too.
+The block is read off the cell's open parameter grid (``cell_grid``),
+where each parameter is its own broadcast axis and each constant a
+scalar: a product of two parameters is a (q, q) lookup, a product with
+the constant 0 stays the scalar 0, and only the finished row is
+broadcast to the cell's q^arity points, straight into its span of the
+matrix.  The whole 3x3 non-pivot block is skew-symmetric of odd order
+with zero diagonal, hence singular in every characteristic, so the minor
+on the non-pivot columns is written as 0 unevaluated.  The direct 3x3
 determinant of each column triple stays as the oracle: ``verify``
-evaluates it on the same cell arrays and compares the two on every point
-and every column set.
+evaluates it on the dense cell arrays (``cell_matrices``) and compares
+the two on every point and every column set.
 
 One kernel, ``_round_weights``, enumerates codewords for both the full
 scan and the information-set search described below: one round weighs
@@ -82,7 +89,16 @@ from .grassmann import (
     reduced_minor_indices,
     reflected_complement,
 )
-from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, point_count, swap34_map
+from .polar import (
+    CELL_ARITY,
+    CELL_ORDER,
+    brute_force_points,
+    cell_grid,
+    cell_matrices,
+    cell_slices,
+    point_count,
+    swap34_map,
+)
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_BYTES = 1 << 20
@@ -107,20 +123,34 @@ class GeneratorMatrix:
         return self.matrix[COLSET_INDEX[tuple(A)]]
 
 
-def _np_det(f: GF, block, one: np.ndarray) -> np.ndarray:
-    """Closed-form determinant of a square block (size 0 to 3) of equal-length arrays."""
+def _det_tables(f: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(add, mul, minus) for ``_np_det``, with minus[x, y] = x - y."""
     add, mul, neg, _ = f.np_tables()
-    minus = add[:, neg]  # minus[x, y] = x - y
+    return add, mul, add[:, neg]
+
+
+def _np_det(tables, block):
+    """Closed-form determinant of a square block (size 0 to 3) of arrays that broadcast.
+
+    ``tables`` is ``_det_tables(f)``; each product and difference is one
+    ``gather``, shaped like the broadcast of its operands.
+    """
+    add, mul, minus = tables
 
     def sub(x, y):
         return gather(minus, x, y)
 
     def times(x, y):
+        # a constant 0 factor gives the constant 0, which broadcasts to nothing
+        if np.ndim(x) == 0 and not x:
+            return x
+        if np.ndim(y) == 0 and not y:
+            return y
         return gather(mul, x, y)
 
     n = len(block)
     if n == 0:
-        return one
+        return mul.dtype.type(1)
     if n == 1:
         return block[0][0]
     if n == 2:
@@ -136,32 +166,51 @@ def _np_det(f: GF, block, one: np.ndarray) -> np.ndarray:
 def _direct_minors(f: GF, mats: np.ndarray) -> np.ndarray:
     """The 20 minors of every representative in a (3, 6, count) array, each the
     determinant of its full 3x3 column triple: the oracle of the pivot expansion."""
-    return np.array([_np_det(f, mats[:, [a - 1 for a in A]], None) for A in COLUMN_SETS])
+    tables = _det_tables(f)
+    return np.array([_np_det(tables, mats[:, [a - 1 for a in A]]) for A in COLUMN_SETS])
 
 
-def _cell_generator(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
-    """The 20 generator rows on one cell, all of its points at once.
+@functools.lru_cache(maxsize=None)
+def _cell_plan(pivots: tuple[int, int, int]) -> tuple[tuple[tuple, bool], ...]:
+    """(block, negate) for each column set on the cell P_I, in COLUMN_SETS order.
 
-    Each entry is det_A = expansion_sign(A, I) * det(reduced block), the
-    block taken from the non-pivot columns of the cell's representative
-    array (``cell_matrices``).
+    ``block`` lists the (row, column) template positions of the reduced
+    block of ``reduced_minor_indices(A, I)`` in the non-pivot columns, and
+    ``negate`` is ``expansion_sign(A, I) < 0``.
     """
-    neg = f.np_tables()[2]
-    mats = cell_matrices(f, pivots)
-    size = mats.shape[2]
-    one = np.ones(size, dtype=neg.dtype)
     free = [c for c in range(AMBIENT) if c + 1 not in pivots]
-    out = np.empty((len(COLUMN_SETS), size), dtype=neg.dtype)
-    for idx, A in enumerate(COLUMN_SETS):
+    plan = []
+    for A in COLUMN_SETS:
         block_rows, block_cols = reduced_minor_indices(A, pivots)
-        value = _np_det(f, [[mats[r - 1, free[c - 1]] for c in block_cols] for r in block_rows], one)
-        out[idx] = value if expansion_sign(A, pivots) > 0 else neg[value]
-    return out
+        block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
+        plan.append((block, expansion_sign(A, pivots) < 0))
+    return tuple(plan)
 
 
 @functools.lru_cache(maxsize=None)
 def build_generator(f: GF) -> GeneratorMatrix:
-    mat = np.hstack([_cell_generator(f, pivots) for pivots in CELL_ORDER])
+    """The 20 x n generator, each cell's minors evaluated on its open parameter grid.
+
+    Each entry is det_A = expansion_sign(A, I) * det(reduced block), the
+    block read off ``cell_grid``, whose parameters are separate broadcast
+    axes: a product of two parameters is a (q, q) lookup, and only the
+    finished row is broadcast to the cell's q^arity points, straight into
+    its span of the matrix (a contiguous slice, so the reshape is a view).
+    """
+    tables = _det_tables(f)
+    neg = f.np_tables()[2]
+    q = f.q
+    mat = np.empty((len(COLUMN_SETS), point_count(q)), dtype=neg.dtype)
+    for pivots, start, stop in cell_slices(q):
+        grid = cell_grid(f, pivots)
+        shape = (q,) * CELL_ARITY[pivots]
+        for idx, (block, negate) in enumerate(_cell_plan(pivots)):
+            if len(block) == 3:
+                # the whole non-pivot block: skew-symmetric of odd order with zero diagonal, so singular
+                value = 0
+            else:
+                value = _np_det(tables, [[grid[r][c] for r, c in row] for row in block])
+            mat[idx, start:stop].reshape(shape)[...] = neg[value] if negate else value
     mat.setflags(write=False)
     return GeneratorMatrix(field=f, matrix=mat)
 
@@ -274,13 +323,12 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     lex-least minimum-weight message is among those weighed.  The suffix
     tables are built once, before the rounds, which only read them, so the
     threads share them.  A round weighs C(k, w) * (q-1)^(w-1) messages;
-    one whose packed codewords fit in _BLOCK_BYTES, about one leaf, runs
-    in the calling thread, where a worker would only add overhead, and the
-    others run on ``threads`` workers, the costliest first.  The merge is
-    independent of completion order.
+    with one thread every round runs in the calling thread.  With more, a
+    round whose packed codewords fit in _BLOCK_BYTES, about one leaf, still
+    runs there, where a worker would only add overhead, and the others run
+    on ``threads`` workers, the costliest first.  The merge is independent
+    of completion order.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loads logging; only a full scan uses the pool
-
     k, n = basis.shape
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
@@ -305,9 +353,12 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
 
     work = {w: comb(k, w) * (q - 1) ** (w - 1) * _packed_row_bytes(q, n) for w in range(1, k + 1)}
     rounds = sorted(work, key=work.get, reverse=True)
-    results = [scan_round(w) for w in rounds if work[w] <= _BLOCK_BYTES]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        results += ex.map(scan_round, [w for w in rounds if work[w] > _BLOCK_BYTES])
+    results = [scan_round(w) for w in rounds if threads == 1 or work[w] <= _BLOCK_BYTES]
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a threaded full scan uses it
+
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results += ex.map(scan_round, [w for w in rounds if work[w] > _BLOCK_BYTES])
     hist = sum(h for h, _ in results) * (q - 1)
     hist[0] = 1
     best_w, best_msg = min(b for _, b in results)

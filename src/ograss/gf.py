@@ -10,7 +10,9 @@ Multiplication, inversion, powers and quadratic-residue tests run over
 log/antilog tables built once at construction (a generator of the
 multiplicative group is located by checking element orders, so overriding
 the defining polynomial is safe).  Addition in extension fields is
-digitwise mod p and is tabulated as well.  A GF instance is immutable
+digitwise mod p and is tabulated as well.  The (q, q) tables are built
+with numpy, broadcasting over the digits and the logs, and kept both as
+numpy arrays and as nested lists for the scalar operations.  A GF instance is immutable
 after construction and can be shared freely between threads.
 
 Default defining polynomials (Conway polynomials, coefficients low to
@@ -167,7 +169,6 @@ class GF:
                 raise ValueError(f"{list(poly)} is reducible over GF({p})")
             self.poly = poly
         self._build_tables()
-        self._np_cache: tuple[np.ndarray, ...] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -211,37 +212,32 @@ class GF:
 
     def _build_tables(self) -> None:
         q, p, e = self.q, self.p, self.e
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._negt = [(-a) % p for a in range(q)]
-        else:
-            digs = [self._digits(a) for a in range(q)]
-            self._add = [
-                [self._undigits([(x + y) % p for x, y in zip(digs[a], digs[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            self._negt = [self._undigits([(-x) % p for x in digs[a]]) for a in range(q)]
+        # row a of digits holds the base-p digits of a, constant term first
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
+        add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, place))
+        neg = -digits % p @ place
         g = self._find_generator()
         exp = [1] * (q - 1)
-        log = [0] * q
         v = 1
         for i in range(q - 1):
             exp[i] = v
-            log[v] = i
             v = self._raw_mul(v, g)
+        exp_np = np.array(exp)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp_np] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp_np[(log[1:, None] + log[1:]) % (q - 1)]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp_np[-log[1:] % (q - 1)]
         self.generator = g
         self._exp = exp
-        self._log = log
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = log[a]
-            row = mul[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
-        self._mul = mul
-        self._invt = [0] * q
-        for a in range(1, q):
-            self._invt[a] = exp[(q - 1 - log[a]) % (q - 1)]
+        self._log = log.tolist()
+        self._add, self._mul, self._negt, self._invt = (t.tolist() for t in (add, mul, neg, inv))
+        dtype = np.uint8 if q <= 256 else np.uint16
+        self._np_tables = tuple(t.astype(dtype) for t in (add, mul, neg, inv))
+        for t in self._np_tables:
+            t.setflags(write=False)
 
     # -- scalar operations ---------------------------------------------------
 
@@ -310,13 +306,7 @@ class GF:
 
     def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(add, mul, neg, inv) lookup tables as read-only numpy arrays; inv[0] is 0."""
-        if self._np_cache is None:
-            dtype = np.uint8 if self.q <= 256 else np.uint16
-            tables = tuple(np.array(t, dtype=dtype) for t in (self._add, self._mul, self._negt, self._invt))
-            for t in tables:
-                t.setflags(write=False)
-            self._np_cache = tables
-        return self._np_cache
+        return self._np_tables
 
     # -- identity -------------------------------------------------------------
 

@@ -18,8 +18,12 @@ diagonal:
 
 (negation is field negation, so -a = a in even characteristic).
 ``cell_rows`` states these templates once: ``build_cell`` fills them with
-scalars for one representative, ``cell_matrices`` with the parameter array
-of a whole cell (``cell_params``), the array form every production path reads.
+scalars for one representative, ``cell_grid`` with the cell's parameters as
+open-grid axes (parameter j varies along axis j of a (q,)*arity grid, so an
+entry holding one parameter is a q-vector and a constant is a scalar), the
+form the generator build reads, and ``cell_matrices`` with the dense
+parameter array of a whole cell (``cell_params``), the form ``points`` and
+``verify`` read.
 
 The frozen point order -- cells as listed above, parameter tuples in
 ascending lexicographic order of their integer encodings -- fixes the
@@ -125,6 +129,19 @@ def cell_matrices(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
     params = cell_params(f.q, pivots).astype(neg.dtype)
     zero = np.zeros(len(params), dtype=neg.dtype)
     return np.array(cell_rows(pivots, params.T, neg.__getitem__, zero, zero + 1))
+
+
+def cell_grid(f: GF, pivots: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
+    """The cell template with each parameter on its own broadcast axis.
+
+    Parameter j is ``np.arange(q)`` shaped to vary along axis j of (q,)*arity,
+    constants are numpy scalars, so every entry broadcasts to the cell's
+    (q,)*arity grid, whose C-order ravel is the frozen order of
+    ``cell_params``.
+    """
+    neg = f.np_tables()[2]
+    axes = np.ix_(*[np.arange(f.q, dtype=neg.dtype)] * CELL_ARITY[pivots])
+    return cell_rows(pivots, axes, neg.__getitem__, neg.dtype.type(0), neg.dtype.type(1))
 
 
 @dataclass(frozen=True)

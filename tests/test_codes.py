@@ -6,6 +6,7 @@ import sys
 import time
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
     _bounded_search,
+    _cell_plan,
+    _det_tables,
     _direct_minors,
     _exhaustive_scan,
     _information_sets,
     _leaf_messages,
     _message_to_function,
     _np_add,
+    _np_det,
     _pack,
     _packed_row_bytes,
     _projected_cost,
@@ -39,7 +43,7 @@ from ograss.codes import (
     weight,
     weight_distribution,
 )
-from ograss.gf import field, row_reduce
+from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import COLUMN_SETS, MatrixRep, MinorFunction, minor, rank_of, reflected_complement
 from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, point_count
@@ -160,13 +164,49 @@ def test_generator_rows_match_single_minor_codewords():
         assert list(G.matrix[idx]) == direct
 
 
-@pytest.mark.parametrize("q, poly", [(11, None), (16, (1, 0, 0, 1, 1))])
+@pytest.mark.parametrize("q, poly", [(11, None), (16, (1, 0, 0, 1, 1)), (27, None), (32, None), (49, (3, 2, 1))])
 def test_generator_equals_direct_minors(q, poly):
-    """The expansion-identity build against the direct determinant, beyond the golden fields."""
+    """The open-grid build against the direct determinants, beyond the golden fields.
+
+    Every field against the full 3x3 column triples of the dense cell arrays
+    (``_direct_minors``); up to q = 16 also against the scalar ``minor`` of
+    each representative, which takes over 15 s at q = 27.
+    """
     f = field(q, poly)
-    direct = [[minor(build_cell(f, pivots, params), A) for A in COLUMN_SETS]
-              for pivots in CELL_ORDER for params in product(range(q), repeat=CELL_ARITY[pivots])]
-    assert np.array_equal(build_generator(f).matrix, np.array(direct).T)
+    G = build_generator(f).matrix
+    mats = np.concatenate([cell_matrices(f, pivots) for pivots in CELL_ORDER], axis=2)
+    assert np.array_equal(G, _direct_minors(f, mats))
+    if q <= 16:
+        direct = [[minor(build_cell(f, pivots, params), A) for A in COLUMN_SETS]
+                  for pivots in CELL_ORDER for params in product(range(q), repeat=CELL_ARITY[pivots])]
+        assert np.array_equal(G, np.array(direct).T)
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _prime_powers(49))
+def test_whole_skew_block_minor_vanishes_on_every_cell(q):
+    """build_generator writes the minor on a cell's own non-pivot columns as 0
+    without evaluating it; the general determinant is 0 on every point."""
+    f = field(q)
+    tables = _det_tables(f)
+    G = build_generator(f)
+    for pivots, start, stop in cell_slices(q):
+        free = tuple(c for c in range(1, 7) if c not in pivots)
+        plan = _cell_plan(pivots)
+        assert [i for i, (block, _) in enumerate(plan) if len(block) == 3] == [COLUMN_SETS.index(free)]
+        mats = cell_matrices(f, pivots)
+        assert not _np_det(tables, mats[:, [c - 1 for c in free]]).any()
+        assert not G.row(free)[start:stop].any()
 
 
 def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):
@@ -678,6 +718,26 @@ def test_scan_threads_deterministic(q, rows):
     assert single[0] == multi[0]
     assert single[1] == multi[1]
     assert np.array_equal(single[2], multi[2])
+
+
+def test_full_scan_with_one_thread_runs_inline(monkeypatch):
+    """threads=1 never builds a pool, not even for the rounds larger than one leaf."""
+    import concurrent.futures
+
+    f, basis = _subcode(3, 13)
+    k, n = basis.shape
+    assert max(comb(k, w) * 2 ** (w - 1) for w in range(1, k + 1)) * _packed_row_bytes(3, n) > codes._BLOCK_BYTES
+    threaded = _exhaustive_scan(f, basis, threads=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-thread scan built a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
+    single = _exhaustive_scan(f, basis, threads=1)
+    assert single[:2] == threaded[:2]
+    assert np.array_equal(single[2], threaded[2])
+    rows = (Path(__file__).parent / "golden" / "weight-dist-q2.csv").read_text().splitlines()[1:]
+    assert weight_distribution(field(2)) == {int(w): int(c) for w, c in (row.split(",") for row in rows)}
 
 
 def test_import_leaves_the_thread_pool_unloaded():

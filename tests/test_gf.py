@@ -152,6 +152,32 @@ def test_polynomial_override():
         GF(121)  # no shipped default above 49
 
 
+def _is_prime_power(q):
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+TABLE_FIELDS = [(q, None) for q in range(2, 50) if _is_prime_power(q)] + [(9, (2, 1, 1)), (49, (3, 2, 1))]
+
+
+@pytest.mark.parametrize("q, poly", TABLE_FIELDS)
+def test_tables_match_scalar_loops(q, poly):
+    """The broadcast tables against one scalar digit or polynomial operation per entry."""
+    f = GF(q, poly)
+    digs = [f._digits(a) for a in range(q)]
+    add = [[f._undigits([(x + y) % f.p for x, y in zip(digs[a], digs[b])]) for b in range(q)] for a in range(q)]
+    neg = [f._undigits([-x % f.p for x in digs[a]]) for a in range(q)]
+    mul = [[f._raw_mul(a, b) for b in range(q)] for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    assert (f._add, f._mul, f._negt, f._invt) == (add, mul, neg, inv)
+    assert all(t.tolist() == ref for t, ref in zip(f.np_tables(), (add, mul, neg, inv)))
+    assert f._exp == [f._raw_pow(f.generator, i) for i in range(q - 1)]
+    assert [f._log[x] for x in f._exp] == list(range(q - 1))
+
+
 def test_coefficient_encoding_roundtrip():
     f = field(9)
     for a in range(9):

@@ -6,7 +6,9 @@ recorded before the generator was rebuilt from the pivot expansion, and
 distance-q3.json before the search walked its supports depth first;
 weight-dist-q2.csv before the scan weighed its blocks by a byte sum; the
 two-digit genmat hashes (q = 11, 16, 25) before genmat wrote its rows from a
-byte table.
+byte table; the larger fields and non-default polynomials of
+GENMAT_WIDE_SHA256 before the generator was evaluated on open parameter
+grids.
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -63,6 +65,20 @@ GENMAT_TWO_DIGIT_SHA256 = {
          "c1e7afb5318570ae558caa4ff953e18e65ea795ac7024c406d8e28f4a1915321"),
 }
 
+#: (txt, json) by genmat arguments: fields past q = 25 and two defining polynomials other than the default
+GENMAT_WIDE_SHA256 = {
+    "--q 27": ("1de341f35f1057d1508f9614260137f6c1f96ba897fcbf260258699aa23dc48d",
+               "95e054fd2203d16c36051b8644c7e3022f1260de6f9d2f454f4bd6c432ea4577"),
+    "--q 32": ("006530a0169260c4693b5d1808c51eb602dcff4525d26ea9219855d2912ae695",
+               "05af9200aff5543ed39059fe35a89fe54b3ad3cfaa5d56f73e8f7fec6d141cbd"),
+    "--q 49": ("79d989962588dba6ff88dca299baf508edcafc3a1f27bf7de9b6f51bbc534c40",
+               "a7261c0de868b6d82318025d32fd1d4687b225709cd80c42b5f96b6f260dae1e"),
+    "--q 9 --poly 2,1,1": ("da941ea3d1aa4252459595ba5d85ef1956bea847360ef866d4ecc71cc7ecfc2e",
+                           "3fe8438da48a83ba85155f589116890a208d184aa0840c98c291bd60f9b25672"),
+    "--q 49 --poly 3,2,1": ("c85030fcbcb0977a78677d91358d6eb2ff372859cc151cada7bd0e97d8248506",
+                            "53b98a40c63fb81d3dc3048beec134c9c91dd423e1ad1766a9e7365ae75a48e1"),
+}
+
 
 def _stdout(capsys, argv):
     assert cli_main(argv) == 0
@@ -98,6 +114,14 @@ def test_genmat_two_digit_hash(capsys, q, fmt):
     """
     out = _stdout(capsys, ["genmat", "--q", str(q), "--format", fmt])
     expected = GENMAT_TWO_DIGIT_SHA256[q][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("args", sorted(GENMAT_WIDE_SHA256))
+def test_genmat_wide_hash(capsys, args, fmt):
+    out = _stdout(capsys, ["genmat", *args.split(), "--format", fmt])
+    expected = GENMAT_WIDE_SHA256[args][fmt == "json"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

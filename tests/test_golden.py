@@ -8,7 +8,8 @@ weight-dist-q2.csv before the scan weighed its blocks by a byte sum; the
 two-digit genmat hashes (q = 11, 16, 25) before genmat wrote its rows from a
 byte table; the larger fields and non-default polynomials of
 GENMAT_WIDE_SHA256 before the generator was evaluated on open parameter
-grids.
+grids; the points txt hashes and POINTS_WIDE_SHA256 before points was written
+from token tables (the points json hashes for q <= 9 are older still).
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -33,6 +34,34 @@ POINTS_SHA256 = {
     7: "6a7d6d9900282908e9861eb94c84f84c06f4f436b61f6e18f61a48654481ec5a",
     8: "42b2362b9277e1c37839f141d71169d856bdc002d08f0ae0c062f0416b6eb6d1",
     9: "f8c177f7d798256e2fbea5c7d7868f334406ba982fd44a829d2e1752db0fb02f",
+}
+
+POINTS_TXT_SHA256 = {
+    2: "133be380c2a8040d42fd9a9c7cc95e096179b29a441ad6983d46f82fb19620e3",
+    3: "aa6f22fd29e95035f15f5e3e4b3ba245cf9b82154923c4da8ae3663db73540fa",
+    4: "e111a757cb3a73d79eeaf0e427bc33690adbc89facfc65aa88e051c99df400af",
+    5: "ef0cfee749d4e13e1b105f6951dfd7998a3af5460d2c0336ca511b8956f85a56",
+    7: "13449734c13530865793abe1eb953df281a41f81026ba37705eab160283e86d8",
+    8: "25284242ed6e9803f91b9f40beed0aa3aa01e98984bb775e4e19ba1a76b19aa4",
+    9: "6c828a6eb0502d6b9dacf8f9edb92cfdeb601792fe810a696a6747ee61d2d3b3",
+}
+
+#: (txt, json) by points arguments: two-digit entries and two defining polynomials other than the default
+POINTS_WIDE_SHA256 = {
+    "--q 11": ("9c297841f21955a50cd099ce4979e732de516d32ebfbdbf674d23b303cb3567a",
+               "98d950c7847249b7960d2a2cd66a8bb28c9fa2c3581fcf0b9e23ae6f9f5dd11d"),
+    "--q 16": ("2147167d037072d667a7af7c0fcd3074b629d0ab87de58b9821de8046f91970e",
+               "a3274baa42a4b73640f1c16f20b65125da5aadcc77cfa0f627b4ea732aab8041"),
+    "--q 25": ("dc9d145db5798a1bd462b5f63a5fb20e951748c66e58b46fd523970f57f8c448",
+               "a5ec53b327c6718b0134c730f617a0e1fe6d18578b3fa0a21d33e97053cd5db1"),
+    "--q 27": ("b06e93b02125520457f151d2b1f0c59e9ab6f4db29f9ad6eb2dcb25c5a456ddc",
+               "c135709ab7af10b44cb624d3a50ba61683227c596342ff73f395fcb47756bf28"),
+    "--q 49": ("5edc9a3b29f7b51215e25d5538d2947e33402f5210864a3d80faebd2dbf8df37",
+               "56fa3d7d6d7c05a42e2878f5f9fdeda6611b9453ce2d04d6d109a1ab703419ec"),
+    "--q 9 --poly 2,1,1": ("6c828a6eb0502d6b9dacf8f9edb92cfdeb601792fe810a696a6747ee61d2d3b3",
+                           "f8c177f7d798256e2fbea5c7d7868f334406ba982fd44a829d2e1752db0fb02f"),
+    "--q 49 --poly 3,2,1": ("5edc9a3b29f7b51215e25d5538d2947e33402f5210864a3d80faebd2dbf8df37",
+                            "56fa3d7d6d7c05a42e2878f5f9fdeda6611b9453ce2d04d6d109a1ab703419ec"),
 }
 
 GENMAT_SHA256 = {
@@ -89,6 +118,23 @@ def _stdout(capsys, argv):
 def test_points_json_hash(capsys, q):
     out = _stdout(capsys, ["points", "--q", str(q), "--format", "json"])
     assert hashlib.sha256(out.encode()).hexdigest() == POINTS_SHA256[q]
+
+
+@pytest.mark.parametrize("q", sorted(POINTS_TXT_SHA256))
+def test_points_txt_hash(capsys, q):
+    out = _stdout(capsys, ["points", "--q", str(q), "--format", "txt"])
+    assert hashlib.sha256(out.encode()).hexdigest() == POINTS_TXT_SHA256[q]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("args", sorted(POINTS_WIDE_SHA256))
+def test_points_wide_hash(tmp_path, capsys, args, fmt):
+    """Written to a file: the q = 49 json is about 100 MB."""
+    out = tmp_path / "points"
+    assert cli_main(["points", *args.split(), "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    expected = POINTS_WIDE_SHA256[args][fmt == "json"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("q", sorted(GENMAT_SHA256))

@@ -5,21 +5,33 @@ integers only, matrices and points follow the frozen orderings spelled
 out in --help.  Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.
 
-``genmat`` writes its matrix as bytes, row by row, in both formats: one
-table per field holds each element's ASCII digits and separator, a row is
-one ``np.take`` of that table, and no Python object is made per entry.
-The JSON text is the one ``json.dumps(..., indent=2)`` gives, with the
-rows spliced in where the dump of an empty list stands.
+``genmat`` and ``points`` write their text as bytes, block by block, and no
+Python object is made per entry.  The text of one matrix row entry, or of
+one point, is a record of fixed length: its constant text with a NUL-padded
+field for each value that varies.  A block is a reused buffer of copies of
+the record; each field is filled by one ``np.take`` of the q digit strings
+and one ``bytearray.translate`` deletes the pads (see ``_record_writer``).
+A point's record holds the text before each of its cell's parameters and
+the matrix entries that vary over the cell; the constant entries are part
+of it.  The JSON texts are the ones ``json.dumps(..., indent=2)`` gives,
+with the rows or points spliced in where the dump of an empty list stands.
+
+``entry`` is the process entry of ``python -m ograss`` and the ``ograss``
+script: it runs ``main``, freezes the objects the garbage collector tracks
+(``gc.freeze``) so that the full collections of interpreter shutdown skip
+the numpy and ograss modules, and exits with main's code.  ``main`` never
+freezes, so tests and library callers can run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -28,6 +40,9 @@ from .gf import GF, factor_prime_power, field
 from .grassmann import COLUMN_SETS, MinorFunction
 
 MAX_Q = 49
+
+#: the most bytes of text in one block of the writers; it bounds their buffer, index and chunk
+_BLOCK_BYTES = 1 << 18
 
 _ORDERING_NOTE = (
     "ordering contracts: points are listed cell by cell in the fixed order "
@@ -67,7 +82,7 @@ def _field_from_args(args: argparse.Namespace) -> GF:
 
 
 def _emit(chunks: Iterable, out: str | None) -> None:
-    """Write byte chunks (bytes or 1-D uint8 arrays) to the file ``out``, else to stdout."""
+    """Write byte chunks (bytes or bytearrays) to the file ``out``, else to stdout."""
     if out:
         with open(out, "wb") as fh:
             fh.writelines(chunks)
@@ -84,47 +99,121 @@ def _cell_id(pivots) -> str:
     return "".join(str(i) for i in pivots)
 
 
+def _record_writer(items: list, q: int):
+    """A function from a values array to the text of ``items`` once for each
+    of its rows, as byte chunks of one block of rows each.  An item is
+    literal bytes or an int k, which stands for the decimal digits of
+    column k of the values (elements of GF(q)).
+
+    ``items`` make one record of fixed length, each int a field of as many
+    NULs as q - 1 has digits.  A block is a bytearray of copies of the
+    record, viewed through ``np.frombuffer`` as a structured array of those
+    fields and reused for every later block of its size.  Each column is
+    one ``np.take`` of the q digit strings (NUL-padded) into a scratch
+    array, assigned to its field, and ``bytearray.translate`` deletes the
+    pads, the only NULs in the text.
+    """
+    table = np.array([b"%d" % v for v in range(q)], dtype=bytes)
+    record, fields = b"", {}
+    for item in items:
+        if isinstance(item, bytes):
+            record += item
+        else:
+            fields[item] = len(record)
+            record += bytes(table.itemsize)
+    dtype = np.dtype({"names": [f"f{k}" for k in fields], "formats": [table.dtype] * len(fields),
+                      "offsets": list(fields.values()), "itemsize": len(record)})
+    step = max(1, _BLOCK_BYTES // len(record))
+    blocks = {}
+
+    def text(values: np.ndarray) -> Iterator[bytearray]:
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            if len(block) not in blocks:
+                buf = bytearray(record * len(block))
+                blocks[len(block)] = buf, np.frombuffer(buf, dtype=dtype), np.empty(len(block), table.dtype)
+            buf, records, digits = blocks[len(block)]
+            for k in fields:
+                np.take(table, block[:, k], out=digits, mode="clip")  # "raise" would buffer out
+                records[f"f{k}"] = digits
+            yield buf.translate(None, b"\0")
+
+    return text
+
+
+def _point_items(fmt: str, pivots, arity: int, entries: list) -> list:
+    """The text of one point of a cell as bytes and ints; an int is the
+    column of the point's values (parameters first) that stands there.
+
+    ``entries`` are the 18 matrix entries in row order, each a column or,
+    when constant on the cell, its digits.  Every point starts with the
+    separator ("," for json, a newline for txt) that the first point drops.
+    """
+    cell = _cell_id(pivots).encode()
+    rows = [entries[i:i + 6] for i in range(0, 18, 6)]
+    if fmt == "json":
+        items = [b',\n    {\n      "cell": "%s",\n      "params": [' % cell]
+        for j in range(arity):
+            items += [b",\n        " if j else b"\n        ", j]
+        items.append(b"\n      ]" if arity else b"]")
+        items.append(b',\n      "rows": [')
+        for r, row in enumerate(rows):
+            items.append(b",\n        [" if r else b"\n        [")
+            for c, entry in enumerate(row):
+                items += [b",\n          " if c else b"\n          ", entry]
+            items.append(b"\n        ]")
+        items.append(b"\n      ]\n    }")
+    else:
+        items = [b"\ncell %s params " % cell]
+        for j in range(arity):
+            items += [b"," if j else b"", j]
+        if not arity:
+            items.append(b"-")
+        for row in rows:
+            items.append(b"\n")
+            for c, entry in enumerate(row):
+                items += [b" " if c else b"", entry]
+        items.append(b"\n")
+    return items
+
+
+def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
+    """The text of every point in the frozen order, as byte chunks of one block of points each.
+
+    A cell's values are its parameters and the matrix entries that vary
+    over the cell; the constant entries are part of the record.
+    """
+    for pivots in polar.CELL_ORDER:
+        arity = polar.CELL_ARITY[pivots]
+        mats = polar.cell_matrices(f, pivots).reshape(18, -1)
+        live = (mats != mats[:, :1]).any(axis=1)
+        values = np.concatenate([polar.cell_params(f.q, pivots).astype(mats.dtype), mats[live].T], axis=1)
+        columns = iter(range(arity, values.shape[1]))
+        entries = [next(columns) if v else b"%d" % e for v, e in zip(live, mats[:, 0].tolist())]
+        yield from _record_writer(_point_items(fmt, pivots, arity, entries), f.q)(values)
+
+
 def _cmd_points(args: argparse.Namespace) -> int:
     f = _field_from_args(args)
+    chunks = _point_chunks(f, args.format)
+    first = next(chunks)
+    del first[0]  # the separator before the first point
     if args.format == "json":
-        payload = {
-            "q": f.q,
-            "n": polar.point_count(f.q),
-            "points": [{"cell": _cell_id(pivots), "params": params, "rows": rows}
-                       for pivots, params, rows in polar.point_rows(f)],
-        }
-        text = _dump(payload)
+        head, foot = _dump({"n": polar.point_count(f.q), "points": [], "q": f.q}).rsplit("[]", 1)
+        chunks = chain([head.encode(), b"[", first], chunks, [b"\n  ]" + foot.encode()])
     else:
-        strs = [str(i) for i in range(f.q)]
-        blocks = []
-        for pivots, params, rows in polar.point_rows(f):
-            head = f"cell {_cell_id(pivots)} params {','.join(map(strs.__getitem__, params)) or '-'}"
-            blocks.append("\n".join([head] + [" ".join(map(strs.__getitem__, r)) for r in rows]))
-        text = "\n\n".join(blocks) + "\n"
-    _emit([text.encode()], args.out)
+        chunks = chain([first], chunks)
+    _emit(chunks, args.out)
     return 0
 
 
-def _matrix_rows(matrix: np.ndarray, q: int, lead: bytes, sep: bytes):
-    """Each row of a matrix over GF(q) as one uint8 array: every entry as
-    ``lead``, its decimal digits and ``sep``, the row's last ``sep`` cut to
-    a newline.
-
-    The (q, width) table holds every element's bytes, zero-padded on the
-    right to the widest; the pad exists only when q > 10, and one boolean
-    mask drops it from a row.
-    """
-    table = np.zeros((q, len(lead) + len(str(q - 1)) + len(sep)), dtype=np.uint8)
-    for v in range(q):
-        cell = b"%s%d%s" % (lead, v, sep)
-        table[v, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+def _matrix_rows(matrix: np.ndarray, q: int, lead: bytes, sep: bytes) -> Iterator[Iterator[bytes]]:
+    """Each row of a matrix over GF(q) as an iterator of byte chunks: every
+    entry as ``lead``, its decimal digits and ``sep``, the last entry's
+    ``sep`` a newline."""
+    text = _record_writer([lead, 0, sep], q)
     for row in matrix:
-        cells = np.take(table, row, axis=0).ravel()
-        if q > 10:
-            cells = cells[cells != 0]  # ndarray.compress would hold an intp index per byte
-        end = len(cells) - len(sep)
-        cells[end] = ord("\n")
-        yield cells[:end + 1]
+        yield chain(text(row[:-1, None]), [b"%s%d\n" % (lead, row[-1])])
 
 
 def _cmd_genmat(args: argparse.Namespace) -> int:
@@ -138,11 +227,11 @@ def _cmd_genmat(args: argparse.Namespace) -> int:
             "rows": [],
         }).rsplit("[]", 1)
         rows = _matrix_rows(G.matrix, f.q, b" " * 6, b",\n")
-        framed = chain.from_iterable((b",\n    [\n" if i else b"[\n    [\n", row, b"    ]")
+        framed = chain.from_iterable(chain([b",\n    [\n" if i else b"[\n    [\n"], row, [b"    ]"])
                                      for i, row in enumerate(rows))
         chunks = chain([head.encode()], framed, [b"\n  ]" + foot.encode()])
     else:
-        chunks = _matrix_rows(G.matrix, f.q, b"", b" ")
+        chunks = chain.from_iterable(_matrix_rows(G.matrix, f.q, b"", b" "))
     _emit(chunks, args.out)
     return 0
 
@@ -263,5 +352,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry(argv=None) -> NoReturn:
+    """Run ``main``, then freeze the tracked objects and exit with its code (see the module docstring)."""
+    code = main(argv)
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

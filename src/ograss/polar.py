@@ -23,7 +23,7 @@ open-grid axes (parameter j varies along axis j of a (q,)*arity grid, so an
 entry holding one parameter is a q-vector and a constant is a scalar), the
 form the generator build reads, and ``cell_matrices`` with the dense
 parameter array of a whole cell (``cell_params``), the form ``points`` and
-``verify`` read.
+``verify`` read (``points`` writes its text straight from these arrays).
 
 The frozen point order -- cells as listed above, parameter tuples in
 ascending lexicographic order of their integer encodings -- fixes the
@@ -159,16 +159,13 @@ def point_count(q: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_points(f: GF) -> tuple[Point, ...]:
-    """All points in the frozen order, read off the cell arrays; length 2*(q^3 + q^2 + q + 1)."""
-    return tuple(Point(pivots, tuple(params), MatrixRep(f, rows)) for pivots, params, rows in point_rows(f))
-
-
-def point_rows(f: GF) -> Iterator[tuple[tuple[int, int, int], list[int], list[list[int]]]]:
-    """(pivots, params, rows) of every point in the frozen order, as lists read off the cell arrays."""
-    for pivots in CELL_ORDER:
-        mats = cell_matrices(f, pivots).transpose(2, 0, 1).tolist()
-        for params, rows in zip(cell_params(f.q, pivots).tolist(), mats):
-            yield pivots, params, rows
+    """All points in the frozen order as ``Point`` objects read off the cell
+    arrays; length 2*(q^3 + q^2 + q + 1).  The scalar oracles of the tests
+    and the benchmark's traced run read it; no command does."""
+    return tuple(Point(pivots, tuple(params), MatrixRep(f, rows))
+                 for pivots in CELL_ORDER
+                 for params, rows in zip(cell_params(f.q, pivots).tolist(),
+                                         cell_matrices(f, pivots).transpose(2, 0, 1).tolist()))
 
 
 def cell_slices(q: int) -> tuple[tuple[tuple[int, int, int], int, int], ...]:

@@ -1,13 +1,30 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ograss import codes
+from ograss import cli, codes
 from ograss.cli import main
 from ograss.codes import min_weight_witness
 from ograss.gf import field
 from ograss.grassmann import COLUMN_SETS
+from ograss.polar import CELL_ORDER, cell_matrices, cell_params, point_count
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(autouse=True)
+def main_never_freezes():
+    """Only the process entry freezes the collector; tests and library callers run main in process."""
+    before = gc.get_freeze_count()
+    yield
+    assert gc.get_freeze_count() == before
 
 
 def run(capsys, *argv):
@@ -192,10 +209,14 @@ def _random_matrices(q):
     yield np.zeros((2, 3), dtype=int)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49])
+WRITER_QS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49]
+
+
+@pytest.mark.parametrize("q", WRITER_QS)
 def test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q):
     """Both formats, on stdout and with --out, on random matrices whose entries
-    mix one and two digits wherever q > 10."""
+    mix one and two digits wherever q > 10: digit fields of width 1 and 2 in
+    records of 2, 3, 9 and 10 bytes."""
     f = field(q)
     out_path = tmp_path / "genmat"
     for matrix in _random_matrices(q):
@@ -208,3 +229,114 @@ def test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary
             assert main(["genmat", "--q", str(q), "--format", fmt, "--out", str(out_path)]) == 0
             assert capsysbinary.readouterr().out == b""
             assert out_path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("block", [1, 50])
+@pytest.mark.parametrize("q", WRITER_QS)
+def test_genmat_writer_small_blocks_match_str_formatter(monkeypatch, tmp_path, capsysbinary, q, block):
+    """The same with blocks of one record and of a few records: rows of many
+    blocks with a short last one."""
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q)
+
+
+def _reference_row(lead, sep, row):
+    """One row as the str()-per-entry formatters wrote it: lead, digits, sep; the last sep a newline."""
+    return (lead + (sep + lead).join(map(str, row.tolist())) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt, lead, sep", [("txt", "", " "), ("json", " " * 6, ",\n")], ids=["txt", "json"])
+def test_genmat_write_phase_memory(monkeypatch, fmt, lead, sep):
+    """The q = 49 write phase holds one block at a time: under 3 MB traced
+    (the bound was fixed before measuring; each row as three row-sized arrays
+    made 9.3 MB for json).  A yielded chunk that aliased the reused buffer
+    would repeat in the listed rows."""
+    G = codes.build_generator(field(49))
+    monkeypatch.setattr(codes, "build_generator", lambda _f: G)
+    tracemalloc.start()
+    try:
+        assert main(["genmat", "--q", "49", "--format", fmt, "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    rows = [list(row) for row in list(cli._matrix_rows(G.matrix, 49, lead.encode(), sep.encode()))]
+    assert [b"".join(row) for row in rows] == [_reference_row(lead, sep, row) for row in G.matrix]
+
+
+def _point_rows(f):
+    """(pivots, params, rows) of every point in the frozen order, as lists read off the cell arrays."""
+    for pivots in CELL_ORDER:
+        mats = cell_matrices(f, pivots).transpose(2, 0, 1).tolist()
+        for params, rows in zip(cell_params(f.q, pivots).tolist(), mats):
+            yield pivots, params, rows
+
+
+def _reference_points(f, fmt):
+    """The points formatter before the record writer: Python lists, then one
+    json.dumps or str() joins."""
+    def cell(pivots):
+        return "".join(map(str, pivots))
+
+    if fmt == "json":
+        payload = {"q": f.q, "n": point_count(f.q),
+                   "points": [{"cell": cell(pivots), "params": params, "rows": rows}
+                              for pivots, params, rows in _point_rows(f)]}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    strs = [str(i) for i in range(f.q)]
+    blocks = []
+    for pivots, params, rows in _point_rows(f):
+        head = f"cell {cell(pivots)} params {','.join(map(strs.__getitem__, params)) or '-'}"
+        blocks.append("\n".join([head] + [" ".join(map(strs.__getitem__, r)) for r in rows]))
+    return "\n\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 300, cli._BLOCK_BYTES])
+@pytest.mark.parametrize("q, poly", [(2, None), (3, None), (4, None), (5, None), (7, None), (8, None),
+                                     (9, None), (11, None), (16, None), (8, "1,0,1,1")])
+def test_points_writer_matches_reference(monkeypatch, tmp_path, capsysbinary, q, poly, block):
+    """Both formats, on stdout and with --out, against the list-and-dumps
+    formatter, which holds the arity-0 cells ("params": [] and params -).
+    Blocks of one point, of a few points and the default."""
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    argv = ["points", "--q", str(q)] + (["--poly", poly] if poly else [])
+    f = field(q, tuple(map(int, poly.split(","))) if poly else None)
+    out_path = tmp_path / "points"
+    for fmt, arity0 in (("txt", b"params -"), ("json", b'"params": []')):
+        expected = _reference_points(f, fmt).encode()
+        assert arity0 in expected
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == expected
+        assert main([*argv, "--format", fmt, "--out", str(out_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out_path.read_bytes() == expected
+
+
+def test_entry_freezes_once_after_main(monkeypatch, capsys):
+    """The process entry runs main, then freezes once, then exits with main's code."""
+    calls = []
+    inner = cli.main
+
+    def recording(argv=None):
+        code = inner(argv)
+        calls.append(("main", code))
+        return code
+
+    monkeypatch.setattr(cli, "main", recording)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    for argv, code in ((["distance", "--q", "2"], 0), (["points", "--q", "6"], 2)):
+        calls.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.entry(argv)
+        assert exc.value.code == code
+        assert calls == [("main", code), "freeze"]
+    assert "prime power" in capsys.readouterr().err
+
+
+def test_module_entry_subprocess():
+    """python -m ograss runs through the entry and writes the golden bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "ograss", "distance", "--q", "2"],
+                         capture_output=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (ROOT / "tests" / "golden" / "distance-q2.json").read_bytes()

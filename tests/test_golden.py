@@ -9,7 +9,7 @@ two-digit genmat hashes (q = 11, 16, 25) before genmat wrote its rows from a
 byte table; the larger fields and non-default polynomials of
 GENMAT_WIDE_SHA256 before the generator was evaluated on open parameter
 grids; the points txt hashes and POINTS_WIDE_SHA256 before points was written
-from token tables (the points json hashes for q <= 9 are older still).
+from reused record buffers (the points json hashes for q <= 9 are older still).
 ``witness_coeffs`` in the distance outputs depends on the pivot rule of the
 row reduction: where k = 14 < 20, each basis row has more than one
 expression in the 20 original rows.
@@ -129,12 +129,13 @@ def test_points_txt_hash(capsys, q):
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize("args", sorted(POINTS_WIDE_SHA256))
 def test_points_wide_hash(tmp_path, capsys, args, fmt):
-    """Written to a file: the q = 49 json is about 100 MB."""
+    """Written to a file, hashed and deleted: the q = 49 json is about 100 MB."""
     out = tmp_path / "points"
     assert cli_main(["points", *args.split(), "--format", fmt, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    expected = POINTS_WIDE_SHA256[args][fmt == "json"]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    out.unlink()
+    assert digest == POINTS_WIDE_SHA256[args][fmt == "json"]
 
 
 @pytest.mark.parametrize("q", sorted(GENMAT_SHA256))

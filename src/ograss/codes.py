@@ -52,15 +52,15 @@ meet the same run of suffixes, the L-subsets after s, so one XOR of their
 packed codewords against that run, the OR of the planes and a popcount
 weigh all of those supports at once (a + b is nonzero exactly where
 a != -b, so the sum is never formed and one kernel serves every field;
-L = 3 for q = 3 and 2 for q = 4).  Short prefixes are read from the
-tables themselves, longer ones built by a depth-first walk that adds
-each row once to its parent's block.  Leaves come out grouped by s, not
-in the order of the messages, so each leaf is reduced to its least
-weight and the rank of its first message of that weight, and the search
-keeps the least (weight, w, set, rank): the message that comes first in
-the frozen order.  For q = 3 the bound passes the witness weight 18 at
-w = 6 after 9 192 624 evaluations (messages whose weight is established;
-4 596 312 weights computed), about 70 ms of work on a 2-core machine.
+L = 3 for q = 3 and 2 for q = 4).  The prefixes are built straight from
+the rows, sorted by last row, with one add per position, in chunks of at
+most _BLOCK_BYTES.  Leaves come out grouped by s, not in the order of the
+messages, so each leaf is reduced to its least weight and the rank of its
+first message of that weight, and the search keeps the least (weight, w,
+set, rank): the message that comes first in the frozen order.  For q = 3
+the bound passes the witness weight 18 at w = 6 after 9 192 624
+evaluations (messages whose weight is established; 4 596 312 weights
+computed), about 70 ms of work on a 2-core machine.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -72,7 +72,9 @@ from __future__ import annotations
 
 import functools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -470,79 +472,35 @@ def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.min_scalar_type(64 * len(counts)))
 
 
-def _prefix_blocks(f: GF, rows_scaled: np.ndarray, depth: int, room: int):
-    """(prefix, packed block) for every support prefix of ``depth`` >= 1 rows
-    that leaves ``room`` later rows, in lexicographic order, by a depth-first walk.
+def _prefix_groups(f: GF, rows_scaled: np.ndarray, depth: int, L: int, cap: int):
+    """Every support prefix of ``depth`` >= 1 rows that leaves L later rows, with
+    its packed codewords, gathered by its last row s: (s, prefixes, packed
+    block (planes, words, prefixes, (q-1)^(depth-1))), at most
+    max(1, cap // C(k-s-1, L)) prefixes at a time.
 
-    The block holds the (q-1)^(depth-1) codewords on the prefix whose first
-    coefficient is 1, the first position most significant, in ``_pack``
-    form.  The blocks of all children of a prefix are built with one add
-    from its block, and those of the last level packed at once.
+    The prefixes are the ``depth``-subsets of the first k - L rows, sorted
+    stably by last row, so those of one last row stay lexicographic.  Their
+    codewords, first coefficient 1 and the first position most significant,
+    are built from the rows with one add per position, in chunks of at most
+    _BLOCK_BYTES in the element domain (at least one prefix), each packed once.
     """
-    k, _, n = rows_scaled.shape
+    k, units, n = rows_scaled.shape
+    prefixes = np.array(list(combinations(range(k - L), depth)), dtype=np.intp)
+    prefixes = prefixes[np.argsort(prefixes[:, -1], kind="stable")]
+    chunk = max(1, _BLOCK_BYTES // (units ** (depth - 1) * n * rows_scaled.itemsize))
     planes = (f.q - 1).bit_length()
-
-    def walk(prefix, block):
-        lo, hi = (prefix[-1] + 1 if prefix else 0), k - room - depth + len(prefix) + 1
-        if prefix:
-            children = _np_add(f, block[None, :, None, :], rows_scaled[lo:hi, None]).reshape(hi - lo, -1, n)
-        else:
-            children = rows_scaled[lo:hi, :1]
-        if len(prefix) + 1 == depth:
-            packed = _pack(children, planes)
-            for i in range(lo, hi):
-                yield prefix + (i,), packed[:, :, i - lo]
-        else:
-            for i in range(lo, hi):
-                yield from walk(prefix + (i,), children[i - lo])
-
-    yield from walk((), None)
-
-
-def _walked_prefixes(f: GF, rows_scaled: np.ndarray, depth: int, L: int, cap: int):
-    """The ``_prefix_blocks`` of ``depth`` rows gathered by their last row s:
-    (s, prefixes, packed block (planes, words, prefixes, (q-1)^(depth-1))),
-    at most max(1, cap // C(k-s-1, L)) prefixes at a time.  Each last row
-    fills its own buffer, passed on once full and the rest at the end."""
-    k = len(rows_scaled)
-    pending = {}
-    for prefix, packed in _prefix_blocks(f, rows_scaled, depth, L):
-        s = prefix[-1]
-        if s not in pending:
-            size = min(max(1, cap // comb(k - s - 1, L)), comb(s, depth - 1))
-            pending[s] = [], np.empty((*packed.shape[:2], size, packed.shape[2]), dtype=packed.dtype)
-        prefixes, block = pending[s]
-        block[:, :, len(prefixes)] = packed
-        prefixes.append(prefix)
-        if len(prefixes) == block.shape[2]:
-            del pending[s]
-            yield s, np.array(prefixes), block
-    for s, (prefixes, block) in pending.items():
-        yield s, np.array(prefixes), block[:, :, :len(prefixes)]
-
-
-def _table_prefixes(f: GF, tables, k: int, depth: int, L: int, cap: int):
-    """What ``_walked_prefixes`` yields, read from the level-``depth`` suffix
-    table instead of walked, the prefixes of each last row in lexicographic order.
-
-    The table holds -x for every codeword x on a subset, so its entries whose
-    first coefficient is -1 are the codewords of the messages with first
-    coefficient 1; ``cols`` lists them in the order of those messages'
-    coefficients, the first position most significant.  They are gathered
-    once, a (q-1)-th of the table, sorted by last row.
-    """
-    units = f.q - 1
-    table, subsets = tables[depth - 1]
-    negated = f.np_tables()[2][_coefficients(np.arange(units ** (depth - 1)), depth, units)]
-    cols = (negated.astype(np.intp) - 1) @ units ** np.arange(depth - 1, -1, -1)
-    order = np.argsort(subsets[:, -1], kind="stable")
-    stops = np.cumsum(np.bincount(subsets[:, -1], minlength=k)).tolist()
-    prefixes, block = subsets[order], table[:, :, order[:, None], cols]
-    for s in range(depth - 1, k - L):
-        step = max(1, cap // comb(k - s - 1, L))
-        for i in range(stops[s - 1] if s else 0, stops[s], step):
-            j = min(i + step, stops[s])
-            yield s, prefixes[i:j], block[:, :, i:j]
+    for i in range(0, len(prefixes), chunk):
+        part = prefixes[i:i + chunk]
+        block = rows_scaled[part[:, 0], :1]
+        for col in part.T[1:]:
+            block = _np_add(f, block[:, :, None], rows_scaled[col][:, None]).reshape(len(part), -1, n)
+        packed = _pack(block, planes)
+        last, j = part[:, -1].tolist(), 0
+        while j < len(part):
+            s = last[j]
+            end = min(bisect_right(last, s, j), j + max(1, cap // comb(k - s - 1, L)))
+            yield s, part[j:end], packed[:, :, j:end]
+            j = end
 
 
 def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -597,12 +555,11 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
     L-subsets starting after s, so a leaf weighs the packed blocks of
     several prefixes that end at s against a slice of that run in one
     broadcast ``_weights``, the longer operand along the contiguous inner
-    axis.  Prefixes of at most len(tables) rows are read from their own
-    level (``_table_prefixes``), deeper ones walked (``_walked_prefixes``);
-    when w = L the prefix is empty and the table's coefficient-1 slice is
-    weighed.  A leaf holds at most max(1, max(share, _BLOCK_BYTES / 2) //
-    (bytes of (q-1)^(w-1) packed codewords)) (prefix, suffix) pairs, each
-    pair with every coefficient of both.  The tables of all information
+    axis.  ``_prefix_groups`` builds the prefixes and their codewords from
+    the rows; when w = L the prefix is empty and the table's coefficient-1
+    slice is weighed.  A leaf holds at most max(1, max(share, _BLOCK_BYTES
+    / 2) // (bytes of (q-1)^(w-1) packed codewords)) (prefix, suffix)
+    pairs, each pair with every coefficient of both.  The tables of all information
     sets live through a search and split _BLOCK_BYTES into shares, while a
     leaf lives for one call, so it may take half the budget: that weighs
     the q = 3 and 4 searches and the q = 8 half as fast as the whole budget
@@ -622,10 +579,8 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
     if depth == 0:
         groups = [(-1, np.empty((1, 0), dtype=subsets.dtype), np.zeros((*table.shape[:2], 1, 1), dtype=table.dtype))]
         table = table[..., :units ** (L - 1)]
-    elif depth <= len(tables):
-        groups = _table_prefixes(f, tables, k, depth, L, cap)
     else:
-        groups = _walked_prefixes(f, rows_scaled, depth, L, cap)
+        groups = _prefix_groups(f, rows_scaled, depth, L, cap)
     units_l = table.shape[3]
     flat = table.reshape(*table.shape[:2], -1)
     for s, prefixes, block in groups:

@@ -91,9 +91,6 @@ class MatrixRep:
     def rank(self) -> int:
         return rank_of(self.field, self.rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j - 1] for r in self.rows)
-
 
 def mat_mul(f: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Exact matrix product over GF(q)."""

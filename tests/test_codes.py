@@ -361,7 +361,7 @@ def _scaled_rows(f, rows):
 
 
 def _reference_round(f, rows_scaled, w):
-    """The per-support loop the prefix walk replaced: (support, weights) in the frozen order.
+    """The per-support loop the round kernel replaced: (support, weights) in the frozen order.
 
     Each support's block of (q-1)^w codewords is rebuilt from scratch, the
     first support position most significant, through the add table.
@@ -512,28 +512,40 @@ def test_bounded_search_witness_is_the_first_in_the_frozen_order(q, data, spread
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_leaves_and_prefix_buffers_stay_within_block_bytes(monkeypatch, q):
-    """Every XOR a leaf computes and every prefix block the leaves read,
-    walked or read from a table, fits in _BLOCK_BYTES during the search."""
-    sizes = []
-    weights = codes._weights
+    """Every XOR a leaf computes and every prefix block the leaves read fits
+    in _BLOCK_BYTES during the search, and so does every element-domain chunk
+    of prefix codewords the builder packs, whenever one prefix's fit.  At an
+    eighth of the budget the prefixes of a round no longer fit in one chunk."""
+    prefix_bytes = []
+    weights, pack, groups = codes._weights, codes._pack, codes._prefix_groups
 
     def recorded(a, neg_b):
         sizes.append(np.prod(np.broadcast_shapes(a.shape, neg_b.shape)) * 8)
         return weights(a, neg_b)
 
-    def recording(groups):
-        def wrapped(*args):
-            for group in groups(*args):
-                sizes.append(group[2].nbytes)
-                yield group
-        return wrapped
+    def packed(x, planes):
+        if prefix_bytes:
+            chunks.append((x.nbytes, prefix_bytes[-1]))
+        return pack(x, planes)
+
+    def recording(f, rows_scaled, depth, *args):
+        # the codewords of one prefix: (q-1)^(depth-1) * n elements
+        prefix_bytes.append((f.q - 1) ** (depth - 1) * rows_scaled.shape[2] * rows_scaled.itemsize)
+        for group in groups(f, rows_scaled, depth, *args):
+            sizes.append(group[2].nbytes)
+            yield group
+        prefix_bytes.pop()
 
     monkeypatch.setattr(codes, "_weights", recorded)
-    monkeypatch.setattr(codes, "_table_prefixes", recording(codes._table_prefixes))
-    monkeypatch.setattr(codes, "_walked_prefixes", recording(codes._walked_prefixes))
+    monkeypatch.setattr(codes, "_pack", packed)
+    monkeypatch.setattr(codes, "_prefix_groups", recording)
     f, basis, d_up = _search_inputs(q)
-    assert _bounded_search(f, basis, d_up, codes.DEFAULT_BUDGET)[0] == d_up
-    assert sizes and max(sizes) <= codes._BLOCK_BYTES
+    for block in (codes._BLOCK_BYTES, codes._BLOCK_BYTES // 8):
+        sizes, chunks = [], []
+        monkeypatch.setattr(codes, "_BLOCK_BYTES", block)
+        assert _bounded_search(f, basis, d_up, codes.DEFAULT_BUDGET)[0] == d_up
+        assert sizes and max(sizes) <= block
+        assert chunks and all(chunk <= block for chunk, one in chunks if one <= block)
 
 
 def test_weights_matches_count_nonzero():
@@ -601,12 +613,34 @@ def test_np_add_matches_scalar_table(p):
     assert s.tolist() == [[f.add(a, b) for b in range(p)] for a in range(p)]
 
 
-@pytest.mark.parametrize("q, rows", [(2, None)] + SUBCODES)
+FAMILY_A = ((4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4))
+
+
+def _family_half(q):
+    """The code on the q^3 + q^2 + q + 1 points of the A cells: G restricted to
+    their columns and row-reduced, 10 rows for every q."""
+    f = field(q)
+    cols = np.concatenate([np.arange(start, stop) for pivots, start, stop in cell_slices(q) if pivots in FAMILY_A])
+    reduced, pivots = row_reduce(f, build_generator(f).matrix[:, cols], range(len(cols)))
+    assert len(pivots) == 10
+    return f, reduced[:10]
+
+
+@pytest.mark.parametrize("q, rows", [(2, None)] + SUBCODES + [(q, "A") for q in (2, 3, 4, 5)])
 def test_pless_power_moments(q, rows):
-    """Moments 0-2 of the weight histogram against B1, B2 of the dual, read off the columns."""
-    f, sub = _subcode(q, rows)
+    """Moments 0-2 of the weight histogram against B1, B2 of the dual, read off the columns.
+
+    The family halves (rows "A") take prefixes deeper than the suffix
+    tables; their minimum weight is (q-1)q^2 (Sorensen), met by
+    (q-1) * C(q^3+q^2+q+1, 2) codewords, and two threads scan the same."""
+    f, sub = _family_half(q) if rows == "A" else _subcode(q, rows)
     k, n = sub.shape
-    _, _, hist = _exhaustive_scan(f, sub)
+    d, msg, hist = _exhaustive_scan(f, sub)
+    if rows == "A":
+        assert d == (q - 1) * q**2
+        assert hist[d] == (q - 1) * comb(q**3 + q**2 + q + 1, 2)
+        two = _exhaustive_scan(f, sub, threads=2)
+        assert (two[0], two[1]) == (d, msg) and np.array_equal(two[2], hist)
     _, mul, _, inv = f.np_tables()
     zero_cols = 0
     classes = {}  # nonzero columns up to scaling, each normalized to a leading 1
@@ -663,7 +697,7 @@ def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
     """A block target of p packed codewords forces suffix tables of single
     rows (L = 1) and splits each leaf's run of suffixes, and rows
     r_i + 2*r_(i-1) put the minimum words on messages that span several
-    rows, so the message found depends on the prefix walk and on the
+    rows, so the message found depends on the prefix builder and on the
     decode of split leaves."""
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))

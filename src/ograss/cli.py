@@ -16,6 +16,13 @@ the matrix entries that vary over the cell; the constant entries are part
 of it.  The JSON texts are the ones ``json.dumps(..., indent=2)`` gives,
 with the rows or points spliced in where the dump of an empty list stands.
 
+Each command loads only the modules it runs: ``points`` the point
+enumeration (``polar``), ``genmat`` also the generator build
+(``generator``), and the other four the search engine (``codes``), which
+``verify`` alone extends by the form checks (``forms``).  The ``--budget``
+options default to ``codes.DEFAULT_BUDGET`` when the command runs, so that
+building the parser loads no engine.
+
 ``entry`` is the process entry of ``python -m ograss`` and the ``ograss``
 script: it runs ``main``, freezes the objects the garbage collector tracks
 (``gc.freeze``) so that the full collections of interpreter shutdown skip
@@ -27,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from itertools import chain
 from pathlib import Path
@@ -35,7 +41,7 @@ from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from . import codes, polar
+from . import polar
 from .gf import GF, factor_prime_power, field
 from .grassmann import COLUMN_SETS, MinorFunction
 
@@ -92,6 +98,8 @@ def _emit(chunks: Iterable, out: str | None) -> None:
 
 
 def _dump(payload) -> str:
+    import json  # genmat txt and points txt never dump JSON
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -217,8 +225,10 @@ def _matrix_rows(matrix: np.ndarray, q: int, lead: bytes, sep: bytes) -> Iterato
 
 
 def _cmd_genmat(args: argparse.Namespace) -> int:
+    from . import generator
+
     f = _field_from_args(args)
-    G = codes.build_generator(f)
+    G = generator.build_generator(f)
     if args.format == "json":
         head, foot = _dump({
             "q": f.q,
@@ -237,8 +247,11 @@ def _cmd_genmat(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    from . import codes
+
     f = _field_from_args(args)
-    res = codes.minimum_distance(f, method=args.method, budget=args.budget, threads=args.threads)
+    budget = getattr(args, "budget", codes.DEFAULT_BUDGET)
+    res = codes.minimum_distance(f, method=args.method, budget=budget, threads=args.threads)
     payload = {
         "q": res.q,
         "n": res.n,
@@ -258,6 +271,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
+    from . import codes
+
     f = _field_from_args(args)
     text = Path(args.coeffs).read_text()
     fn = MinorFunction.parse(f, text)
@@ -272,16 +287,20 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_weight_dist(args: argparse.Namespace) -> int:
+    from . import codes
+
     f = _field_from_args(args)
-    dist = codes.weight_distribution(f, budget=args.budget)
+    dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
     lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
     _emit([("\n".join(lines) + "\n").encode()], args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import codes
+
     f = _field_from_args(args)
-    report = codes.verify(f, budget=args.budget, threads=args.threads)
+    report = codes.verify(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET), threads=args.threads)
     sys.stdout.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
 
@@ -316,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distance", help="minimum distance (exhaustive or witness bound)")
     common(sp)
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
-    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS,
                     help="maximum number of codeword evaluations for exhaustive search")
     sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
@@ -330,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weight-dist", help="full weight distribution as CSV")
     common(sp)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS)
     sp.set_defaults(func=_cmd_weight_dist)
 
     sp = sub.add_parser("verify", help="run all structural checks, nonzero exit on failure")
     common(sp)
-    sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS)
     sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_verify)
 

@@ -5,26 +5,14 @@ and one column per point (frozen cell order), entry = that minor on that
 point's representative.  Codewords are the row-space vectors; the
 dimension is always computed by elimination, never assumed.
 
-The matrix is built one pivot cell at a time, never from per-point
-objects.  On the cell P_I every minor is a signed minor of the
-skew-symmetric non-pivot block, det_A = expansion_sign(A, I) *
-det(reduced block), the block on the index sets of
-``reduced_minor_indices(A, I)``; that determinant (size 0 to 3, size 0
-giving 1) is evaluated in closed form over the field's lookup tables,
-each product and difference one ``gf.gather`` from a flattened (q, q)
-table; every other two-operand table lookup in this module (``_np_add``
-in extension fields, ``_scaled_rows``, ``_combine``) goes through it too.
-The block is read off the cell's open parameter grid (``cell_grid``),
-where each parameter is its own broadcast axis and each constant a
-scalar: a product of two parameters is a (q, q) lookup, a product with
-the constant 0 stays the scalar 0, and only the finished row is
-broadcast to the cell's q^arity points, straight into its span of the
-matrix.  The whole 3x3 non-pivot block is skew-symmetric of odd order
-with zero diagonal, hence singular in every characteristic, so the minor
-on the non-pivot columns is written as 0 unevaluated.  The direct 3x3
-determinant of each column triple stays as the oracle: ``verify``
+The matrix comes from ``generator.build_generator`` (re-exported here
+with ``GeneratorMatrix``), which evaluates each minor through the pivot
+expansion on the cells' open parameter grids.  The direct 3x3
+determinant of each column triple stays as its oracle: ``verify``
 evaluates it on the dense cell arrays (``cell_matrices``) and compares
-the two on every point and every column set.
+the two on every point and every column set.  Every two-operand table
+lookup in this module (``_np_add`` in extension fields, ``_scaled_rows``,
+``_combine``) is one ``gf.gather`` from a flattened (q, q) table.
 
 One kernel, ``_round_weights``, enumerates codewords for both the full
 scan and the information-set search described below: one round weighs
@@ -80,27 +68,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import totally_singular_mask
+from .generator import GeneratorMatrix, _det_tables, _np_det, build_generator
 from .gf import GF, gather, row_reduce
-from .grassmann import (
-    AMBIENT,
-    COLUMN_SETS,
-    COLSET_INDEX,
-    MinorFunction,
-    expansion_sign,
-    reduced_minor_indices,
-    reflected_complement,
-)
-from .polar import (
-    CELL_ARITY,
-    CELL_ORDER,
-    brute_force_points,
-    cell_grid,
-    cell_matrices,
-    cell_slices,
-    point_count,
-    swap34_map,
-)
+from .grassmann import AMBIENT, COLUMN_SETS, MinorFunction, reduced_minor_indices, reflected_complement
+from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_BYTES = 1 << 20
@@ -110,111 +81,11 @@ class BudgetExceeded(RuntimeError):
     """The exhaustive scan would need more codeword evaluations than allowed."""
 
 
-@dataclass(eq=False)
-class GeneratorMatrix:
-    """20 x n generator matrix; row i lists minor COLUMN_SETS[i] over all points."""
-
-    field: GF
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    def row(self, A) -> np.ndarray:
-        return self.matrix[COLSET_INDEX[tuple(A)]]
-
-
-def _det_tables(f: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(add, mul, minus) for ``_np_det``, with minus[x, y] = x - y."""
-    add, mul, neg, _ = f.np_tables()
-    return add, mul, add[:, neg]
-
-
-def _np_det(tables, block):
-    """Closed-form determinant of a square block (size 0 to 3) of arrays that broadcast.
-
-    ``tables`` is ``_det_tables(f)``; each product and difference is one
-    ``gather``, shaped like the broadcast of its operands.
-    """
-    add, mul, minus = tables
-
-    def sub(x, y):
-        return gather(minus, x, y)
-
-    def times(x, y):
-        # a constant 0 factor gives the constant 0, which broadcasts to nothing
-        if np.ndim(x) == 0 and not x:
-            return x
-        if np.ndim(y) == 0 and not y:
-            return y
-        return gather(mul, x, y)
-
-    n = len(block)
-    if n == 0:
-        return mul.dtype.type(1)
-    if n == 1:
-        return block[0][0]
-    if n == 2:
-        (a, b), (c, d) = block
-        return sub(times(a, d), times(b, c))
-    (a, b, c), (d, e, g), (h, i, j) = block
-    t1 = times(a, sub(times(e, j), times(g, i)))
-    t2 = times(b, sub(times(d, j), times(g, h)))
-    t3 = times(c, sub(times(d, i), times(e, h)))
-    return gather(add, sub(t1, t2), t3)
-
-
 def _direct_minors(f: GF, mats: np.ndarray) -> np.ndarray:
     """The 20 minors of every representative in a (3, 6, count) array, each the
     determinant of its full 3x3 column triple: the oracle of the pivot expansion."""
     tables = _det_tables(f)
     return np.array([_np_det(tables, mats[:, [a - 1 for a in A]]) for A in COLUMN_SETS])
-
-
-@functools.lru_cache(maxsize=None)
-def _cell_plan(pivots: tuple[int, int, int]) -> tuple[tuple[tuple, bool], ...]:
-    """(block, negate) for each column set on the cell P_I, in COLUMN_SETS order.
-
-    ``block`` lists the (row, column) template positions of the reduced
-    block of ``reduced_minor_indices(A, I)`` in the non-pivot columns, and
-    ``negate`` is ``expansion_sign(A, I) < 0``.
-    """
-    free = [c for c in range(AMBIENT) if c + 1 not in pivots]
-    plan = []
-    for A in COLUMN_SETS:
-        block_rows, block_cols = reduced_minor_indices(A, pivots)
-        block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
-        plan.append((block, expansion_sign(A, pivots) < 0))
-    return tuple(plan)
-
-
-@functools.lru_cache(maxsize=None)
-def build_generator(f: GF) -> GeneratorMatrix:
-    """The 20 x n generator, each cell's minors evaluated on its open parameter grid.
-
-    Each entry is det_A = expansion_sign(A, I) * det(reduced block), the
-    block read off ``cell_grid``, whose parameters are separate broadcast
-    axes: a product of two parameters is a (q, q) lookup, and only the
-    finished row is broadcast to the cell's q^arity points, straight into
-    its span of the matrix (a contiguous slice, so the reshape is a view).
-    """
-    tables = _det_tables(f)
-    neg = f.np_tables()[2]
-    q = f.q
-    mat = np.empty((len(COLUMN_SETS), point_count(q)), dtype=neg.dtype)
-    for pivots, start, stop in cell_slices(q):
-        grid = cell_grid(f, pivots)
-        shape = (q,) * CELL_ARITY[pivots]
-        for idx, (block, negate) in enumerate(_cell_plan(pivots)):
-            if len(block) == 3:
-                # the whole non-pivot block: skew-symmetric of odd order with zero diagonal, so singular
-                value = 0
-            else:
-                value = _np_det(tables, [[grid[r][c] for r, c in row] for row in block])
-            mat[idx, start:stop].reshape(shape)[...] = neg[value] if negate else value
-    mat.setflags(write=False)
-    return GeneratorMatrix(field=f, matrix=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +683,8 @@ class VerificationReport:
 
 def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> VerificationReport:
     """Run every checkable structural claim for this q and report pass/fail."""
+    from .forms import totally_singular_mask  # only verify checks the forms
+
     _check_threads(threads)
     q = f.q
     checks: list[Check] = []

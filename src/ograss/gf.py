@@ -137,6 +137,23 @@ def is_irreducible(p: int, poly: Sequence[int]) -> bool:
     return True
 
 
+def _field_parameters(q: int, poly: Sequence[int] | None) -> tuple[int, int, tuple[int, ...] | None]:
+    """(p, e, poly) of GF(q), the polynomial in normal form: None for a prime
+    field, else its coefficients mod p as a tuple, the default of q when none is given."""
+    p, e = factor_prime_power(q)
+    if q > _TABLE_LIMIT:
+        raise ValueError(f"q={q} exceeds the supported table limit {_TABLE_LIMIT}")
+    if e == 1:
+        if poly is not None:
+            raise ValueError("prime fields take no defining polynomial")
+        return p, e, None
+    if poly is None:
+        if q not in DEFAULT_IRREDUCIBLE:
+            raise ValueError(f"no default defining polynomial for q={q}; pass poly=")
+        poly = DEFAULT_IRREDUCIBLE[q]
+    return p, e, tuple(int(c) % p for c in poly)
+
+
 class GF:
     """Arithmetic context for GF(q).  Elements are plain ints in [0, q).
 
@@ -147,27 +164,16 @@ class GF:
     """
 
     def __init__(self, q: int, poly: Sequence[int] | None = None):
-        p, e = factor_prime_power(q)
-        if q > _TABLE_LIMIT:
-            raise ValueError(f"q={q} exceeds the supported table limit {_TABLE_LIMIT}")
+        p, e, poly = _field_parameters(q, poly)
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            if poly is not None:
-                raise ValueError("prime fields take no defining polynomial")
-            self.poly: tuple[int, ...] | None = None
-        else:
-            if poly is None:
-                if q not in DEFAULT_IRREDUCIBLE:
-                    raise ValueError(f"no default defining polynomial for q={q}; pass poly=")
-                poly = DEFAULT_IRREDUCIBLE[q]
-            poly = tuple(int(c) % p for c in poly)
+        if poly is not None:
             if len(poly) != e + 1 or poly[-1] != 1:
                 raise ValueError(f"defining polynomial must be monic of degree {e}")
             if not is_irreducible(p, poly):
                 raise ValueError(f"{list(poly)} is reducible over GF({p})")
-            self.poly = poly
+        self.poly = poly
         self._build_tables()
 
     # -- construction -------------------------------------------------------
@@ -375,6 +381,16 @@ def row_reduce(f: GF, rows, cols: Sequence[int]) -> tuple[np.ndarray, tuple[int,
 
 
 @functools.lru_cache(maxsize=None)
-def field(q: int, poly: tuple[int, ...] | None = None) -> GF:
-    """Shared-instance GF constructor; poly must be hashable (tuple)."""
+def _shared_field(q: int, poly: tuple[int, ...] | None) -> GF:
     return GF(q, poly)
+
+
+def field(q: int, poly: Sequence[int] | None = None) -> GF:
+    """Shared-instance GF constructor: equal fields give one instance.
+
+    ``poly`` may be any sequence; it is put in the normal form of
+    ``_field_parameters`` (the default for None, coefficients mod p, a
+    tuple) before the instance is looked up, so field(4), field(4, (1, 1, 1))
+    and field(4, [1, 1, 1]) share one instance and its tables.
+    """
+    return _shared_field(q, _field_parameters(q, poly)[2])

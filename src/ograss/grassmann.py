@@ -26,7 +26,6 @@ the right half.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -219,6 +218,8 @@ class MinorFunction:
         return ",".join(str(c) for c in self.coeffs)
 
     def to_json(self) -> str:
+        import json  # only the two JSON forms use it
+
         return json.dumps(list(self.coeffs))
 
     @classmethod
@@ -226,6 +227,8 @@ class MinorFunction:
         """Read either the JSON-array or the comma-separated form."""
         text = text.strip()
         if text.startswith("["):
+            import json
+
             values = json.loads(text)
         else:
             values = [int(t) for t in text.split(",")]

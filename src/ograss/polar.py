@@ -45,7 +45,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .forms import FormSpace
 from .gf import GF
 from .grassmann import AMBIENT, ELL, MatrixRep
 
@@ -211,6 +210,8 @@ def brute_force_points(f: GF, force: bool = False) -> frozenset[tuple[tuple[int,
     """
     if f.q > 4 and not force:
         raise CostGuardExceeded(f"brute-force scan at q={f.q} exceeds the cost guard; pass force=True")
+    from .forms import FormSpace  # only this oracle reads the forms
+
     space = FormSpace(f, ELL)
     return frozenset(rows for rows in canonical_rref_forms(f) if space.is_totally_singular(rows))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ograss import cli, codes
+from ograss import cli, codes, generator
 from ograss.cli import main
 from ograss.codes import min_weight_witness
 from ograss.gf import field
@@ -220,8 +220,8 @@ def test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary
     f = field(q)
     out_path = tmp_path / "genmat"
     for matrix in _random_matrices(q):
-        G = codes.GeneratorMatrix(field=f, matrix=matrix.astype(f.np_tables()[0].dtype))
-        monkeypatch.setattr(codes, "build_generator", lambda _f, G=G: G)
+        G = generator.GeneratorMatrix(field=f, matrix=matrix.astype(f.np_tables()[0].dtype))
+        monkeypatch.setattr(generator, "build_generator", lambda _f, G=G: G)
         for fmt, reference in (("txt", _reference_txt), ("json", _reference_json)):
             expected = reference(q, matrix).encode()
             assert main(["genmat", "--q", str(q), "--format", fmt]) == 0
@@ -251,8 +251,8 @@ def test_genmat_write_phase_memory(monkeypatch, fmt, lead, sep):
     (the bound was fixed before measuring; each row as three row-sized arrays
     made 9.3 MB for json).  A yielded chunk that aliased the reused buffer
     would repeat in the listed rows."""
-    G = codes.build_generator(field(49))
-    monkeypatch.setattr(codes, "build_generator", lambda _f: G)
+    G = generator.build_generator(field(49))
+    monkeypatch.setattr(generator, "build_generator", lambda _f: G)
     tracemalloc.start()
     try:
         assert main(["genmat", "--q", "49", "--format", fmt, "--out", os.devnull]) == 0
@@ -333,10 +333,47 @@ def test_entry_freezes_once_after_main(monkeypatch, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def _module_run(argv):
+    """python -m ograss with these arguments in a fresh interpreter: its stdout bytes (exit status 0)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "ograss", *argv], capture_output=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 def test_module_entry_subprocess():
     """python -m ograss runs through the entry and writes the golden bytes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-m", "ograss", "distance", "--q", "2"],
-                         capture_output=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == (ROOT / "tests" / "golden" / "distance-q2.json").read_bytes()
+    assert _module_run(["distance", "--q", "2"]) == (ROOT / "tests" / "golden" / "distance-q2.json").read_bytes()
+
+
+#: argv and golden file (None: compare with main in process) of one run of every command
+FRESH_RUNS = {
+    "points-json": (["points", "--q", "3"], None),
+    "points-txt": (["points", "--q", "3", "--format", "txt"], None),
+    "genmat-txt": (["genmat", "--q", "3"], None),
+    "genmat-json": (["genmat", "--q", "3", "--format", "json"], None),
+    "distance": (["distance", "--q", "3"], "distance-q3.json"),
+    "weights-csv": (["weights", "--q", "3", "--coeffs", "witness.txt"], None),
+    "weights-json": (["weights", "--q", "3", "--coeffs", "witness.json"], None),
+    "weight-dist": (["weight-dist", "--q", "2"], "weight-dist-q2.csv"),
+    "verify": (["verify", "--q", "3", "--budget", "1000"], "verify-q3-budget1000.txt"),
+}
+
+
+@pytest.mark.parametrize("name", FRESH_RUNS)
+def test_command_in_fresh_process(name, tmp_path, capsysbinary):
+    """Every command runs from a fresh process, which loads only the modules
+    the command imports: a missing import shows here, never in process, where
+    the test session has loaded every module.  The witness files hold the
+    236 + 456 witness of q = 3 in both coefficient forms."""
+    argv, golden = FRESH_RUNS[name]
+    fn = min_weight_witness(field(3))
+    (tmp_path / "witness.txt").write_text(fn.to_csv())
+    (tmp_path / "witness.json").write_text(fn.to_json())
+    argv = [str(tmp_path / a) if a.startswith("witness.") else a for a in argv]
+    out = _module_run(argv)
+    if golden:
+        assert out == (ROOT / "tests" / "golden" / golden).read_bytes()
+    else:
+        assert main(argv) == 0
+        assert out == capsysbinary.readouterr().out

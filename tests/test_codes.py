@@ -17,15 +17,12 @@ from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
     _bounded_search,
-    _cell_plan,
-    _det_tables,
     _direct_minors,
     _exhaustive_scan,
     _information_sets,
     _leaf_messages,
     _message_to_function,
     _np_add,
-    _np_det,
     _pack,
     _packed_row_bytes,
     _projected_cost,
@@ -43,6 +40,7 @@ from ograss.codes import (
     weight,
     weight_distribution,
 )
+from ograss.generator import _cell_plan, _det_tables, _np_det
 from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import COLUMN_SETS, MatrixRep, MinorFunction, minor, rank_of, reflected_complement

@@ -194,6 +194,30 @@ def test_factory_shares_instances():
     assert hash(field(9)) == hash(GF(9))
 
 
+def test_factory_shares_equal_fields_whatever_the_poly_form():
+    """The default polynomial, its coefficients in another residue or as a
+    list give one instance; the other polynomials of that degree give another."""
+    default = field(4)
+    assert field(4, (1, 1, 1)) is default
+    assert field(4, [1, 1, 1]) is default
+    assert field(4, [3, 5, 1]) is default
+    assert field(9, [2, 1, 1]) is field(9, (2, 1, 1)) is not field(9)
+
+
+@pytest.mark.parametrize("q, poly, message", [
+    (5, (1, 1), "prime fields take no defining polynomial"),
+    (5, [1, 1], "prime fields take no defining polynomial"),
+    (4, [1, 1], "monic of degree 2"),
+    (4, (1, 1, 2), "monic of degree 2"),
+    (4, [0, 0, 1], r"\[0, 0, 1\] is reducible over GF\(2\)"),
+    (121, None, "no default defining polynomial"),
+    (6, None, "not a prime power"),
+])
+def test_factory_keeps_the_constructor_errors(q, poly, message):
+    with pytest.raises(ValueError, match=message):
+        field(q, poly)
+
+
 def test_out_of_range_elements_rejected():
     f = field(3)
     with pytest.raises(ValueError):

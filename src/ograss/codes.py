@@ -199,8 +199,8 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
     with one thread every round runs in the calling thread.  With more, a
     round whose packed codewords fit in _BLOCK_BYTES, about one leaf, still
     runs there, where a worker would only add overhead, and the others run
-    on ``threads`` workers, the costliest first.  The merge is independent
-    of completion order.
+    on ``threads`` workers, the costliest first (no pool when there are
+    none).  The merge is independent of completion order.
     """
     k, n = basis.shape
     if k == 0:
@@ -226,12 +226,13 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
 
     work = {w: comb(k, w) * (q - 1) ** (w - 1) * _packed_row_bytes(q, n) for w in range(1, k + 1)}
     rounds = sorted(work, key=work.get, reverse=True)
-    results = [scan_round(w) for w in rounds if threads == 1 or work[w] <= _BLOCK_BYTES]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a threaded full scan uses it
+    pooled = [w for w in rounds if threads > 1 and work[w] > _BLOCK_BYTES]
+    results = [scan_round(w) for w in rounds if w not in pooled]
+    if pooled:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a round above one leaf uses it
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results += ex.map(scan_round, [w for w in rounds if work[w] > _BLOCK_BYTES])
+            results += ex.map(scan_round, pooled)
     hist = sum(h for h, _ in results) * (q - 1)
     hist[0] = 1
     best_w, best_msg = min(b for _, b in results)
@@ -710,12 +711,9 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
     if q <= 3:
         scan = frozenset(sum(rows, ()) for rows in brute_force_points(f))
         add_check("cell enumeration equals reduced-form scan", True, frozenset(map(tuple, flat.T.tolist())) == scan)
-    mapping = swap34_map(f)
-    # the target-cell rule, once per (source cell, target cell) pair
-    cell_pairs = {(src[0], dst[0]) for src, dst in mapping.items()}
-    targets_ok = all(dst == tuple(sorted((set(src) - {4}) | {3})) for src, dst in cell_pairs)
+    # swapping columns 3 and 4 of point j gives point perm[j]
     add_check("column 3/4 swap pairs the cells bijectively", True,
-              targets_ok and len(set(mapping.values())) == len(mapping))
+              np.array_equal(mats[:, [0, 1, 3, 2, 4, 5]], mats[:, :, swap34_map(f)]))
     # the generator is built through the pivot expansion; the direct minors are its oracle
     G = build_generator(f)
     direct = _direct_minors(f, mats)

@@ -230,29 +230,32 @@ class MinorFunction:
             import json
 
             values = json.loads(text)
+            for v in values:
+                if type(v) is not int:  # int() would truncate 1.5 and read true and "2"
+                    raise ValueError(f"coefficient {v!r} is not an integer")
         else:
             values = [int(t) for t in text.split(",")]
-        return cls(f, tuple(int(v) for v in values))
+        return cls(f, tuple(values))
 
 
 # ---------------------------------------------------------------------------
 # reflected complements and pivot expansion
 # ---------------------------------------------------------------------------
 
-def reflected_complement(A: Sequence[int], ell: int = ELL) -> tuple[int, ...]:
-    """{m+1-i : i not in A} for m = 2*ell, sorted ascending.
+def reflected_complement(A: Sequence[int]) -> tuple[int, ...]:
+    """{m+1-i : i not in A} for m = AMBIENT, sorted ascending.
 
     An involution on ell-subsets; its fixed points are exactly the sets
     containing one column from each mirror pair {i, m+1-i}.
     """
-    m = 2 * ell
+    m = AMBIENT
     s = set(A)
     if not s <= set(range(1, m + 1)):
         raise ValueError(f"{A} is not a subset of 1..{m}")
     return tuple(sorted(m + 1 - i for i in range(1, m + 1) if i not in s))
 
 
-def reduced_minor_indices(A: Sequence[int], I: Sequence[int], ell: int = ELL) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def reduced_minor_indices(A: Sequence[int], I: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row and column index sets of the reduced minor of det_A on the cell P_I.
 
     With I = {i_1 < ... < i_ell} self-paired (I equal to its reflected
@@ -264,24 +267,23 @@ def reduced_minor_indices(A: Sequence[int], I: Sequence[int], ell: int = ELL) ->
     as indices into the ell x ell non-pivot block.
     """
     I = tuple(sorted(I))
-    if I != reflected_complement(I, ell):
+    if I != reflected_complement(I):
         raise ValueError(f"pivot set {I} is not self-paired")
     A = tuple(sorted(A))
-    m = 2 * ell
-    N = sorted(set(range(1, m + 1)) - set(I))
+    N = sorted(set(range(1, AMBIENT + 1)) - set(I))
     i_minus_a = set(I) - set(A)
-    rows = tuple(r for r in range(1, ell + 1) if I[ell - r] in i_minus_a)
-    cols = tuple(s for s in range(1, ell + 1) if N[s - 1] in set(A))
+    rows = tuple(r for r in range(1, ELL + 1) if I[ELL - r] in i_minus_a)
+    cols = tuple(s for s in range(1, ELL + 1) if N[s - 1] in set(A))
     return rows, cols
 
 
-def is_principal(A: Sequence[int], I: Sequence[int], ell: int = ELL) -> bool:
+def is_principal(A: Sequence[int], I: Sequence[int]) -> bool:
     """True when the reduced minor of det_A on P_I is on equal row and column sets."""
-    rows, cols = reduced_minor_indices(A, I, ell)
+    rows, cols = reduced_minor_indices(A, I)
     return rows == cols
 
 
-def expansion_sign(A: Sequence[int], I: Sequence[int], ell: int = ELL) -> int:
+def expansion_sign(A: Sequence[int], I: Sequence[int]) -> int:
     """Sign (+1/-1) of the Laplace expansion of det_A along the pivot columns in A.
 
     Each pivot column i_r of a canonical representative is the unit vector
@@ -291,12 +293,12 @@ def expansion_sign(A: Sequence[int], I: Sequence[int], ell: int = ELL) -> int:
     """
     A = tuple(sorted(A))
     I = tuple(sorted(I))
-    rows_left = list(range(1, ell + 1))
+    rows_left = list(range(1, ELL + 1))
     cols_left = list(A)
     s = 0
     for a in sorted(set(A) & set(I)):
         r = I.index(a) + 1
-        unit_row = ell + 1 - r
+        unit_row = ELL + 1 - r
         s += rows_left.index(unit_row) + 1 + cols_left.index(a) + 1
         rows_left.remove(unit_row)
         cols_left.remove(a)
@@ -361,14 +363,14 @@ def identity_transform(f: GF, m: int = AMBIENT) -> ColumnTransform:
     return ColumnTransform(f, tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
 
 
-def paired_column_operation(f: GF, i: int, j: int, a: int, ell: int = ELL) -> ColumnTransform:
+def paired_column_operation(f: GF, i: int, j: int, a: int) -> ColumnTransform:
     """The transform doing C_i += a*C_j together with C_{m+1-j} -= a*C_{m+1-i}.
 
     Requires i != j and i != m+1-j; the pairing keeps both B and Q zero on
     every totally singular space.  a = 0 gives the identity, and
     composing with the same operation at -a gives the identity back.
     """
-    m = 2 * ell
+    m = AMBIENT
     if not (1 <= i <= m and 1 <= j <= m):
         raise ValueError(f"column indices must lie in 1..{m}")
     if i == j or i == m + 1 - j:
@@ -380,17 +382,17 @@ def paired_column_operation(f: GF, i: int, j: int, a: int, ell: int = ELL) -> Co
     return ColumnTransform(f, tuple(tuple(r) for r in mat))
 
 
-def mirrored_permutation(f: GF, eta: Sequence[int], ell: int = ELL) -> ColumnTransform:
+def mirrored_permutation(f: GF, eta: Sequence[int]) -> ColumnTransform:
     """Permute columns 1..ell by eta and columns ell+1..2*ell by the mirror rule.
 
     The full permutation is sigma(i) = eta(i) for i <= ell and
     sigma(i) = m+1 - eta(m+1-i) above, so sigma(m+1-i) = m+1 - sigma(i)
     and both forms are preserved.  Column c of M*T is column sigma(c) of M.
     """
-    m = 2 * ell
-    if sorted(eta) != list(range(1, ell + 1)):
-        raise ValueError(f"eta must be a permutation of 1..{ell}")
-    sigma = {i: eta[i - 1] if i <= ell else m + 1 - eta[m - i] for i in range(1, m + 1)}
+    m = AMBIENT
+    if sorted(eta) != list(range(1, ELL + 1)):
+        raise ValueError(f"eta must be a permutation of 1..{ELL}")
+    sigma = {i: eta[i - 1] if i <= ELL else m + 1 - eta[m - i] for i in range(1, m + 1)}
     mat = [[0] * m for _ in range(m)]
     for c in range(1, m + 1):
         mat[sigma[c] - 1][c - 1] = 1

@@ -216,20 +216,15 @@ def brute_force_points(f: GF, force: bool = False) -> frozenset[tuple[tuple[int,
     return frozenset(rows for rows in canonical_rref_forms(f) if space.is_totally_singular(rows))
 
 
-def swap34_map(f: GF) -> dict[tuple[tuple[int, int, int], tuple[int, ...]], tuple[tuple[int, int, int], tuple[int, ...]]]:
-    """Swap columns 3 and 4 of every point whose pivot set contains 4.
+def swap34_map(f: GF) -> np.ndarray:
+    """The column 3/4 swap as an ``intp`` permutation ``perm`` of the point coordinates.
 
-    Swapping columns 3 and 4 fixes both forms, so the image of a point is
-    again a point; the map sends cell P_I to the cell on I with 4
-    replaced by 3.  No row reduction is needed: the swapped template of
-    P_I is the target cell's template at the same parameters, which is
-    already canonical.  Keys and values are (pivots, params) labels.
+    Swapping columns 3 and 4 fixes both forms, and it turns the template of
+    cell P_I into the template of the cell on I with 4 replaced by 3 (and
+    back) at the same parameters, which is already canonical.  So entry j
+    is the coordinate of the image of point j, the map is an involution,
+    and ``G[:, perm]`` is the swapped code.
     """
-    out = {}
-    # CELL_ORDER lists each cell whose pivot set holds 4 just before its image
-    for pivots, target in zip(CELL_ORDER[::2], CELL_ORDER[1::2]):
-        if not np.array_equal(cell_matrices(f, pivots)[:, [0, 1, 3, 2, 4, 5]], cell_matrices(f, target)):
-            raise RuntimeError("column swap left the point set; enumeration is inconsistent")
-        for params in map(tuple, cell_params(f.q, pivots).tolist()):
-            out[(pivots, params)] = (target, params)
-    return out
+    slices = cell_slices(f.q)
+    # CELL_ORDER lists each cell whose pivot set holds 4 just before its image: cell i maps to cell i ^ 1
+    return np.concatenate([np.arange(*slices[i ^ 1][1:], dtype=np.intp) for i in range(len(slices))])

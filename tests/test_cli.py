@@ -140,6 +140,13 @@ def test_weights_malformed_file(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_weights_json_float_coefficient(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1.5" + ",0" * 19 + "]")
+    code, out, err = run(capsys, "weights", "--q", "3", "--coeffs", str(bad))
+    assert (code, out) == (2, "") and "1.5 is not an integer" in err
+
+
 def test_weight_dist_csv(tmp_path, capsys):
     out_path = tmp_path / "wd.csv"
     code, _, _ = run(capsys, "weight-dist", "--q", "2", "--out", str(out_path))

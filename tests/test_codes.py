@@ -759,7 +759,16 @@ def test_full_scan_with_one_thread_runs_inline(monkeypatch):
     f, basis = _subcode(3, 13)
     k, n = basis.shape
     assert max(comb(k, w) * 2 ** (w - 1) for w in range(1, k + 1)) * _packed_row_bytes(3, n) > codes._BLOCK_BYTES
+    pools = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     threaded = _exhaustive_scan(f, basis, threads=2)
+    assert pools == [{"max_workers": 2}]  # the rounds above one leaf reach the pool
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a one-thread scan built a thread pool")
@@ -780,6 +789,17 @@ def test_import_leaves_the_thread_pool_unloaded():
     code = "import sys, ograss; ograss.field(3); print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_threaded_scan_without_a_large_round_leaves_the_thread_pool_unloaded():
+    """At q = 2 every round of the full scan fits one leaf and runs inline,
+    so two threads build no pool and never import concurrent.futures."""
+    src = os.path.dirname(os.path.dirname(codes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ograss; d = ograss.minimum_distance(ograss.field(2), threads=2).distance; "
+            "print(d, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "8 False"
 
 
 @pytest.mark.parametrize("call", [minimum_distance, weight_distribution, verify])
@@ -856,11 +876,22 @@ def _mirror_pivots(mats):
     mats[2, 0, 0] = 1  # pivots 6, 5, 1: columns 1 and 6 are mirrored
 
 
+def _row_operation(mats):
+    # row 1 += row 2 of the first P456 point, (0,0,0,0,0,1) + (0,0,0,0,1,0) with disjoint
+    # supports: the same space and minors in every field, but not the canonical representative
+    mats[0, :, 0] += mats[1, :, 0]
+
+
+_SWAP = "column 3/4 swap pairs the cells bijectively"
+_SCAN = "cell enumeration equals reduced-form scan"
+_DIRECT = "pivot expansion equals direct minor"
+
+
 @pytest.mark.parametrize("corrupt, failing", [
-    (_corrupt_point, {"points totally singular", "cell enumeration equals reduced-form scan"}),
-    (_duplicate_point, {"representatives pairwise distinct", "cell enumeration equals reduced-form scan"}),
-    (_mirror_pivots, {"pivot sets avoid mirrored column pairs", "points totally singular",
-                      "cell enumeration equals reduced-form scan"}),
+    (_corrupt_point, {"points totally singular", _SCAN, _SWAP, _DIRECT}),
+    (_duplicate_point, {"representatives pairwise distinct", _SCAN, _SWAP, _DIRECT}),
+    (_mirror_pivots, {"pivot sets avoid mirrored column pairs", "points totally singular", _SCAN, _SWAP, _DIRECT}),
+    (_row_operation, {_SCAN, _SWAP}),
 ])
 def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, failing):
     f = field(3)
@@ -874,7 +905,23 @@ def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, faili
 
     monkeypatch.setattr(codes, "cell_matrices", corrupted)
     rep = verify(f, budget=1000)
-    assert {c.name for c in rep.checks if not c.passed} == failing | {"pivot expansion equals direct minor"}
+    assert {c.name for c in rep.checks if not c.passed} == failing
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_verify_swap_check_fails_on_a_non_canonical_representative(monkeypatch, q):
+    """Beyond q = 3 there is no reduced-form scan, and the swap check alone sees the row operation."""
+    f = field(q)
+
+    def corrupted(f, pivots):
+        mats = cell_matrices(f, pivots)
+        if pivots == (4, 5, 6):
+            _row_operation(mats)
+        return mats
+
+    monkeypatch.setattr(codes, "cell_matrices", corrupted)
+    rep = verify(f, budget=1000)
+    assert [c.name for c in rep.checks if not c.passed] == [_SWAP]
 
 
 def test_verify_direct_minor_check_fails_on_a_flipped_generator_entry(monkeypatch):

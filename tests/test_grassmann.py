@@ -175,6 +175,13 @@ def test_serialization_formats():
         MinorFunction.parse(f, "1,2,3")
 
 
+@pytest.mark.parametrize("entry", ["1.5", "2.9", "true", "false", '"2"'])
+def test_json_parse_rejects_entries_that_are_not_integers(entry):
+    """A float, a bool or a string is an error, not an int() of it."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        MinorFunction.parse(field(3), "[" + ",".join([entry] + ["0"] * 19) + "]")
+
+
 @settings(max_examples=100)
 @given(st.sampled_from([2, 3, 4, 5]), st.data())
 def test_serialization_roundtrip(q, data):

@@ -1,6 +1,7 @@
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ograss.forms import FormSpace
@@ -126,21 +127,43 @@ def test_brute_force_cost_guard():
         brute_force_points(field(5))
 
 
+def _point_index(q, pivots, params):
+    """Coordinate of the point with these labels in the frozen order."""
+    start = next(start for piv, start, _ in cell_slices(q) if piv == pivots)
+    return start + sum(p * q ** (len(params) - 1 - i) for i, p in enumerate(params))
+
+
 def test_swap34_pairs_cells():
     for q in (2, 3):
-        f = field(q)
-        mapping = swap34_map(f)
-        assert len(mapping) == q**3 + q**2 + q + 1  # cells 456, 246, 145, 124
-        assert len(set(mapping.values())) == len(mapping)
-        for (src_piv, src_par), (dst_piv, dst_par) in mapping.items():
-            assert 4 in src_piv
-            assert dst_piv == tuple(sorted((set(src_piv) - {4}) | {3}))
-            assert dst_par == src_par  # parameters carry over unchanged
+        pts = enumerate_points(field(q))
+        perm = swap34_map(field(q))
+        assert perm.dtype == np.intp and len(perm) == point_count(q)
+        assert np.array_equal(np.sort(perm), np.arange(len(perm)))  # a bijection
+        assert np.array_equal(perm[perm], np.arange(len(perm)))  # an involution
+        assert sum(4 in p.pivots for p in pts) == q**3 + q**2 + q + 1  # cells 456, 246, 145, 124
+        assert [_point_index(q, p.pivots, p.params) for p in pts] == list(range(len(pts)))
+        for j, i in enumerate(perm.tolist()):
+            src, dst = pts[j], pts[i]
+            if 4 in src.pivots:
+                assert dst.pivots == tuple(sorted((set(src.pivots) - {4}) | {3}))
+            else:  # the inverse image of a cell without 4
+                assert src.pivots == tuple(sorted((set(dst.pivots) - {4}) | {3}))
+            assert dst.params == src.params  # parameters carry over unchanged
 
 
 def test_swap34_singletons():
-    mapping = swap34_map(field(2))
-    assert mapping[((1, 2, 4), ())] == ((1, 2, 3), ())
+    perm = swap34_map(field(2))
+    assert perm[_point_index(2, (1, 2, 4), ())] == _point_index(2, (1, 2, 3), ())
+    assert perm[_point_index(2, (1, 2, 3), ())] == _point_index(2, (1, 2, 4), ())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_swap34_map_matches_scalar_column_swap(q):
+    """Swapping columns 3 and 4 of point j's representative gives point perm[j]'s."""
+    pts = enumerate_points(field(q))
+    perm = swap34_map(field(q))
+    for j, p in enumerate(pts):
+        assert pts[perm[j]].matrix.rows == tuple(r[:2] + (r[3], r[2]) + r[4:] for r in p.matrix.rows)
 
 
 @pytest.mark.parametrize("q, poly", [(11, None), (16, (1, 0, 0, 1, 1))])
@@ -165,7 +188,8 @@ def test_cell_matrices_layout():
 def test_swap34_q49_under_two_seconds():
     f = field(49)
     start = time.perf_counter()
-    mapping = swap34_map(f)
+    perm = swap34_map(f)
     assert time.perf_counter() - start < 2
-    assert len(mapping) == 49**3 + 49**2 + 49 + 1
-    assert mapping[((4, 5, 6), (48, 0, 7))] == ((3, 5, 6), (48, 0, 7))
+    assert len(perm) == point_count(49)
+    assert np.array_equal(perm[perm], np.arange(len(perm)))
+    assert perm[_point_index(49, (4, 5, 6), (48, 0, 7))] == _point_index(49, (3, 5, 6), (48, 0, 7))

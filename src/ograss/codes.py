@@ -70,7 +70,7 @@ import numpy as np
 
 from .generator import GeneratorMatrix, _det_tables, _np_det, build_generator
 from .gf import GF, gather, row_reduce
-from .grassmann import AMBIENT, COLUMN_SETS, MinorFunction, reduced_minor_indices, reflected_complement
+from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, reduced_minor_indices, reflected_complement
 from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
@@ -702,6 +702,10 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
     # a row's pivot is its last nonzero column; columns c and 5 - c (0-based) are mirrored
     lead = AMBIENT - 1 - np.argmax(mats[:, ::-1] != 0, axis=1)
     add_check("pivot sets avoid mirrored column pairs", True, not np.any(lead[:, None] + lead == AMBIENT - 1))
+    # reduced form: pivots strictly decrease down the rows, and block[r, s] (row r on row s's pivot) is the identity
+    block = np.take_along_axis(mats, np.broadcast_to(lead, (ELL, *lead.shape)), axis=1)
+    add_check("representatives in right-to-left reduced form", True,
+              bool(np.all(lead[:-1] > lead[1:]) and np.all(block == np.eye(ELL, dtype=mats.dtype)[:, :, None])))
     add_check("points totally singular", True, bool(totally_singular_mask(f, mats).all()))
     flat = mats.reshape(-1, n)
     # sorted, equal columns are adjacent (np.unique would import numpy.ma, about 40 ms)

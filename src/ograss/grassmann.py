@@ -87,9 +87,6 @@ class MatrixRep:
     def m(self) -> int:
         return len(self.rows[0])
 
-    def rank(self) -> int:
-        return rank_of(self.field, self.rows)
-
 
 def mat_mul(f: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Exact matrix product over GF(q)."""

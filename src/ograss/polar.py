@@ -17,7 +17,9 @@ diagonal:
     [1  0  0  0 0 0]     [1  0  0 0  0 0]     [1 0 0 0 0 0]     [1 0 0 0 0 0]
 
 (negation is field negation, so -a = a in even characteristic).
-``cell_rows`` states these templates once: ``build_cell`` fills them with
+``cell_rows`` derives these templates from one rule for any pivot set
+(``_parameter_entries``), which also gives ``CELL_ARITY``; the diagram only
+documents them.  ``build_cell`` fills them with
 scalars for one representative, ``cell_grid`` with the cell's parameters as
 open-grid axes (parameter j varies along axis j of a (q,)*arity grid, so an
 entry holding one parameter is a q-vector and a constant is a scalar), the
@@ -54,12 +56,22 @@ CELL_ORDER: tuple[tuple[int, int, int], ...] = (
     (1, 4, 5), (1, 3, 5), (1, 2, 4), (1, 2, 3),
 )
 
-CELL_ARITY: dict[tuple[int, int, int], int] = {
-    (4, 5, 6): 3, (3, 5, 6): 3,
-    (2, 4, 6): 2, (2, 3, 6): 2,
-    (1, 4, 5): 1, (1, 3, 5): 1,
-    (1, 2, 4): 0, (1, 2, 3): 0,
-}
+
+@functools.lru_cache(maxsize=None)
+def _parameter_entries(pivots: tuple[int, int, int]) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """(row, column) of each parameter of the cell on ``pivots`` and of its negated mirror, in parameter order.
+
+    Row r has its 1 on column pivots[2 - r]; S[r][s] of the skew block sits
+    in row r on the s-th non-pivot column.  An upper entry S[r][s] (r < s)
+    is a parameter when it and its mirror S[s][r] both lie left of their
+    row's pivot, and 0 otherwise.
+    """
+    other = [c for c in range(1, AMBIENT + 1) if c not in pivots]
+    return tuple(((r, other[s] - 1), (s, other[r] - 1)) for r, s in combinations(range(ELL), 2)
+                 if other[s] < pivots[ELL - 1 - r] and other[r] < pivots[ELL - 1 - s])
+
+
+CELL_ARITY: dict[tuple[int, int, int], int] = {I: len(_parameter_entries(I)) for I in CELL_ORDER}
 
 
 class CostGuardExceeded(RuntimeError):
@@ -67,43 +79,20 @@ class CostGuardExceeded(RuntimeError):
 
 
 def cell_rows(pivots: tuple[int, int, int], params, neg, zero, one) -> tuple[tuple, tuple, tuple]:
-    """The three rows of the cell template on ``pivots``, one entry per column.
+    """The three rows of the cell on ``pivots``, one entry per column.
 
-    The single statement of the cell layout.  ``params`` unpacks into the
-    cell's parameters and ``neg``, ``zero`` and ``one`` give field
-    negation and the two constants, so the same templates serve scalar
-    entries (one representative) and numpy arrays (a whole cell at once).
+    The single statement of the cell layout (``_parameter_entries``).
+    ``params`` iterates over the cell's parameters and ``neg``, ``zero``
+    and ``one`` give field negation and the two constants, so the same rule
+    serves scalar entries (one representative) and numpy arrays (a whole
+    cell at once).
     """
-    if pivots == (4, 5, 6):
-        a2, a3, a5 = params
-        return ((zero, a2, a3, zero, zero, one), (neg(a2), zero, a5, zero, one, zero),
-                (neg(a3), neg(a5), zero, one, zero, zero))
-    if pivots == (3, 5, 6):
-        b2, b3, b5 = params
-        return ((zero, b2, zero, b3, zero, one), (neg(b2), zero, zero, b5, one, zero),
-                (neg(b3), neg(b5), one, zero, zero, zero))
-    if pivots == (2, 4, 6):
-        c2, c3 = params
-        return ((zero, zero, c2, zero, c3, one), (neg(c2), zero, zero, one, zero, zero),
-                (neg(c3), one, zero, zero, zero, zero))
-    if pivots == (2, 3, 6):
-        d2, d3 = params
-        return ((zero, zero, zero, d2, d3, one), (neg(d2), zero, one, zero, zero, zero),
-                (neg(d3), one, zero, zero, zero, zero))
-    if pivots == (1, 4, 5):
-        (e2,) = params
-        return ((zero, zero, e2, zero, one, zero), (zero, neg(e2), zero, one, zero, zero),
-                (one, zero, zero, zero, zero, zero))
-    if pivots == (1, 3, 5):
-        (x2,) = params
-        return ((zero, zero, zero, x2, one, zero), (zero, neg(x2), one, zero, zero, zero),
-                (one, zero, zero, zero, zero, zero))
-    if pivots == (1, 2, 4):
-        return ((zero, zero, zero, one, zero, zero), (zero, one, zero, zero, zero, zero),
-                (one, zero, zero, zero, zero, zero))
-    # (1, 2, 3)
-    return ((zero, zero, one, zero, zero, zero), (zero, one, zero, zero, zero, zero),
-            (one, zero, zero, zero, zero, zero))
+    rows = [[zero] * AMBIENT for _ in range(ELL)]
+    for r in range(ELL):
+        rows[r][pivots[ELL - 1 - r] - 1] = one
+    for ((r, c), (s, d)), p in zip(_parameter_entries(pivots), params, strict=True):
+        rows[r][c], rows[s][d] = p, neg(p)
+    return tuple(map(tuple, rows))
 
 
 def build_cell(f: GF, pivots: tuple[int, int, int], params: tuple[int, ...]) -> MatrixRep:
@@ -202,14 +191,13 @@ def canonical_rref_forms(f: GF) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 @functools.lru_cache(maxsize=8)
-def brute_force_points(f: GF, force: bool = False) -> frozenset[tuple[tuple[int, ...], ...]]:
+def brute_force_points(f: GF) -> frozenset[tuple[tuple[int, ...], ...]]:
     """Oracle enumeration: filter all canonical reduced forms by the form conditions.
 
-    Cost grows like the Gaussian binomial [6 choose 3]_q, so q is guarded
-    at 4 unless ``force`` is set.
+    Cost grows like the Gaussian binomial [6 choose 3]_q, so q is guarded at 4.
     """
-    if f.q > 4 and not force:
-        raise CostGuardExceeded(f"brute-force scan at q={f.q} exceeds the cost guard; pass force=True")
+    if f.q > 4:
+        raise CostGuardExceeded(f"brute-force scan at q={f.q} exceeds the cost guard")
     from .forms import FormSpace  # only this oracle reads the forms
 
     space = FormSpace(f, ELL)

@@ -836,7 +836,7 @@ def test_verify_q2_report():
     assert (rep.n, rep.dimension, rep.distance, rep.distance_exact) == (30, 14, 8, True)
     lines = rep.lines()
     assert lines[0].endswith("n=30 k=14 d=8")
-    assert all(line.startswith(("PASS", "polar", "14/14")) for line in lines)
+    assert all(line.startswith(("PASS", "polar", "15/15")) for line in lines)
 
 
 _ORACLE_FIELDS = [(2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None), (9, (2, 1, 1))]
@@ -877,12 +877,13 @@ def _mirror_pivots(mats):
 
 
 def _row_operation(mats):
-    # row 1 += row 2 of the first P456 point, (0,0,0,0,0,1) + (0,0,0,0,1,0) with disjoint
+    # row 1 += row 2 of the first P456 (or P356) point, (0,0,0,0,0,1) + (0,0,0,0,1,0) with disjoint
     # supports: the same space and minors in every field, but not the canonical representative
     mats[0, :, 0] += mats[1, :, 0]
 
 
 _SWAP = "column 3/4 swap pairs the cells bijectively"
+_REDUCED = "representatives in right-to-left reduced form"
 _SCAN = "cell enumeration equals reduced-form scan"
 _DIRECT = "pivot expansion equals direct minor"
 
@@ -891,7 +892,7 @@ _DIRECT = "pivot expansion equals direct minor"
     (_corrupt_point, {"points totally singular", _SCAN, _SWAP, _DIRECT}),
     (_duplicate_point, {"representatives pairwise distinct", _SCAN, _SWAP, _DIRECT}),
     (_mirror_pivots, {"pivot sets avoid mirrored column pairs", "points totally singular", _SCAN, _SWAP, _DIRECT}),
-    (_row_operation, {_SCAN, _SWAP}),
+    (_row_operation, {_REDUCED, _SCAN, _SWAP}),
 ])
 def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, failing):
     f = field(3)
@@ -908,20 +909,29 @@ def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, faili
     assert {c.name for c in rep.checks if not c.passed} == failing
 
 
-@pytest.mark.parametrize("q", [4, 8])
-def test_verify_swap_check_fails_on_a_non_canonical_representative(monkeypatch, q):
-    """Beyond q = 3 there is no reduced-form scan, and the swap check alone sees the row operation."""
-    f = field(q)
-
+def _verify_failures(monkeypatch, q, corrupted_cells):
+    """Names of the checks verify fails at q with the row operation applied to the first point of these cells."""
     def corrupted(f, pivots):
         mats = cell_matrices(f, pivots)
-        if pivots == (4, 5, 6):
+        if pivots in corrupted_cells:
             _row_operation(mats)
         return mats
 
     monkeypatch.setattr(codes, "cell_matrices", corrupted)
-    rep = verify(f, budget=1000)
-    assert [c.name for c in rep.checks if not c.passed] == [_SWAP]
+    return [c.name for c in verify(field(q), budget=1000).checks if not c.passed]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_verify_swap_check_fails_on_a_non_canonical_representative(monkeypatch, q):
+    """Beyond q = 3 there is no reduced-form scan; the reduced-form and swap checks see the row operation."""
+    assert _verify_failures(monkeypatch, q, {(4, 5, 6)}) == [_REDUCED, _SWAP]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_verify_reduced_form_check_fails_on_a_swap_pair_changed_alike(monkeypatch, q):
+    """The row operation on the first point of both P456 and P356: the swapped arrays still agree,
+    the space, minors and pivots are unchanged, and only the reduced-form check sees it."""
+    assert _verify_failures(monkeypatch, q, {(4, 5, 6), (3, 5, 6)}) == [_REDUCED]
 
 
 def test_verify_direct_minor_check_fails_on_a_flipped_generator_entry(monkeypatch):

@@ -70,8 +70,9 @@ def test_minor_values_on_p456():
     assert minor(M, (1, 2, 3)) == 0
 
 
-def test_rref_keeps_cells_canonical():
-    f = field(3)
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_rref_keeps_cells_canonical(q):
+    f = field(q)
     for pt in enumerate_points(f):
         reduced, pivots = rref_right_to_left(pt.matrix)
         assert reduced.rows == pt.matrix.rows

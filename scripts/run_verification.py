@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the structural verification suite over a range of field sizes.
 
-Prints one report per q; exits nonzero if any check fails anywhere.
+Prints one report per q.  Exit status: 0 if every check passes, 1 if a
+check fails anywhere, 2 on a usage error.
 """
 
 import argparse
 
+from ograss.cli import _at_least
 from ograss.codes import DEFAULT_BUDGET, verify
 from ograss.gf import field
 
@@ -13,12 +15,16 @@ from ograss.gf import field
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qs", default="2,3,4,5", help="comma-separated prime powers")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
+    ap.add_argument("--threads", type=_at_least(1), default=1)
     args = ap.parse_args()
+    try:
+        fields = [field(int(t)) for t in args.qs.split(",")]
+    except ValueError as exc:
+        ap.error(f"--qs: {exc}")
     ok = True
-    for q in (int(t) for t in args.qs.split(",")):
-        report = verify(field(q), budget=args.budget, threads=args.threads)
+    for f in fields:
+        report = verify(f, budget=args.budget, threads=args.threads)
         print("\n".join(report.lines()))
         print()
         ok = ok and report.passed

@@ -11,10 +11,9 @@ one point, is a record of fixed length: its constant text with a NUL-padded
 field for each value that varies.  A block is a reused buffer of copies of
 the record; each field is filled by one ``np.take`` of the q digit strings
 and one ``bytearray.translate`` deletes the pads (see ``_record_writer``).
-A point's record holds the text before each of its cell's parameters and
-the matrix entries that vary over the cell; the constant entries are part
-of it.  The JSON texts are the ones ``json.dumps(..., indent=2)`` gives,
-with the rows or points spliced in where the dump of an empty list stands.
+Each record is cut from the format's own text (``json.dumps(...,
+sort_keys=True, indent=2)`` or the txt layout) of one point, or of a 2 x 2
+matrix, written with the marker -1 - k where column k of the values stands.
 
 Each command loads only the modules it runs: ``points`` the point
 enumeration (``polar``), ``genmat`` also the generator build
@@ -26,14 +25,18 @@ building the parser loads no engine.
 ``entry`` is the process entry of ``python -m ograss`` and the ``ograss``
 script: it runs ``main``, freezes the objects the garbage collector tracks
 (``gc.freeze``) so that the full collections of interpreter shutdown skip
-the numpy and ograss modules, and exits with main's code.  ``main`` never
-freezes, so tests and library callers can run it in process.
+the numpy and ograss modules, and exits with main's code.  It first
+restores the default SIGPIPE action, so that a stdout closed early ends
+the process quietly, as it ends ``cat`` (status 141 in the shell).
+``main`` does neither, so tests and library callers can run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import re
+import signal
 import sys
 from itertools import chain
 from pathlib import Path
@@ -149,47 +152,18 @@ def _record_writer(items: list, q: int):
     return text
 
 
-def _point_items(fmt: str, pivots, arity: int, entries: list) -> list:
-    """The text of one point of a cell as bytes and ints; an int is the
-    column of the point's values (parameters first) that stands there.
-
-    ``entries`` are the 18 matrix entries in row order, each a column or,
-    when constant on the cell, its digits.  Every point starts with the
-    separator ("," for json, a newline for txt) that the first point drops.
-    """
-    cell = _cell_id(pivots).encode()
-    rows = [entries[i:i + 6] for i in range(0, 18, 6)]
-    if fmt == "json":
-        items = [b',\n    {\n      "cell": "%s",\n      "params": [' % cell]
-        for j in range(arity):
-            items += [b",\n        " if j else b"\n        ", j]
-        items.append(b"\n      ]" if arity else b"]")
-        items.append(b',\n      "rows": [')
-        for r, row in enumerate(rows):
-            items.append(b",\n        [" if r else b"\n        [")
-            for c, entry in enumerate(row):
-                items += [b",\n          " if c else b"\n          ", entry]
-            items.append(b"\n        ]")
-        items.append(b"\n      ]\n    }")
-    else:
-        items = [b"\ncell %s params " % cell]
-        for j in range(arity):
-            items += [b"," if j else b"", j]
-        if not arity:
-            items.append(b"-")
-        for row in rows:
-            items.append(b"\n")
-            for c, entry in enumerate(row):
-                items += [b" " if c else b"", entry]
-        items.append(b"\n")
-    return items
+def _template_items(text: str) -> list:
+    """The items of ``_record_writer`` in a template: literal bytes, and the int k
+    where the text holds the field marker -1 - k (nothing else in a template is negative)."""
+    return [int(t) - 1 if i % 2 else t.encode() for i, t in enumerate(re.split(r"-(\d+)", text))]
 
 
 def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
     """The text of every point in the frozen order, as byte chunks of one block of points each.
 
-    A cell's values are its parameters and the matrix entries that vary
-    over the cell; the constant entries are part of the record.
+    A cell's template is one point with a field marker for each parameter
+    and each matrix entry that varies over the cell.  Every point starts
+    with the separator that the first point drops.
     """
     for pivots in polar.CELL_ORDER:
         arity = polar.CELL_ARITY[pivots]
@@ -197,8 +171,15 @@ def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
         live = (mats != mats[:, :1]).any(axis=1)
         values = np.concatenate([polar.cell_params(f.q, pivots).astype(mats.dtype), mats[live].T], axis=1)
         columns = iter(range(arity, values.shape[1]))
-        entries = [next(columns) if v else b"%d" % e for v, e in zip(live, mats[:, 0].tolist())]
-        yield from _record_writer(_point_items(fmt, pivots, arity, entries), f.q)(values)
+        entries = [-1 - next(columns) if v else e for v, e in zip(live, mats[:, 0].tolist())]
+        params, rows = [-1 - j for j in range(arity)], [entries[i:i + 6] for i in range(0, 18, 6)]
+        if fmt == "json":
+            point = _dump({"cell": _cell_id(pivots), "params": params, "rows": rows})
+            text = ",\n    " + point[:-1].replace("\n", "\n    ")
+        else:
+            text = "\ncell %s params %s\n" % (_cell_id(pivots), ",".join(map(str, params)) or "-")
+            text += "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        yield from _record_writer(_template_items(text), f.q)(values)
 
 
 def _cmd_points(args: argparse.Namespace) -> int:
@@ -215,34 +196,25 @@ def _cmd_points(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_rows(matrix: np.ndarray, q: int, lead: bytes, sep: bytes) -> Iterator[Iterator[bytes]]:
-    """Each row of a matrix over GF(q) as an iterator of byte chunks: every
-    entry as ``lead``, its decimal digits and ``sep``, the last entry's
-    ``sep`` a newline."""
-    text = _record_writer([lead, 0, sep], q)
-    for row in matrix:
-        yield chain(text(row[:-1, None]), [b"%s%d\n" % (lead, row[-1])])
-
-
 def _cmd_genmat(args: argparse.Namespace) -> int:
     from . import generator
 
     f = _field_from_args(args)
     G = generator.build_generator(f)
     if args.format == "json":
-        head, foot = _dump({
+        text = _dump({
             "q": f.q,
             "n": G.n,
             "colsets": [_cell_id(A) for A in COLUMN_SETS],
-            "rows": [],
-        }).rsplit("[]", 1)
-        rows = _matrix_rows(G.matrix, f.q, b" " * 6, b",\n")
-        framed = chain.from_iterable(chain([b",\n    [\n" if i else b"[\n    [\n"], row, [b"    ]"])
-                                     for i, row in enumerate(rows))
-        chunks = chain([head.encode()], framed, [b"\n  ]" + foot.encode()])
+            "rows": [[-1, -1], [-1, -1]],
+        })
     else:
-        chunks = chain.from_iterable(_matrix_rows(G.matrix, f.q, b"", b" "))
-    _emit(chunks, args.out)
+        text = "-1 -1\n-1 -1\n"
+    head, _, sep, _, row_sep, *_, foot = _template_items(text)
+    entries = _record_writer([0, sep], f.q)
+    rows = (chain([row_sep if i else head], entries(row[:-1, None]), [b"%d" % row[-1]])
+            for i, row in enumerate(G.matrix))
+    _emit(chain(chain.from_iterable(rows), [foot]), args.out)
     return 0
 
 
@@ -373,6 +345,8 @@ def main(argv=None) -> int:
 
 def entry(argv=None) -> NoReturn:
     """Run ``main``, then freeze the tracked objects and exit with its code (see the module docstring)."""
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process as it ends cat (POSIX only)
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main(argv)
     gc.freeze()
     raise SystemExit(code)

@@ -231,7 +231,11 @@ class MinorFunction:
                 if type(v) is not int:  # int() would truncate 1.5 and read true and "2"
                     raise ValueError(f"coefficient {v!r} is not an integer")
         else:
-            values = [int(t) for t in text.split(",")]
+            values = [t.strip() for t in text.split(",")]
+            for t in values:
+                if not (t.isascii() and t.isdigit()):  # int() would read 1_0, +1 and Arabic-Indic digits
+                    raise ValueError(f"coefficient {t!r} is not a decimal integer")
+            values = [int(t) for t in values]
         return cls(f, tuple(values))
 
 

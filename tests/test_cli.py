@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -147,6 +148,14 @@ def test_weights_json_float_coefficient(tmp_path, capsys):
     assert (code, out) == (2, "") and "1.5 is not an integer" in err
 
 
+def test_weights_csv_coefficient_with_underscore(tmp_path, capsys):
+    """1_0 is not read as coefficient 10 (exit status 2)."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1_0" + ",0" * 19)
+    code, out, err = run(capsys, "weights", "--q", "49", "--coeffs", str(bad))
+    assert (code, out) == (2, "") and "'1_0' is not a decimal integer" in err
+
+
 def test_weight_dist_csv(tmp_path, capsys):
     out_path = tmp_path / "wd.csv"
     code, _, _ = run(capsys, "weight-dist", "--q", "2", "--out", str(out_path))
@@ -247,28 +256,34 @@ def test_genmat_writer_small_blocks_match_str_formatter(monkeypatch, tmp_path, c
     test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q)
 
 
-def _reference_row(lead, sep, row):
-    """One row as the str()-per-entry formatters wrote it: lead, digits, sep; the last sep a newline."""
-    return (lead + (sep + lead).join(map(str, row.tolist())) + "\n").encode()
-
-
-@pytest.mark.parametrize("fmt, lead, sep", [("txt", "", " "), ("json", " " * 6, ",\n")], ids=["txt", "json"])
-def test_genmat_write_phase_memory(monkeypatch, fmt, lead, sep):
+@pytest.mark.parametrize("fmt, reference", [("txt", _reference_txt), ("json", _reference_json)],
+                         ids=["txt", "json"])
+def test_genmat_write_phase_memory(monkeypatch, fmt, reference):
     """The q = 49 write phase holds one block at a time: under 3 MB traced
     (the bound was fixed before measuring; each row as three row-sized arrays
-    made 9.3 MB for json).  A yielded chunk that aliased the reused buffer
-    would repeat in the listed rows."""
+    made 9.3 MB for json).  A chunk that aliased the reused buffer would
+    repeat in the listed chunks."""
     G = generator.build_generator(field(49))
     monkeypatch.setattr(generator, "build_generator", lambda _f: G)
+    argv = ["genmat", "--q", "49", "--format", fmt, "--out", os.devnull]
     tracemalloc.start()
     try:
-        assert main(["genmat", "--q", "49", "--format", fmt, "--out", os.devnull]) == 0
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
-    rows = [list(row) for row in list(cli._matrix_rows(G.matrix, 49, lead.encode(), sep.encode()))]
-    assert [b"".join(row) for row in rows] == [_reference_row(lead, sep, row) for row in G.matrix]
+    chunks = []
+    monkeypatch.setattr(cli, "_emit", lambda it, out: chunks.extend(it))
+    assert main(argv) == 0
+    assert b"".join(chunks) == reference(49, G.matrix).encode()
+
+
+def test_template_items():
+    """Literals and fields alternate; a field marker -1 - k stands for column k."""
+    assert cli._template_items('[-1, 7, -12]\n') == [b"[", 0, b", 7, ", 11, b"]\n"]
+    assert cli._template_items("-3-1") == [b"", 2, b"", 0, b""]
+    assert cli._template_items("cell 456 params -\n") == [b"cell 456 params -\n"]
 
 
 def _point_rows(f):
@@ -320,7 +335,8 @@ def test_points_writer_matches_reference(monkeypatch, tmp_path, capsysbinary, q,
 
 
 def test_entry_freezes_once_after_main(monkeypatch, capsys):
-    """The process entry runs main, then freezes once, then exits with main's code."""
+    """The process entry restores the default SIGPIPE action, runs main, then
+    freezes once, then exits with main's code."""
     calls = []
     inner = cli.main
 
@@ -331,19 +347,23 @@ def test_entry_freezes_once_after_main(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "main", recording)
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(signal, "signal", lambda *handler: calls.append(handler))
     for argv, code in ((["distance", "--q", "2"], 0), (["points", "--q", "6"], 2)):
         calls.clear()
         with pytest.raises(SystemExit) as exc:
             cli.entry(argv)
         assert exc.value.code == code
-        assert calls == [("main", code), "freeze"]
+        assert calls == [(signal.SIGPIPE, signal.SIG_DFL), ("main", code), "freeze"]
     assert "prime power" in capsys.readouterr().err
+
+
+def _module_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def _module_run(argv):
     """python -m ograss with these arguments in a fresh interpreter: its stdout bytes (exit status 0)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-m", "ograss", *argv], capture_output=True, env=env, timeout=120)
+    res = subprocess.run([sys.executable, "-m", "ograss", *argv], capture_output=True, env=_module_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stdout
 
@@ -351,6 +371,21 @@ def _module_run(argv):
 def test_module_entry_subprocess():
     """python -m ograss runs through the entry and writes the golden bytes."""
     assert _module_run(["distance", "--q", "2"]) == (ROOT / "tests" / "golden" / "distance-q2.json").read_bytes()
+
+
+def test_closed_stdout_ends_the_process_quietly():
+    """A reader that closes the pipe after one byte ends genmat --q 49 (12 MB
+    of text) by SIGPIPE, as it ends cat: nothing on stderr, and not the
+    usage-error status 2."""
+    with subprocess.Popen([sys.executable, "-m", "ograss", "genmat", "--q", "49"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env()) as proc:
+        try:
+            assert len(proc.stdout.read(1)) == 1
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 #: argv and golden file (None: compare with main in process) of one run of every command

@@ -183,6 +183,19 @@ def test_json_parse_rejects_entries_that_are_not_integers(entry):
         MinorFunction.parse(field(3), "[" + ",".join([entry] + ["0"] * 19) + "]")
 
 
+@pytest.mark.parametrize("entry", ["1_0", "\u0663", "+1", "-1", "1.5", "0x1", "\u00b2", ""],
+                         ids=["underscore", "arabic-indic", "plus", "minus", "float", "hex", "superscript", "empty"])
+def test_csv_parse_rejects_entries_that_are_not_decimal_digits(entry):
+    """Only ASCII decimal digits are read; int() would take 1_0 as 10, \u0663 as 3 and +1 as 1."""
+    with pytest.raises(ValueError, match="is not a decimal integer"):
+        MinorFunction.parse(field(49), ",".join([entry] + ["0"] * 19))
+
+
+def test_csv_parse_strips_whitespace_around_entries():
+    f = field(49)
+    assert MinorFunction.parse(f, " 10 ,\t3," + ",".join(["0"] * 18) + "\n").coeffs == (10, 3) + (0,) * 18
+
+
 @settings(max_examples=100)
 @given(st.sampled_from([2, 3, 4, 5]), st.data())
 def test_serialization_roundtrip(q, data):

@@ -8,9 +8,9 @@ Exit status: 0, or 2 on a usage error.
 
 import argparse
 
-from ograss.cli import _at_least
+from ograss.cli import _at_least, _field
 from ograss.codes import BudgetExceeded, DEFAULT_BUDGET, minimum_distance
-from ograss.gf import field
+from ograss.grassmann import parse_decimal
 
 
 def main() -> int:
@@ -21,7 +21,7 @@ def main() -> int:
     ap.add_argument("--csv", default=None, help="optional output path, columns q,n,k,d,exact")
     args = ap.parse_args()
     try:
-        fields = [field(int(t)) for t in args.qs.split(",")]
+        fields = [_field(parse_decimal(t)) for t in args.qs.split(",")]
     except ValueError as exc:
         ap.error(f"--qs: {exc}")
     rows = []

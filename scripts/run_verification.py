@@ -7,9 +7,9 @@ check fails anywhere, 2 on a usage error.
 
 import argparse
 
-from ograss.cli import _at_least
+from ograss.cli import _at_least, _field
 from ograss.codes import DEFAULT_BUDGET, verify
-from ograss.gf import field
+from ograss.grassmann import parse_decimal
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
     ap.add_argument("--threads", type=_at_least(1), default=1)
     args = ap.parse_args()
     try:
-        fields = [field(int(t)) for t in args.qs.split(",")]
+        fields = [_field(parse_decimal(t)) for t in args.qs.split(",")]
     except ValueError as exc:
         ap.error(f"--qs: {exc}")
     ok = True

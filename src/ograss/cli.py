@@ -3,7 +3,9 @@
 All outputs are byte-deterministic: JSON uses sorted keys and exact
 integers only, matrices and points follow the frozen orderings spelled
 out in --help.  Exit codes: 0 success, 1 verification failure, 2
-usage/configuration error.
+usage/configuration error.  Every numeric argument is read by
+``grassmann.parse_decimal`` (ASCII decimal digits only), and the fields
+by ``_field``, which the scripts share.
 
 ``genmat`` and ``points`` write their text as bytes, block by block, and no
 Python object is made per entry.  The text of one matrix row entry, or of
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import polar
 from .gf import GF, factor_prime_power, field
-from .grassmann import COLUMN_SETS, MinorFunction
+from .grassmann import COLUMN_SETS, MinorFunction, parse_decimal
 
 MAX_Q = 49
 
@@ -68,26 +70,26 @@ _THREADS_HELP = (
 
 
 def _at_least(low: int):
-    """An argparse type: an integer no smaller than low (a usage error otherwise)."""
+    """An argparse type: an integer no smaller than low, read by ``parse_decimal`` (a usage error otherwise)."""
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = parse_decimal(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {exc}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "integer"
     return parse
 
 
-def _field_from_args(args: argparse.Namespace) -> GF:
-    q = args.q
+def _field(q: int, poly: str | None = None) -> GF:
+    """GF(q) for a prime power q <= MAX_Q, on the comma-separated coefficients
+    ``poly`` (read by ``parse_decimal``) or, when it is None or empty, the default."""
     factor_prime_power(q)
     if q > MAX_Q:
         raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
-    poly = None
-    if getattr(args, "poly", None):
-        poly = tuple(int(t) for t in args.poly.split(","))
-    return field(q, poly)
+    return field(q, tuple(map(parse_decimal, poly.split(","))) if poly else None)
 
 
 def _emit(chunks: Iterable, out: str | None) -> None:
@@ -183,7 +185,7 @@ def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
 
 
 def _cmd_points(args: argparse.Namespace) -> int:
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     chunks = _point_chunks(f, args.format)
     first = next(chunks)
     del first[0]  # the separator before the first point
@@ -199,7 +201,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
 def _cmd_genmat(args: argparse.Namespace) -> int:
     from . import generator
 
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     G = generator.build_generator(f)
     if args.format == "json":
         text = _dump({
@@ -221,7 +223,7 @@ def _cmd_genmat(args: argparse.Namespace) -> int:
 def _cmd_distance(args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     budget = getattr(args, "budget", codes.DEFAULT_BUDGET)
     res = codes.minimum_distance(f, method=args.method, budget=budget, threads=args.threads)
     payload = {
@@ -245,7 +247,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_weights(args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     text = Path(args.coeffs).read_text()
     fn = MinorFunction.parse(f, text)
     rep = codes.weight(fn)
@@ -261,7 +263,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 def _cmd_weight_dist(args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
     lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
     _emit([("\n".join(lines) + "\n").encode()], args.out)
@@ -271,7 +273,7 @@ def _cmd_weight_dist(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field_from_args(args)
+    f = _field(args.q, args.poly)
     report = codes.verify(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET), threads=args.threads)
     sys.stdout.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--q", type=int, required=True, help="field size, a prime power <= 49")
+        sp.add_argument("--q", type=_at_least(2), required=True, help="field size, a prime power <= 49")
         sp.add_argument("--poly", default=None,
                         help="defining polynomial coefficients, low to high, monic "
                              "(for example 1,1,1 for GF(4))")

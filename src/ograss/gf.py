@@ -6,14 +6,14 @@ first: in GF(9) built on x^2 + 2x + 2 the integer 5 = 2 + 1*3 stands for
 2 + x.  This encoding is stable, hashable, and is the on-disk format used
 by every serializer in the package.
 
-Multiplication, inversion, powers and quadratic-residue tests run over
-log/antilog tables built once at construction (a generator of the
-multiplicative group is located by checking element orders, so overriding
-the defining polynomial is safe).  Addition in extension fields is
-digitwise mod p and is tabulated as well.  The (q, q) tables are built
-with numpy, broadcasting over the digits and the logs, and kept both as
-numpy arrays and as nested lists for the scalar operations.  A GF instance is immutable
-after construction and can be shared freely between threads.
+Addition, negation, multiplication and inversion are tables built once at
+construction from the digit representation: addition is digitwise mod p,
+and a * b is the sum over j of b_j * (x^j * a), each term one gather from
+the table of base-field multiples and the map a -> x * a, which folds x^e
+back in through the defining polynomial.  Inverses and squares are read off
+the multiplication table.  The tables are built with numpy and kept both as
+numpy arrays and as nested lists for the scalar operations.  A GF instance
+is immutable after construction and can be shared freely between threads.
 
 Default defining polynomials (Conway polynomials, coefficients low to
 high) ship for every prime power q <= 49 with e >= 2; pass ``poly=`` to
@@ -68,20 +68,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if rest != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, e
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +183,6 @@ class GF:
         prod = _poly_mul(self.p, self._digits(a), self._digits(b))
         return self._undigits(_poly_rem(self.p, prod, self.poly))
 
-    def _raw_pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        if n == 1:
-            return 1
-        cofactors = [n // r for r in _prime_factors(n)]
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, c) != 1 for c in cofactors):
-                return g
-        raise ValueError("no multiplicative generator found")  # unreachable
-
     def _build_tables(self) -> None:
         q, p, e = self.q, self.p, self.e
         # row a of digits holds the base-p digits of a, constant term first
@@ -223,22 +190,18 @@ class GF:
         digits = np.arange(q)[:, None] // place % p
         add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, place))
         neg = -digits % p @ place
-        g = self._find_generator()
-        exp = [1] * (q - 1)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            v = self._raw_mul(v, g)
-        exp_np = np.array(exp)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp_np] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp_np[(log[1:, None] + log[1:]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp_np[-log[1:] % (q - 1)]
-        self.generator = g
-        self._exp = exp
-        self._log = log.tolist()
+        scale = np.arange(p)[:, None, None] * digits % p @ place  # scale[c, a] = c * a for c in GF(p)
+        # x * a: the digits of a shifted up one place, its top digit times x^e (-poly below its lead) added back
+        top, x_e = q // p, -np.array((self.poly or (0,))[:e]) % p @ place
+        times_x = add[np.arange(q) % top * p, scale[np.arange(q) // top, x_e]]
+        mul, xa = 0, np.arange(q)
+        for j in range(e):  # mul[a, b] = sum over j of b_j * (x^j * a)
+            mul = add[mul, scale[digits[:, j], xa[:, None]]]
+            xa = times_x[xa]
+        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1 and gives 0
+        squares = np.zeros(q, dtype=bool)
+        squares[mul.diagonal()] = True
+        self._squares = squares.tolist()
         self._add, self._mul, self._negt, self._invt = (t.tolist() for t in (add, mul, neg, inv))
         dtype = np.uint8 if q <= 256 else np.uint16
         self._np_tables = tuple(t.astype(dtype) for t in (add, mul, neg, inv))
@@ -276,23 +239,21 @@ class GF:
         """a^n for n >= 0, with 0^0 = 1."""
         if n < 0:
             raise ValueError("negative exponent; use inv() first")
-        if self._chk(a) == 0:
-            return 1 if n == 0 else 0
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+        r, a = 1, self._chk(a)
+        while n:  # square and multiply
+            if n & 1:
+                r = self._mul[r][a]
+            a = self._mul[a][a]
+            n >>= 1
+        return r
 
     def elements(self) -> list[int]:
         """All q elements in ascending canonical encoding."""
         return list(range(self.q))
 
     def is_square(self, a: int) -> bool:
-        """True iff a = b*b for some b.
-
-        Every element is a square in characteristic 2; for odd q the
-        nonzero squares are exactly the even powers of a generator.
-        """
-        if self._chk(a) == 0 or self.p == 2:
-            return True
-        return self._log[a] % 2 == 0
+        """True iff a = b*b for some b (the diagonal of the multiplication table)."""
+        return self._squares[self._chk(a)]
 
     def from_int(self, n: int) -> int:
         """Image of the ordinary integer n under Z -> GF(q) (lands in the prime subfield)."""

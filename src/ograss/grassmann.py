@@ -150,6 +150,19 @@ def minor(M: MatrixRep, A: Sequence[int]) -> int:
 # coefficient vectors over the 20 minors
 # ---------------------------------------------------------------------------
 
+def parse_decimal(text: str) -> int:
+    """The integer that text writes in ASCII decimal digits, whitespace around it allowed.
+
+    The one rule for integers read from outside: coefficients here, and the
+    numeric arguments of the CLI and the scripts.  int() would also read
+    1_0 as 10, +1 and -1, and non-ASCII digits such as U+0663 as 3.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{digits!r} is not a decimal integer")
+    return int(digits)
+
+
 @dataclass(frozen=True)
 class MinorFunction:
     """An F_q-linear combination of the 20 maximal minors.
@@ -231,11 +244,7 @@ class MinorFunction:
                 if type(v) is not int:  # int() would truncate 1.5 and read true and "2"
                     raise ValueError(f"coefficient {v!r} is not an integer")
         else:
-            values = [t.strip() for t in text.split(",")]
-            for t in values:
-                if not (t.isascii() and t.isdigit()):  # int() would read 1_0, +1 and Arabic-Indic digits
-                    raise ValueError(f"coefficient {t!r} is not a decimal integer")
-            values = [int(t) for t in values]
+            values = [parse_decimal(t) for t in text.split(",")]
         return cls(f, tuple(values))
 
 

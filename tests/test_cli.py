@@ -203,6 +203,29 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's return code, or the status of the usage error that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("value", ["1_1", "+1", "\u0663", "-1", ""],
+                         ids=["underscore", "plus", "arabic-indic", "minus", "empty"])
+@pytest.mark.parametrize("argv", [
+    ["points", "--format", "txt", "--q", "{}"],
+    ["distance", "--q", "2", "--budget", "{}"],
+    ["verify", "--q", "2", "--threads", "{}"],
+    ["points", "--q", "9", "--poly", "2,{},1"],
+], ids=["q", "budget", "threads", "poly"])
+def test_numeric_arguments_are_ascii_decimal_digits(capsys, argv, value):
+    """int() would read --q 1_1 as 11 and write the q = 11 points; every numeric argument is a usage error instead."""
+    assert _exit_code([a.format(value) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{value!r} is not a decimal integer" in err
+
+
 def _reference_txt(q, matrix):
     """The txt formatter genmat used before its byte table: str() per entry."""
     strs = [str(i) for i in range(q)]

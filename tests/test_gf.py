@@ -174,8 +174,20 @@ def test_tables_match_scalar_loops(q, poly):
     inv = [0] + [mul[a].index(1) for a in range(1, q)]
     assert (f._add, f._mul, f._negt, f._invt) == (add, mul, neg, inv)
     assert all(t.tolist() == ref for t, ref in zip(f.np_tables(), (add, mul, neg, inv)))
-    assert f._exp == [f._raw_pow(f.generator, i) for i in range(q - 1)]
-    assert [f._log[x] for x in f._exp] == list(range(q - 1))
+
+
+def test_tables_of_a_degree_10_field():
+    """GF(1024) on x^10 + x^3 + 1, where the x * a map folds x^10 back in at every digit place."""
+    f = GF(1024, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    add, mul, neg, inv = f.np_tables()
+    assert mul.dtype == np.uint16 and mul.shape == (1024, 1024)
+    rng = random.Random(1024)
+    for _ in range(2000):
+        a, b = rng.randrange(1024), rng.randrange(1024)
+        assert mul[a, b] == f._raw_mul(a, b)
+    assert inv[0] == 0 and all(mul[a, inv[a]] == 1 for a in range(1, 1024))
+    squares = {f._raw_mul(b, b) for b in range(1024)}
+    assert [f.is_square(a) for a in range(1024)] == [a in squares for a in range(1024)]
 
 
 def test_coefficient_encoding_roundtrip():

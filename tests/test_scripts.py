@@ -18,12 +18,16 @@ def _script(name, *argv):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("argv", [["--qs", "6"], ["--qs", "2,6"], ["--qs", "2,x"], ["--threads", "0"],
-                                  ["--budget", "-1"]], ids=["not-prime-power", "late-bad-q", "not-int",
-                                                            "threads-0", "budget-negative"])
+@pytest.mark.parametrize("argv", [
+    ["--qs", "6"], ["--qs", "2,6"], ["--qs", "2,x"], ["--qs", "53"], ["--threads", "0"], ["--budget", "-1"],
+    ["--qs", "1_1"], ["--qs", "2,+3"], ["--qs", "\u0663"], ["--qs", "-1"], ["--qs", ""],
+    ["--budget", "1_0"], ["--threads", "+1"],
+], ids=["not-prime-power", "late-bad-q", "not-int", "above-max-q", "threads-0", "budget-negative",
+        "q-underscore", "q-plus", "q-arabic-indic", "q-minus", "q-empty", "budget-underscore", "threads-plus"])
 @pytest.mark.parametrize("name", ["run_verification.py", "distance_table.py"])
 def test_usage_error_exits_2(name, argv):
-    """Every field in --qs is built before the first report, so a bad one prints none."""
+    """Every field in --qs is built before the first report, so a bad one prints none.  The fields
+    are the CLI's (a prime power <= 49), and every number is ASCII decimal digits, as in the CLI."""
     res = _script(name, *argv)
     assert (res.returncode, res.stdout) == (2, "")
     assert "usage:" in res.stderr and "Traceback" not in res.stderr

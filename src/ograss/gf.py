@@ -191,13 +191,14 @@ class GF:
         add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, place))
         neg = -digits % p @ place
         scale = np.arange(p)[:, None, None] * digits % p @ place  # scale[c, a] = c * a for c in GF(p)
-        # x * a: the digits of a shifted up one place, its top digit times x^e (-poly below its lead) added back
+        # x * a: a's digits shifted up, the top one times x^e (-poly below its lead) added back; unused if e = 1
         top, x_e = q // p, -np.array((self.poly or (0,))[:e]) % p @ place
         times_x = add[np.arange(q) % top * p, scale[np.arange(q) // top, x_e]]
         mul, xa = 0, np.arange(q)
         for j in range(e):  # mul[a, b] = sum over j of b_j * (x^j * a)
             mul = add[mul, scale[digits[:, j], xa[:, None]]]
             xa = times_x[xa]
+        del scale  # (p, q): as large as mul in a prime field, and not needed while the lists are made
         inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1 and gives 0
         squares = np.zeros(q, dtype=bool)
         squares[mul.diagonal()] = True

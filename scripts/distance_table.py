@@ -3,7 +3,8 @@
 
 The distance column is exact whenever the search fits the evaluation
 budget and falls back to the witness upper bound otherwise (marked <=).
-Exit status: 0, or 2 on a usage error.
+Exit status: 0, or 2 on a usage error (a --qs entry that names no
+supported field, or a --csv path that cannot be opened for writing).
 """
 
 import argparse
@@ -24,6 +25,10 @@ def main() -> int:
         fields = [_field(parse_decimal(t)) for t in args.qs.split(",")]
     except ValueError as exc:
         ap.error(f"--qs: {exc}")
+    try:  # before the first distance, so that a bad path costs no search and prints no table
+        csv = open(args.csv, "w") if args.csv else None
+    except OSError as exc:
+        ap.error(f"--csv: {exc}")
     rows = []
     print(f"{'q':>3} {'n':>6} {'k':>3} {'d':>8}  evaluations")
     for f in fields:
@@ -35,11 +40,11 @@ def main() -> int:
             mark = "<="
         print(f"{f.q:>3} {res.n:>6} {res.dimension:>3} {mark:>2}{res.distance:>6}  {res.evaluations}")
         rows.append((f.q, res.n, res.dimension, res.distance, res.exact))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("q,n,k,d,exact\n")
+    if csv:
+        with csv:
+            csv.write("q,n,k,d,exact\n")
             for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+                csv.write(",".join(str(v) for v in row) + "\n")
     return 0
 
 

@@ -44,7 +44,6 @@ _EXPORTS = {
         "expand_minor",
         "expansion_sign",
         "identity_transform",
-        "is_principal",
         "minor",
         "mirrored_permutation",
         "paired_column_operation",

@@ -5,7 +5,8 @@ integers only, matrices and points follow the frozen orderings spelled
 out in --help.  Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.  Every numeric argument is read by
 ``grassmann.parse_decimal`` (ASCII decimal digits only), and the fields
-by ``_field``, which the scripts share.
+by ``_field``, which the scripts share; it parses ``--poly`` and leaves
+the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
 
 ``genmat`` and ``points`` write their text as bytes, block by block, and no
 Python object is made per entry.  The text of one matrix row entry, or of
@@ -47,10 +48,8 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import polar
-from .gf import GF, factor_prime_power, field
+from .gf import GF, field
 from .grassmann import COLUMN_SETS, MinorFunction, parse_decimal
-
-MAX_Q = 49
 
 #: the most bytes of text in one block of the writers; it bounds their buffer, index and chunk
 _BLOCK_BYTES = 1 << 18
@@ -84,11 +83,8 @@ def _at_least(low: int):
 
 
 def _field(q: int, poly: str | None = None) -> GF:
-    """GF(q) for a prime power q <= MAX_Q, on the comma-separated coefficients
-    ``poly`` (read by ``parse_decimal``) or, when it is None or empty, the default."""
-    factor_prime_power(q)
-    if q > MAX_Q:
-        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
+    """``gf.field(q)`` on the comma-separated coefficients ``poly`` (read by
+    ``parse_decimal``) or, when it is None or empty, the default polynomial."""
     return field(q, tuple(map(parse_decimal, poly.split(","))) if poly else None)
 
 

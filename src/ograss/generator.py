@@ -7,21 +7,22 @@ point's representative.
 The matrix is built one pivot cell at a time, never from per-point
 objects.  On the cell P_I every minor is a signed minor of the
 skew-symmetric non-pivot block, det_A = expansion_sign(A, I) *
-det(reduced block), the block on the index sets of
-``reduced_minor_indices(A, I)``; that determinant (size 0 to 3, size 0
-giving 1) is evaluated in closed form over the field's lookup tables,
-each product and difference one ``gf.gather`` from a flattened (q, q)
-table.  The block is read off the cell's open parameter grid
-(``cell_grid``), where each parameter is its own broadcast axis and each
-constant a scalar: a product of two parameters is a (q, q) lookup, a
-product with the constant 0 stays the scalar 0, and only the finished row
-is broadcast to the cell's q^arity points, straight into its span of the
-matrix.  The whole 3x3 non-pivot block is skew-symmetric of odd order
-with zero diagonal, hence singular in every characteristic, so the minor
-on the non-pivot columns is written as 0 unevaluated.  The direct 3x3
-determinant of each column triple stays as the oracle: ``codes.verify``
-evaluates it with ``_np_det`` on the dense cell arrays (``cell_matrices``)
-and compares the two on every point and every column set.
+det(reduced block), the block's positions and the sign read from
+``grassmann.expansion_plan(I)``, as ``expand_minor`` reads them.  That
+determinant (size 0 to 3, size 0 giving 1) is evaluated in closed form
+over the field's lookup tables, each product and difference one
+``gf.gather`` from a flattened (q, q) table.  The block is read off the
+cell's open parameter grid (``cell_grid``), where each parameter is its
+own broadcast axis and each constant a scalar: a product of two
+parameters is a (q, q) lookup, a product with the constant 0 stays the
+scalar 0, and only the finished row is broadcast to the cell's q^arity
+points, straight into its span of the matrix.  The whole 3x3 non-pivot
+block is skew-symmetric of odd order with zero diagonal, hence singular
+in every characteristic, so the minor on the non-pivot columns is
+written as 0 unevaluated.  The direct 3x3 determinant of each column
+triple stays as the oracle: ``codes.verify`` evaluates it with
+``_np_det`` on the cell arrays (``cell_matrices``) and compares the two
+on every point and every column set.
 
 This module needs no elimination, search or form check, so ``genmat``
 builds its matrix without loading ``codes`` or ``forms``.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF, gather
-from .grassmann import AMBIENT, COLSET_INDEX, COLUMN_SETS, expansion_sign, reduced_minor_indices
+from .grassmann import COLSET_INDEX, COLUMN_SETS, expansion_plan
 from .polar import CELL_ARITY, cell_grid, cell_slices, point_count
 
 
@@ -95,23 +96,6 @@ def _np_det(tables, block):
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_plan(pivots: tuple[int, int, int]) -> tuple[tuple[tuple, bool], ...]:
-    """(block, negate) for each column set on the cell P_I, in COLUMN_SETS order.
-
-    ``block`` lists the (row, column) template positions of the reduced
-    block of ``reduced_minor_indices(A, I)`` in the non-pivot columns, and
-    ``negate`` is ``expansion_sign(A, I) < 0``.
-    """
-    free = [c for c in range(AMBIENT) if c + 1 not in pivots]
-    plan = []
-    for A in COLUMN_SETS:
-        block_rows, block_cols = reduced_minor_indices(A, pivots)
-        block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
-        plan.append((block, expansion_sign(A, pivots) < 0))
-    return tuple(plan)
-
-
-@functools.lru_cache(maxsize=None)
 def build_generator(f: GF) -> GeneratorMatrix:
     """The 20 x n generator, each cell's minors evaluated on its open parameter grid.
 
@@ -128,7 +112,7 @@ def build_generator(f: GF) -> GeneratorMatrix:
     for pivots, start, stop in cell_slices(q):
         grid = cell_grid(f, pivots)
         shape = (q,) * CELL_ARITY[pivots]
-        for idx, (block, negate) in enumerate(_cell_plan(pivots)):
+        for idx, (block, negate) in enumerate(expansion_plan(pivots)):
             if len(block) == 3:
                 # the whole non-pivot block: skew-symmetric of odd order with zero diagonal, so singular
                 value = 0

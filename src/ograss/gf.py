@@ -12,12 +12,13 @@ and a * b is the sum over j of b_j * (x^j * a), each term one gather from
 the table of base-field multiples and the map a -> x * a, which folds x^e
 back in through the defining polynomial.  Inverses and squares are read off
 the multiplication table.  The tables are built with numpy and kept both as
-numpy arrays and as nested lists for the scalar operations.  A GF instance
+uint8 arrays and as nested lists for the scalar operations.  A GF instance
 is immutable after construction and can be shared freely between threads.
 
-Default defining polynomials (Conway polynomials, coefficients low to
-high) ship for every prime power q <= 49 with e >= 2; pass ``poly=`` to
-override.
+This module is the one rule for which fields exist: the 23 prime powers
+q <= ``MAX_Q`` = 49, refused otherwise.  Every extension field among them
+has a default defining polynomial (its Conway polynomial, coefficients
+low to high); pass ``poly=`` to override.
 
 ``row_reduce`` is the package's one Gauss-Jordan elimination over GF(q),
 vectorized over the numpy view of the same tables.  ``gather`` is the
@@ -32,7 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-#: Conway polynomial coefficients, constant term first, monic.
+#: The largest supported field size.
+MAX_Q = 49
+
+#: Conway polynomial coefficients, constant term first, monic, for every extension field q <= MAX_Q.
 DEFAULT_IRREDUCIBLE: dict[int, tuple[int, ...]] = {
     4: (1, 1, 1),            # x^2 + x + 1
     8: (1, 1, 0, 1),         # x^3 + x + 1
@@ -43,8 +47,6 @@ DEFAULT_IRREDUCIBLE: dict[int, tuple[int, ...]] = {
     32: (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
     49: (3, 6, 1),           # x^2 + 6x + 3
 }
-
-_TABLE_LIMIT = 4096
 
 
 class FieldMismatchError(ValueError):
@@ -127,17 +129,13 @@ def _field_parameters(q: int, poly: Sequence[int] | None) -> tuple[int, int, tup
     """(p, e, poly) of GF(q), the polynomial in normal form: None for a prime
     field, else its coefficients mod p as a tuple, the default of q when none is given."""
     p, e = factor_prime_power(q)
-    if q > _TABLE_LIMIT:
-        raise ValueError(f"q={q} exceeds the supported table limit {_TABLE_LIMIT}")
+    if q > MAX_Q:
+        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
     if e == 1:
         if poly is not None:
             raise ValueError("prime fields take no defining polynomial")
         return p, e, None
-    if poly is None:
-        if q not in DEFAULT_IRREDUCIBLE:
-            raise ValueError(f"no default defining polynomial for q={q}; pass poly=")
-        poly = DEFAULT_IRREDUCIBLE[q]
-    return p, e, tuple(int(c) % p for c in poly)
+    return p, e, tuple(int(c) % p for c in (DEFAULT_IRREDUCIBLE[q] if poly is None else poly))
 
 
 class GF:
@@ -198,14 +196,12 @@ class GF:
         for j in range(e):  # mul[a, b] = sum over j of b_j * (x^j * a)
             mul = add[mul, scale[digits[:, j], xa[:, None]]]
             xa = times_x[xa]
-        del scale  # (p, q): as large as mul in a prime field, and not needed while the lists are made
         inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1 and gives 0
         squares = np.zeros(q, dtype=bool)
         squares[mul.diagonal()] = True
         self._squares = squares.tolist()
         self._add, self._mul, self._negt, self._invt = (t.tolist() for t in (add, mul, neg, inv))
-        dtype = np.uint8 if q <= 256 else np.uint16
-        self._np_tables = tuple(t.astype(dtype) for t in (add, mul, neg, inv))
+        self._np_tables = tuple(t.astype(np.uint8) for t in (add, mul, neg, inv))
         for t in self._np_tables:
             t.setflags(write=False)
 

@@ -12,7 +12,9 @@ anti-diagonal and the non-pivot block of a totally singular space is
 skew-symmetric with zero diagonal.  With that convention the minor on the
 pivot columns themselves evaluates to -1 (determinant of the 3x3
 anti-diagonal identity), and all signs in this module are exact
-determinant signs.
+determinant signs.  ``expansion_plan`` states the pivot expansion once:
+the non-pivot block and the sign of each minor on each pivot cell, which
+the generator build and ``expand_minor`` both read.
 
 Column substitutions act on coefficient vectors through the third
 compound matrix (Cauchy-Binet): if g(M) = f(M*T) then the coefficients of
@@ -287,12 +289,6 @@ def reduced_minor_indices(A: Sequence[int], I: Sequence[int]) -> tuple[tuple[int
     return rows, cols
 
 
-def is_principal(A: Sequence[int], I: Sequence[int]) -> bool:
-    """True when the reduced minor of det_A on P_I is on equal row and column sets."""
-    rows, cols = reduced_minor_indices(A, I)
-    return rows == cols
-
-
 def expansion_sign(A: Sequence[int], I: Sequence[int]) -> int:
     """Sign (+1/-1) of the Laplace expansion of det_A along the pivot columns in A.
 
@@ -315,6 +311,24 @@ def expansion_sign(A: Sequence[int], I: Sequence[int]) -> int:
     return -1 if s % 2 else 1
 
 
+@functools.lru_cache(maxsize=None)
+def expansion_plan(pivots: tuple[int, ...]) -> tuple[tuple[tuple, bool], ...]:
+    """(block, negate) for each column set A on the cell P_I, in COLUMN_SETS order.
+
+    ``block`` lists, row by row, the 0-based (row, column) positions in a
+    canonical representative of the reduced block of
+    ``reduced_minor_indices(A, I)``, and ``negate`` is
+    ``expansion_sign(A, I) < 0``: det_A is det(block), negated if ``negate``.
+    """
+    free = [c for c in range(AMBIENT) if c + 1 not in pivots]
+    plan = []
+    for A in COLUMN_SETS:
+        block_rows, block_cols = reduced_minor_indices(A, pivots)
+        block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
+        plan.append((block, expansion_sign(A, pivots) < 0))
+    return tuple(plan)
+
+
 def expand_minor(M: MatrixRep, A: Sequence[int]) -> int:
     """det_A(M) computed through the reduced minor of the non-pivot block.
 
@@ -327,13 +341,9 @@ def expand_minor(M: MatrixRep, A: Sequence[int]) -> int:
     canonical, pivots = rref_right_to_left(M)
     if canonical.rows != M.rows:
         raise ValueError("matrix is not in right-to-left reduced form")
-    rows, cols = reduced_minor_indices(A, pivots)
-    N = sorted(set(range(1, M.m + 1)) - set(pivots))
-    block = [[M.rows[r - 1][N[c - 1] - 1] for c in cols] for r in rows]
-    value = det(M.field, block)
-    if expansion_sign(A, pivots) < 0:
-        value = M.field.neg(value)
-    return value
+    block, negate = expansion_plan(pivots)[COLSET_INDEX[A]]
+    value = det(M.field, [[M.rows[r][c] for r, c in row] for row in block])
+    return M.field.neg(value) if negate else value
 
 
 # ---------------------------------------------------------------------------

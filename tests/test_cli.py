@@ -106,6 +106,13 @@ def test_q_above_max_rejected(capsys):
     assert "maximum" in err
 
 
+def test_prime_power_above_max_rejected(capsys):
+    """q = 64 = 2^6 is a prime power; gf refuses it, and no output is written."""
+    code, out, err = run(capsys, "points", "--q", "64")
+    assert (code, out) == (2, "")
+    assert "q=64 exceeds the supported maximum 49" in err
+
+
 def test_poly_override(capsys):
     code, out, _ = run(capsys, "points", "--q", "4", "--poly", "1,1,1")
     assert code == 0

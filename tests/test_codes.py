@@ -40,10 +40,12 @@ from ograss.codes import (
     weight,
     weight_distribution,
 )
-from ograss.generator import _cell_plan, _det_tables, _np_det
+from ograss.generator import _det_tables, _np_det
 from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
-from ograss.grassmann import COLUMN_SETS, MatrixRep, MinorFunction, minor, rank_of, reflected_complement
+from ograss.grassmann import (
+    COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, rank_of, reflected_complement,
+)
 from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, point_count
 
 
@@ -200,7 +202,7 @@ def test_whole_skew_block_minor_vanishes_on_every_cell(q):
     G = build_generator(f)
     for pivots, start, stop in cell_slices(q):
         free = tuple(c for c in range(1, 7) if c not in pivots)
-        plan = _cell_plan(pivots)
+        plan = expansion_plan(pivots)
         assert [i for i, (block, _) in enumerate(plan) if len(block) == 3] == [COLUMN_SETS.index(free)]
         mats = cell_matrices(f, pivots)
         assert not _np_det(tables, mats[:, [c - 1 for c in free]]).any()

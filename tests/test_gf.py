@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ograss.gf import DEFAULT_IRREDUCIBLE, GF, factor_prime_power, field, gather, is_irreducible, row_reduce
+from ograss.gf import DEFAULT_IRREDUCIBLE, GF, MAX_Q, factor_prime_power, field, gather, is_irreducible, row_reduce
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -131,10 +131,21 @@ def test_all_squares_even_q():
 
 
 def test_default_polynomials_are_irreducible():
+    """One for every extension field up to MAX_Q, and none above."""
+    assert sorted(DEFAULT_IRREDUCIBLE) == [q for q in PRIME_POWERS_LE_49 if factor_prime_power(q)[1] > 1]
+    assert MAX_Q == PRIME_POWERS_LE_49[-1] == 49
     for q, poly in DEFAULT_IRREDUCIBLE.items():
         p, e = factor_prime_power(q)
         assert len(poly) == e + 1 and poly[-1] == 1
         assert is_irreducible(p, poly)
+
+
+@pytest.mark.parametrize("q", [53, 64, 121, 256, 1024])
+def test_fields_above_the_maximum_are_refused(q):
+    """Prime powers above MAX_Q, prime or not: no field is built by either constructor."""
+    for build in (field, GF):
+        with pytest.raises(ValueError, match=f"q={q} exceeds the supported maximum 49"):
+            build(q)
 
 
 def test_polynomial_override():
@@ -149,7 +160,7 @@ def test_polynomial_override():
     with pytest.raises(ValueError):
         GF(5, poly=(1, 1))  # prime field takes no polynomial
     with pytest.raises(ValueError):
-        GF(121)  # no shipped default above 49
+        GF(121)  # above the supported maximum 49
 
 
 def _is_prime_power(q):
@@ -174,20 +185,7 @@ def test_tables_match_scalar_loops(q, poly):
     inv = [0] + [mul[a].index(1) for a in range(1, q)]
     assert (f._add, f._mul, f._negt, f._invt) == (add, mul, neg, inv)
     assert all(t.tolist() == ref for t, ref in zip(f.np_tables(), (add, mul, neg, inv)))
-
-
-def test_tables_of_a_degree_10_field():
-    """GF(1024) on x^10 + x^3 + 1, where the x * a map folds x^10 back in at every digit place."""
-    f = GF(1024, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
-    add, mul, neg, inv = f.np_tables()
-    assert mul.dtype == np.uint16 and mul.shape == (1024, 1024)
-    rng = random.Random(1024)
-    for _ in range(2000):
-        a, b = rng.randrange(1024), rng.randrange(1024)
-        assert mul[a, b] == f._raw_mul(a, b)
-    assert inv[0] == 0 and all(mul[a, inv[a]] == 1 for a in range(1, 1024))
-    squares = {f._raw_mul(b, b) for b in range(1024)}
-    assert [f.is_square(a) for a in range(1024)] == [a in squares for a in range(1024)]
+    assert all(t.dtype == np.uint8 for t in f.np_tables())
 
 
 def test_coefficient_encoding_roundtrip():
@@ -222,7 +220,8 @@ def test_factory_shares_equal_fields_whatever_the_poly_form():
     (4, [1, 1], "monic of degree 2"),
     (4, (1, 1, 2), "monic of degree 2"),
     (4, [0, 0, 1], r"\[0, 0, 1\] is reducible over GF\(2\)"),
-    (121, None, "no default defining polynomial"),
+    (121, None, "exceeds the supported maximum 49"),
+    (64, (1, 1, 0, 1, 1, 0, 1), "exceeds the supported maximum 49"),  # the limit before the polynomial
     (6, None, "not a prime power"),
 ])
 def test_factory_keeps_the_constructor_errors(q, poly, message):
@@ -351,8 +350,6 @@ def test_row_reduce_matches_full_column_scans(q):
 GATHER_FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)] + [
     (9, (2, 1, 1)),
     (49, (1, 0, 1)),  # x^2 + 1, not the Conway polynomial
-    (256, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # q^2 - 1 is the largest uint16 index
-    (257, None),  # uint16 tables, uint32 index
 ]
 
 

@@ -16,7 +16,6 @@ from ograss.grassmann import (
     expand_minor,
     expansion_sign,
     identity_transform,
-    is_principal,
     mat_mul,
     minor,
     mirrored_permutation,
@@ -227,12 +226,6 @@ def test_reduced_minor_indices():
     assert reduced_minor_indices((1, 2, 3), (4, 5, 6)) == ((1, 2, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         reduced_minor_indices((1, 2, 3), (1, 2, 5))  # pivot set not self-paired
-
-
-def test_is_principal():
-    assert is_principal((2, 3, 6), (4, 5, 6))
-    assert not is_principal((1, 2, 5), (4, 5, 6))
-    assert is_principal((4, 5, 6), (4, 5, 6))
 
 
 def test_transpose_duality_exhaustive():

@@ -22,7 +22,7 @@ EXPORTED = {
     "forms": ["FormSpace"],
     "gf": ["GF", "DEFAULT_IRREDUCIBLE", "FieldMismatchError", "factor_prime_power", "field", "is_irreducible"],
     "grassmann": ["COLUMN_SETS", "ColumnTransform", "MatrixRep", "MinorFunction", "RankDeficientError",
-                  "apply_transform", "expand_minor", "expansion_sign", "identity_transform", "is_principal",
+                  "apply_transform", "expand_minor", "expansion_sign", "identity_transform",
                   "minor", "mirrored_permutation", "paired_column_operation", "reduced_minor_indices",
                   "reflected_complement", "rref_right_to_left", "third_compound"],
     "polar": ["CELL_ARITY", "CELL_ORDER", "CostGuardExceeded", "Point", "brute_force_points", "build_cell",

@@ -44,3 +44,11 @@ def test_distance_table_csv(tmp_path):
     res = _script("distance_table.py", "--qs", "2,3", "--csv", str(csv))
     assert res.returncode == 0, res.stderr
     assert csv.read_text() == "q,n,k,d,exact\n2,30,14,8,True\n3,80,20,18,True\n"
+
+
+def test_distance_table_unwritable_csv_is_a_usage_error(tmp_path):
+    """The --csv file is opened before the first distance: a path in a missing
+    directory exits 2 with no traceback and no table on stdout."""
+    res = _script("distance_table.py", "--qs", "2", "--csv", str(tmp_path / "missing" / "d.csv"))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "usage:" in res.stderr and "--csv" in res.stderr and "Traceback" not in res.stderr

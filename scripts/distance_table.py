@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate [n, k, d] over a range of field sizes.
 
-The distance column is exact whenever the search fits the evaluation
-budget and falls back to the witness upper bound otherwise (marked <=).
+The distance column is exact whenever the full scan or the family split
+fits the evaluation budget (q <= 5 under the default) and falls back to
+the witness upper bound otherwise (marked <=).
 Exit status: 0, or 2 on a usage error (a --qs entry that names no
 supported field, or a --csv path that cannot be opened for writing).
 """
@@ -25,7 +26,7 @@ def main() -> int:
         fields = [_field(parse_decimal(t)) for t in args.qs.split(",")]
     except ValueError as exc:
         ap.error(f"--qs: {exc}")
-    try:  # before the first distance, so that a bad path costs no search and prints no table
+    try:  # before the first distance, so that a bad path costs no scan and prints no table
         csv = open(args.csv, "w") if args.csv else None
     except OSError as exc:
         ap.error(f"--csv: {exc}")

@@ -20,7 +20,7 @@ matrix, written with the marker -1 - k where column k of the values stands.
 
 Each command loads only the modules it runs: ``points`` the point
 enumeration (``polar``), ``genmat`` also the generator build
-(``generator``), and the other four the search engine (``codes``), which
+(``generator``), and the other four the distance engine (``codes``), which
 ``verify`` alone extends by the form checks (``forms``).  The ``--budget``
 options default to ``codes.DEFAULT_BUDGET`` when the command runs, so that
 building the parser loads no engine.
@@ -63,8 +63,8 @@ _ORDERING_NOTE = (
 )
 
 _THREADS_HELP = (
-    "worker threads for the full enumeration of all q^k codewords; the "
-    "information-set search used when q^k exceeds the budget runs in one thread"
+    "worker threads for the full enumeration of the code, or of each part of the "
+    "family split used when q^k exceeds the budget; the output does not depend on it"
 )
 
 

@@ -14,41 +14,34 @@ the two on every point and every column set.  Every two-operand table
 lookup in this module (``_np_add`` in extension fields, ``_scaled_rows``,
 ``_combine``) is one ``gf.gather`` from a flattened (q, q) table.
 
-One kernel, ``_round_weights``, enumerates codewords for both the full
-scan and the information-set search described below: one round weighs
+One kernel, ``_round_weights``, enumerates codewords: one round weighs
 every message of one weight w on a set of rows.  Every nonzero multiple
 of a codeword has its weight, so a round weighs only the messages whose
 first coefficient is 1, one per scalar class.  The full scan of all q^k
-codewords of a reduced basis runs the rounds w = 1..k, scales the
-histogram by q-1 and keeps the lexicographically least minimum-weight
-message, which has first coefficient 1 and so is always weighed.  With
-several threads the rounds go to a pool, largest first, and the merge
-(histograms summed, minimum over (weight, message)) does not depend on
-the thread count or the completion order.
+codewords of a basis (``_exhaustive_scan``) runs the rounds w = 1..k,
+scales the histogram by q-1 and keeps the lexicographically least
+minimum-weight message, which has first coefficient 1 and so is always
+weighed.  Each round splits every support of weight w into a prefix and
+a suffix of L rows, and keeps a packed, negated table of the codewords
+on every L-subset of rows (``_pack``).  The prefixes that end at one row
+s all meet the same run of suffixes, the L-subsets after s, so one XOR
+of their packed codewords against that run, the OR of the planes and a
+popcount weigh all of those supports at once (a + b is nonzero exactly
+where a != -b, so the sum is never formed and one kernel serves every
+field).  With several threads the rounds go to a pool, largest first,
+and the merge (histograms summed, minimum over (weight, message)) does
+not depend on the thread count or the completion order.
 
 The dimension is 14 in even characteristic (reflected-complement minors
-coincide on the point set) but the full 20 for odd q, where q^k dwarfs
-any evaluation budget.  Minimum distance stays exactly computable there
-through disjoint information sets: once every message of weight <= w has
-been enumerated against each round's systematic generator, any remaining
-codeword has weight at least sum_i max(0, w + 1 - deficit_i), and the
-search stops as soon as that bound meets the best weight found.  Each
-round splits every support of weight w into a prefix and a suffix of L
-rows, and keeps a packed, negated table of the codewords on every
-L-subset of rows (``_pack``).  The prefixes that end at one row s all
-meet the same run of suffixes, the L-subsets after s, so one XOR of their
-packed codewords against that run, the OR of the planes and a popcount
-weigh all of those supports at once (a + b is nonzero exactly where
-a != -b, so the sum is never formed and one kernel serves every field;
-L = 3 for q = 3 and 2 for q = 4).  The prefixes are built straight from
-the rows, sorted by last row, with one add per position, in chunks of at
-most _BLOCK_BYTES.  Leaves come out grouped by s, not in the order of the
-messages, so each leaf is reduced to its least weight and the rank of its
-first message of that weight, and the search keeps the least (weight, w,
-set, rank): the message that comes first in the frozen order.  For q = 3
-the bound passes the witness weight 18 at w = 6 after 9 192 624
-evaluations (messages whose weight is established; 4 596 312 weights
-computed), about 70 ms of work on a 2-core machine.
+coincide on the point set) but the full 20 for odd q.  When q^k exceeds
+the budget, the distance comes from the two families of generators of
+Q+(5,q) (``polar.family_mask``), the paper's cells in two classes: K_S,
+the codewords that vanish off family S, and C_S, the projection of the
+code on S.  A codeword nonzero on both families weighs at least
+d(C_A) + d(C_B), so once that sum reaches min(d(K_A), d(K_B)), that is
+the distance (``_split_distance``).  For odd q, C is the direct sum of
+K_A and K_B (10 + 10 rows), and only the kernels are scanned: 2 * 3^10
+evaluations at q = 3.  For even q, K_S has 4 rows and C_S 10.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -71,7 +64,7 @@ import numpy as np
 from .generator import GeneratorMatrix, _det_tables, _np_det, build_generator
 from .gf import GF, gather, row_reduce
 from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, reduced_minor_indices, reflected_complement
-from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, point_count, swap34_map
+from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, family_mask, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_BYTES = 1 << 20
@@ -207,12 +200,12 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, t
         raise ValueError("cannot scan a zero-dimensional code")
     q = f.q
     rows_scaled = _scaled_rows(f, basis)
-    tables = _suffix_tables(f, rows_scaled, _BLOCK_BYTES)
+    tables = _suffix_tables(f, rows_scaled)
 
     def scan_round(w):
         hist = np.zeros(n + 1, dtype=np.int64)
         least, hits = n + 1, []
-        for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, tables, _BLOCK_BYTES):
+        for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, tables):
             hist += np.bincount(weights, minlength=n + 1)
             wmin = int(weights.min())
             if wmin < least:
@@ -244,68 +237,8 @@ def _message_to_function(f: GF, msg: tuple[int, ...], exprs) -> MinorFunction:
 
 
 # ---------------------------------------------------------------------------
-# exact distance via disjoint information sets
+# the round kernel
 # ---------------------------------------------------------------------------
-
-def _information_sets(f: GF, basis: np.ndarray):
-    """Greedy disjoint information sets of the row space of basis.
-
-    Each round row-reduces the full basis against the still-unused
-    columns; the pivot columns found become that round's information set
-    and the reduced k rows its systematic generator.  Entries are
-    (pivot columns, systematic rows, expressions in basis coordinates,
-    rank).  Rounds may be rank deficient: rows past the rank vanish on
-    every unused column.  Once every message of weight <= w has been
-    enumerated against each round's generator, ``_bound_table`` bounds the
-    weight of any remaining codeword.
-    """
-    k, n = basis.shape
-    aug = np.hstack([basis, np.eye(k, dtype=basis.dtype)])
-    unused = np.ones(n, dtype=bool)
-    sets = []
-    while unused.any():
-        reduced, pivots = row_reduce(f, aug, np.flatnonzero(unused))
-        if not pivots:
-            break
-        unused[list(pivots)] = False
-        exprs = tuple(map(tuple, reduced[:, n:].tolist()))
-        sets.append((pivots, reduced[:, :n], exprs, len(pivots)))
-    return sets
-
-
-def _messages_up_to(k: int, q: int, w: int) -> int:
-    """Number of messages of weight 1..w in GF(q)^k: one round's evaluations up to weight w."""
-    return sum(comb(k, v) * (q - 1) ** v for v in range(1, w + 1))
-
-
-def _bound_table(k: int, ranks: list[int]) -> np.ndarray:
-    """bound[s, w] = sum_{i <= s} max(0, w + 1 - (k - ranks[i])), w = 0..k: a
-    lower bound on the weight of every codeword not yet seen once all messages
-    of weight <= w have been enumerated on the first s + 1 sets.  Non-decreasing in w."""
-    return np.cumsum(np.maximum(0, np.arange(k + 1) + 1 - k + np.asarray(ranks)[:, None]), axis=0)
-
-
-def _search_cost_floor(q: int, k: int, n: int, d_up: int) -> int:
-    """A lower bound on the search's projected cost, known before any information set is built.
-
-    It is the projection of the best sets n columns allow: k columns each,
-    the rest in one.  g(r) = max(0, w + 1 - k + r) is convex and non-decreasing,
-    so no ranks with sum <= n and entries <= k give a larger bound (majorization).
-    """
-    return _projected_cost(q, k, [k] * (n // k) + ([n % k] if n % k else []), d_up)[0]
-
-
-def _projected_cost(q: int, k: int, ranks: list[int], d_up: int) -> tuple[int, int]:
-    """(cost, size) of the cheapest prefix of the information sets with these ranks.
-
-    Enumerating a prefix of the sets is enough for the bound; a prefix
-    stops at the first weight where its bound meets the starting upper
-    bound d_up (or at k).
-    """
-    stops = np.count_nonzero(_bound_table(k, ranks)[:, :k] < d_up, axis=1)
-    up_to = [_messages_up_to(k, q, w) for w in range(k + 1)]
-    return min((size * up_to[w], size) for size, w in enumerate(stops.tolist(), 1))
-
 
 def _packed_row_bytes(q: int, n: int) -> int:
     """Bytes of one codeword of length n over GF(q) in ``_pack`` form."""
@@ -375,12 +308,12 @@ def _prefix_groups(f: GF, rows_scaled: np.ndarray, depth: int, L: int, cap: int)
             j = end
 
 
-def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _suffix_tables(f: GF, rows_scaled: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(packed negated codewords, subsets) on the j-subsets of rows, for j = 1..L.
 
     L is the largest length such that each table 2..L is no larger than
     the largest round on the rows (round v weighs C(k, v) * (q-1)^(v-1)
-    codewords) and, in ``_pack`` form, fits in ``share`` bytes.  Level j
+    codewords) and, in ``_pack`` form, fits in _BLOCK_BYTES.  Level j
     lists the (C(k, j), j) subsets in lexicographic order, each with all
     (q-1)^j coefficient vectors, the first position most significant; its
     codewords are (planes, words, C(k, j), (q-1)^j).  The j-subsets that
@@ -390,7 +323,7 @@ def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.
     build it directly.
     """
     k, units, n = rows_scaled.shape
-    cap = min(share // _packed_row_bytes(f.q, n),
+    cap = min(_BLOCK_BYTES // _packed_row_bytes(f.q, n),
               max(comb(k, v) * units ** (v - 1) for v in range(1, k + 1)))
     planes = (f.q - 1).bit_length()
     neg_rows = f.np_tables()[2][rows_scaled]
@@ -411,7 +344,7 @@ def _suffix_tables(f: GF, rows_scaled: np.ndarray, share: int) -> list[tuple[np.
             return tables
 
 
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
+def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables):
     """Weights of every message of weight w <= k on k rows whose first coefficient is 1.
 
     Every nonzero multiple of a message has its weight, so the normal
@@ -429,13 +362,9 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
     broadcast ``_weights``, the longer operand along the contiguous inner
     axis.  ``_prefix_groups`` builds the prefixes and their codewords from
     the rows; when w = L the prefix is empty and the table's coefficient-1
-    slice is weighed.  A leaf holds at most max(1, max(share, _BLOCK_BYTES
-    / 2) // (bytes of (q-1)^(w-1) packed codewords)) (prefix, suffix)
-    pairs, each pair with every coefficient of both.  The tables of all information
-    sets live through a search and split _BLOCK_BYTES into shares, while a
-    leaf lives for one call, so it may take half the budget: that weighs
-    the q = 3 and 4 searches and the q = 8 half as fast as the whole budget
-    and adds half as much to the peak memory.
+    slice is weighed.  A leaf holds at most max(1, _BLOCK_BYTES // (bytes
+    of (q-1)^(w-1) packed codewords)) (prefix, suffix) pairs, each pair
+    with every coefficient of both.
 
     Yields (prefixes, suffixes, weights) per leaf, in no particular order:
     the prefixes an array of supports, the suffixes a slice of the (C(k, L),
@@ -447,7 +376,7 @@ def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables, share: int):
     L = min(w, len(tables))
     depth = w - L
     table, subsets = tables[L - 1]
-    cap = max(1, max(share, _BLOCK_BYTES // 2) // (_packed_row_bytes(f.q, n) * units ** (w - 1)))
+    cap = max(1, _BLOCK_BYTES // (_packed_row_bytes(f.q, n) * units ** (w - 1)))
     if depth == 0:
         groups = [(-1, np.empty((1, 0), dtype=subsets.dtype), np.zeros((*table.shape[:2], 1, 1), dtype=table.dtype))]
         table = table[..., :units ** (L - 1)]
@@ -491,94 +420,89 @@ def _leaf_messages(q: int, w: int, prefixes, suffixes, idx):
     return np.hstack([prefixes[p], suffixes[s]]), _coefficients(rest, w, q - 1)
 
 
-class SearchRound(NamedTuple):
-    """One round of the information-set search: every message of weight w on each set."""
+class Part(NamedTuple):
+    """One scanned part of the distance engine: the whole code "C", or a
+    kernel "KA", "KB" or projection "CA", "CB" of the family split."""
 
-    w: int
-    lower_bound: int
-    best: int
+    name: str
+    dimension: int
+    distance: int
     evaluations: int
     seconds: float
 
 
-def _bounded_search(f: GF, basis: np.ndarray, d_up: int, budget: int):
-    """Exact minimum weight by message-weight-ordered enumeration.
+def _scan_part(f: GF, name: str, rows: np.ndarray, threads: int) -> tuple[Part, tuple[int, ...]]:
+    """The ``Part`` record of the full scan of rows, and its lex-least minimum-weight message."""
+    start = time.perf_counter()
+    d, msg, _ = _exhaustive_scan(f, rows, threads=threads)
+    return Part(name, len(rows), d, f.q ** len(rows), time.perf_counter() - start), msg
 
-    Returns (distance, message in basis coordinates or None if the
-    initial upper bound was never beaten, the rounds as ``SearchRound``
-    records).  Round w weighs, set by set, every message of weight w
-    whose first coefficient is 1 through ``_round_weights``.  The
-    frozen order of the messages is (w, set, support, coefficients),
-    supports and coefficients lexicographic; the leaves come in another
-    order, so each is reduced to its least weight and the support and
-    coefficients of its first entry of that weight (its entries are in
-    frozen order), and the search keeps the least (weight, w, set index,
-    support, coefficients).  Only a leaf that ties the best weight in the
-    round and set where that weight was found can move the witness, so
-    it is the first message in frozen order that beats d_up.  Each
-    weight computed stands for the q-1 multiples of its message, so a
-    round's ``evaluations`` counts messages whose weight the search
-    established: (sets searched) * C(k, w) * (q-1)^w.  Each set's suffix
-    tables are built once, before round 1, in an equal share of
-    _BLOCK_BYTES.  The search ends at w = k at the latest: the first set
-    has full rank, so its rounds 1..k have weighed every codeword.
-    Raises BudgetExceeded before round 1 when the projected cost exceeds
-    the budget, and before the information sets are built when even the
-    floor of ``_search_cost_floor`` does.  The projection counts every
-    round up to the weight where the bound meets the starting upper bound:
-    the exact cost when that upper bound is the distance, more than the
-    cost otherwise.  The greedy sets come out with non-increasing ranks
-    (each round reduces on a subset of the previous round's unused
-    columns), so their prefixes are the cheapest choices of a given size.
+
+def _split_distance(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int, threads: int = 1):
+    """Exact minimum weight of the row space of basis through the coordinate split ``mask``.
+
+    Returns (distance, message in basis coordinates, the scanned parts).
+    For each side S, one ``row_reduce`` of [basis | I_k] pivots on the
+    other side's columns: the rows past the rank vanish there and, taken
+    on S, are a basis of K_S; the rows up to the rank, on the other side,
+    are a basis of its projection C_other.  K_A and K_B are scanned, and
+    C_S too when its rank exceeds dim K_S (else C_S is K_S on S); an empty
+    kernel holds no word.  A word nonzero on both sides weighs at least
+    d(C_A) + d(C_B), so d = min(d(K_A), d(K_B)) once that sum reaches it,
+    and a split whose bound does not close raises RuntimeError.  The
+    message is the least one of the first kernel of weight d.  Raises
+    BudgetExceeded before any elimination when q^floor(k/2) + q^ceil(k/2)
+    exceeds the budget (no split of k >= 2 rows costs less: rank C_A +
+    rank C_B >= k, and a side of positive rank scans at least q^rank C_S
+    words), and before any scan when the exact sum of q^dimension over the
+    parts does.
     """
     k, n = basis.shape
     q = f.q
-    floor = _search_cost_floor(q, k, n, d_up)
+    floor = q ** (k // 2) + q ** (k - k // 2)
     if floor > budget:
         raise BudgetExceeded(
-            f"the information-set search needs at least {floor} codeword evaluations "
+            f"the family split needs at least {floor} codeword evaluations "
             f"(budget {budget}); use method='witness' for the known upper bound")
-    sets = _information_sets(f, basis)
-    ranks = [r for _, _, _, r in sets]
-    best_cost, best_size = _projected_cost(q, k, ranks, d_up)
-    if best_cost > budget:
+    aug = np.hstack([basis, np.eye(k, dtype=basis.dtype)])
+    kernels, projections = {}, {}
+    for side, other, on in (("A", "B", mask), ("B", "A", ~mask)):
+        reduced, pivots = row_reduce(f, aug, np.flatnonzero(~on))
+        r = len(pivots)
+        kernels[side] = reduced[r:, :n][:, on], reduced[r:, n:]
+        projections[other] = reduced[:r, :n][:, ~on]
+    parts = []
+    for s in "AB":
+        kernel, projection = kernels[s][0], projections[s]
+        if len(kernel):
+            parts.append((f"K{s}", kernel))
+        if len(projection) > len(kernel):
+            parts.append((f"C{s}", projection))
+    cost = sum(q ** len(rows) for _, rows in parts)
+    if cost > budget:
         raise BudgetExceeded(
-            f"the search over {best_size} information sets needs {best_cost} codeword "
-            f"evaluations (budget {budget}); use method='witness' for the known upper bound")
-    sets = sets[:best_size]
-    bound = _bound_table(k, ranks)[best_size - 1].tolist()
-    share = _BLOCK_BYTES // len(sets)
-    scaled = [_scaled_rows(f, sys_rows) for _, sys_rows, _, _ in sets]
-    tables = [_suffix_tables(f, rows_scaled, share) for rows_scaled in scaled]
-    best = (d_up,)  # then (weight, w, set index, support, coefficients)
-    rounds = []
-    w = 0
-    while w < k and bound[w] < best[0]:
-        w += 1
-        start, evals = time.perf_counter(), 0
-        for i, (rows_scaled, set_tables) in enumerate(zip(scaled, tables)):
-            for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, set_tables, share):
-                evals += len(weights) * (q - 1)
-                least = int(weights.min())
-                if least < best[0] or (least == best[0] and best[1:3] == (w, i)):
-                    supports, coeffs = _leaf_messages(q, w, prefixes, suffixes, [int(weights.argmin())])
-                    best = min(best, (least, w, i, tuple(supports[0].tolist()), tuple(coeffs[0].tolist())))
-        rounds.append(SearchRound(w, bound[w], best[0], evals, time.perf_counter() - start))
-    if len(best) == 1:
-        return d_up, None, tuple(rounds)
-    least, _, i, support, coeffs = best
-    exprs = sets[i][2]
-    return least, tuple(_combine(f, coeffs, [exprs[r] for r in support]).tolist()), tuple(rounds)
+            f"the family split needs {cost} codeword evaluations "
+            f"(budget {budget}); use method='witness' for the known upper bound")
+    scanned = [_scan_part(f, name, rows, threads) for name, rows in parts]
+    dist = {part.name: part.distance for part, _ in scanned}
+    d, side = min(((dist[f"K{s}"], s) for s in "AB" if f"K{s}" in dist), default=(n + 1, None))
+    # d(C_S): scanned, else that of K_S, else C_S = {0} and no word is nonzero on both sides
+    cross = sum(dist.get(f"C{s}", dist.get(f"K{s}", n + 1)) for s in "AB")
+    if cross < d:
+        least = f"the least kernel weight {d}" if side else "every kernel weight (both kernels are empty)"
+        raise RuntimeError(f"the family split does not certify the distance: a word nonzero on "
+                           f"both sides may weigh {cross}, below {least}")
+    msg = next(msg for part, msg in scanned if part.name == f"K{side}")
+    msg = _combine(f, msg, kernels[side][1])
+    return d, tuple(msg.tolist()), tuple(part for part, _ in scanned)
 
 
 @dataclass
 class DistanceResult:
-    """``evaluations`` counts the messages whose weight was established:
-    q^k for the full scan, 1 in witness mode, and in the information-set
-    search every message of each round, though the search computes one
-    weight per scalar class.  ``rounds`` records that search, round by
-    round; it is empty when all q^k codewords were scanned or in witness
-    mode."""
+    """``evaluations`` counts the codewords whose weight was established:
+    the sum of q^dimension over ``parts``, the scanned parts (the whole
+    code, or the kernels and projections of the family split), and 1 in
+    witness mode, where ``parts`` is empty."""
 
     q: int
     n: int
@@ -588,7 +512,7 @@ class DistanceResult:
     exact: bool
     method: str
     evaluations: int
-    rounds: tuple[SearchRound, ...] = ()
+    parts: tuple[Part, ...] = ()
 
 
 def _check_threads(threads: int) -> None:
@@ -601,11 +525,12 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     """Minimum Hamming weight of a nonzero codeword.
 
     ``exhaustive`` computes the exact distance: all q^k codewords are
-    enumerated when that count fits the budget, otherwise the search runs
-    in message-weight order over disjoint information sets until its
-    lower bound certifies the best weight found (still exact, far fewer
-    evaluations).  ``witness`` only evaluates the known minimum-weight
-    codeword and reports its weight, an upper bound on the distance.
+    enumerated when that count fits the budget, otherwise the family split
+    (``_split_distance``) scans the kernels and projections of the two
+    families of generators; its witness is ``min_weight_witness`` when that
+    has the distance's weight.  ``witness`` only evaluates the known
+    minimum-weight codeword and reports its weight, an upper bound on the
+    distance.
     """
     _check_threads(threads)
     G = build_generator(f)
@@ -618,18 +543,17 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
         raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'witness'")
     basis, exprs = _reduced_basis(G)
     k = len(exprs)
-    total = f.q**k
-    if total <= budget:
-        best_w, best_msg, _ = _exhaustive_scan(f, basis, threads=threads)
-        wit = _message_to_function(f, best_msg, exprs)
-        return DistanceResult(q=f.q, n=G.n, dimension=k, distance=best_w, witness=wit,
-                              exact=True, method="exhaustive", evaluations=total)
-    start = min_weight_witness(f)
-    best_w, best_msg, rounds = _bounded_search(f, basis, weight(start).total, budget)
-    wit = start if best_msg is None else _message_to_function(f, best_msg, exprs)
-    return DistanceResult(q=f.q, n=G.n, dimension=k, distance=best_w, witness=wit,
-                          exact=True, method="exhaustive",
-                          evaluations=sum(r.evaluations for r in rounds), rounds=rounds)
+    if f.q**k <= budget:
+        part, msg = _scan_part(f, "C", basis, threads)
+        best_w, parts = part.distance, (part,)
+        wit = _message_to_function(f, msg, exprs)
+    else:
+        best_w, msg, parts = _split_distance(f, basis, family_mask(f.q), budget, threads)
+        wit = min_weight_witness(f)
+        if weight(wit).total != best_w:
+            wit = _message_to_function(f, msg, exprs)
+    return DistanceResult(q=f.q, n=G.n, dimension=k, distance=best_w, witness=wit, exact=True,
+                          method="exhaustive", evaluations=sum(p.evaluations for p in parts), parts=parts)
 
 
 def weight_distribution(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> dict[int, int]:

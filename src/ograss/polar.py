@@ -167,6 +167,19 @@ def cell_slices(q: int) -> tuple[tuple[tuple[int, int, int], int, int], ...]:
     return tuple(out)
 
 
+def family_mask(q: int) -> np.ndarray:
+    """The coordinates of generator family A as a boolean mask, False on family B.
+
+    Two generators of Q+(5,q) lie in one family iff they meet in odd
+    dimension, and the base point of cell P_I is span{e_i : i in I}, so
+    P_I is in family A iff |I & {4, 5, 6}| is odd: A = {456, 236, 135, 124}.
+    """
+    mask = np.zeros(point_count(q), dtype=bool)
+    for pivots, start, stop in cell_slices(q):
+        mask[start:stop] = len({4, 5, 6}.intersection(pivots)) % 2
+    return mask
+
+
 def canonical_rref_forms(f: GF) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every rank-3 right-to-left reduced 3x6 matrix over GF(q), as row tuples.
 

@@ -10,25 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ograss import codes
 from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
-    _bounded_search,
     _direct_minors,
     _exhaustive_scan,
-    _information_sets,
     _leaf_messages,
     _message_to_function,
     _np_add,
     _pack,
     _packed_row_bytes,
-    _projected_cost,
     _reduced_basis,
     _round_weights,
-    _search_cost_floor,
+    _split_distance,
     _suffix_tables,
     _weights,
     build_generator,
@@ -46,7 +43,9 @@ from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import (
     COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, rank_of, reflected_complement,
 )
-from ograss.polar import CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, point_count
+from ograss.polar import (
+    CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, family_mask, point_count,
+)
 
 
 def test_generator_shape_and_entries_q2():
@@ -243,10 +242,10 @@ def test_minimum_distance_witness_mode():
         minimum_distance(field(2), method="fancy")
 
 
-def test_minimum_distance_q4_exact_via_bounded_search():
+def test_minimum_distance_q4_exact_via_split():
     res = minimum_distance(field(4))
     assert res.distance == 64 and res.exact
-    assert res.evaluations < 10**8
+    assert res.evaluations == 2 * (4**4 + 4**10)
     assert weight(res.witness).total == 64
 
 
@@ -254,94 +253,97 @@ def test_budget_errors_suggest_witness_mode():
     with pytest.raises(BudgetExceeded, match="witness"):
         minimum_distance(field(3), budget=1000)
     with pytest.raises(BudgetExceeded, match="witness"):
-        minimum_distance(field(5))
+        minimum_distance(field(7))
 
 
-def test_budget_error_raised_before_the_search():
-    # the projected cost at q=3 is 9 192 624 evaluations, the real count of a full search
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="needs 9192624 codeword evaluations"):
-        minimum_distance(field(3), budget=9_192_623)
-    assert time.perf_counter() - start < 1
+def test_budget_error_raised_before_the_search(monkeypatch):
+    """The exact cost of the split, the sum of q^dimension over its parts, is
+    refused before any part is scanned where the floor 2 * q^7 lets it
+    through: 2 * (q^4 + q^10) at q = 4 and 8."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact cost must reject before any part is scanned")
+
+    monkeypatch.setattr(codes, "_exhaustive_scan", forbidden)
+    with pytest.raises(BudgetExceeded, match="needs 2097664 codeword evaluations"):
+        minimum_distance(field(4), budget=2_097_663)
+    with pytest.raises(BudgetExceeded, match="needs 2147491840 codeword evaluations .*witness"):
+        minimum_distance(field(8))
 
 
-@pytest.mark.parametrize("q", [5, 8, 16, 49])
-def test_budget_floor_raised_before_information_sets(monkeypatch, q):
+@pytest.mark.parametrize("q", [7, 9, 16, 49])
+def test_budget_floor_raised_before_any_elimination(monkeypatch, q):
     def forbidden(*args):
-        raise AssertionError("the budget floor must reject before any information set is built")
+        raise AssertionError("the budget floor must reject before the split row-reduces")
 
-    monkeypatch.setattr(codes, "_information_sets", forbidden)
-    with pytest.raises(BudgetExceeded, match="at least .*witness"):
-        minimum_distance(field(q))
-
-
-def _search_inputs(q):
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    return f, basis, weight(min_weight_witness(f)).total
+    rank_dimension(build_generator(f))  # the reduced basis, cached before row_reduce is replaced
+    monkeypatch.setattr(codes, "row_reduce", forbidden)
+    with pytest.raises(BudgetExceeded, match="at least .*witness"):
+        minimum_distance(f)
+
+
+def _split_floor(q, k):
+    return q ** (k // 2) + q ** (k - k // 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_budget_floor_never_exceeds_projection(q):
-    f, basis, d_up = _search_inputs(q)
-    k, n = basis.shape
-    ranks = [r for _, _, _, r in _information_sets(f, basis)]
-    assert _search_cost_floor(q, k, n, d_up) <= _projected_cost(q, k, ranks, d_up)[0]
-
-
-def _reference_projected_cost(q, k, ranks, d_up):
-    """The per-prefix stop-weight loop the bound table replaced."""
-    def stop_weight(defs):
-        w = 0
-        while w < k and sum(max(0, w + 1 - d) for d in defs) < d_up:
-            w += 1
-        return w
-
-    def up_to(w):
-        return sum(comb(k, v) * (q - 1) ** v for v in range(1, w + 1))
-
-    return min((size * up_to(stop_weight([k - r for r in ranks[:size]])), size)
-               for size in range(1, len(ranks) + 1))
-
-
-def _draw_ranks(data, k):
-    """Non-increasing ranks of 1 to 200 information sets, each 1..k."""
-    return sorted(data.draw(st.lists(st.integers(1, k), min_size=1, max_size=200)), reverse=True)
+    """The floor the split refuses on is at most its exact cost, the projection of its parts."""
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    floor = _split_floor(q, len(basis))
+    with pytest.raises(BudgetExceeded, match=f"needs at least {floor} codeword"):
+        _split_distance(f, basis, family_mask(q), floor - 1)
+    _, _, parts = _split_distance(f, basis, family_mask(q), 10**12)
+    assert floor <= sum(p.evaluations for p in parts)
 
 
 @settings(max_examples=300, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(1, 20),
-       data=st.data(), d_up=st.integers(1, 2000))
-def test_projected_cost_matches_per_prefix_loop(q, k, data, d_up):
-    ranks = _draw_ranks(data, k)
-    assert _projected_cost(q, k, ranks, d_up) == _reference_projected_cost(q, k, ranks, d_up)
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(2, 20), data=st.data())
+def test_budget_floor_never_exceeds_projection_of_any_ranks(q, k, data):
+    """Side S scans at least q^(rank C_S) words when that rank is positive
+    (K_S, or C_S and K_S), and rank C_A + rank C_B >= k, so no ranks cost
+    less than the floor once k >= 2."""
+    rank_a = data.draw(st.integers(0, k))
+    rank_b = data.draw(st.integers(k - rank_a, k))
+    assert _split_floor(q, k) <= sum(q**r for r in (rank_a, rank_b) if r)
 
 
-@settings(max_examples=300, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(1, 20),
-       data=st.data(), spare=st.integers(0, 50), d_up=st.integers(1, 2000))
-def test_budget_floor_never_exceeds_projection_of_any_ranks(q, k, data, spare, d_up):
-    """No non-increasing ranks <= k on at most n columns project below the floor."""
-    ranks = _draw_ranks(data, k)
-    n = sum(ranks) + spare
-    assert _search_cost_floor(q, k, n, d_up) <= _projected_cost(q, k, ranks, d_up)[0]
+def test_split_equals_full_scan_at_q2_and_q4():
+    """The split against the full scan of all q^k codewords: distance and
+    witness weight at q = 2, and at q = 4 under a budget of 4^14."""
+    f = field(2)
+    basis, exprs = _reduced_basis(build_generator(f))
+    d, msg, _ = _split_distance(f, basis, family_mask(2), 10**12)
+    full = minimum_distance(f)
+    assert [p.name for p in full.parts] == ["C"]
+    assert d == full.distance == weight(_message_to_function(f, msg, exprs)).total == 8
+    split, full = minimum_distance(field(4)), minimum_distance(field(4), budget=4**14)
+    assert [p.name for p in full.parts] == ["C"] and full.evaluations == 4**14
+    assert split.distance == full.distance == weight(split.witness).total == weight(full.witness).total == 64
 
 
-@pytest.mark.parametrize("q, floor", [
-    (3, 349_760), (4, 6_360_816), (5, 2_639_301_840), (8, 28_821_547_454),
-    (9, 14_034_092_454_432), (16, 20_966_048_894_910), (49, 2_659_731_947_541_160_643_524_800)])
-def test_budget_floor_values(q, floor):
-    k = 14 if q % 2 == 0 else 20
-    d_up = q**3 if q % 2 == 0 else q**3 - q**2
-    assert _search_cost_floor(q, k, point_count(q), d_up) == floor
+@pytest.mark.parametrize("q, parts, d", [
+    (2, [("C", 14)], 8),
+    (3, [("KA", 10), ("KB", 10)], 18),
+    (4, [("KA", 4), ("CA", 10), ("KB", 4), ("CB", 10)], 64),
+    (5, [("KA", 10), ("KB", 10)], 100),
+])
+def test_distance_parts_by_field(q, parts, d):
+    res = minimum_distance(field(q))
+    assert [(p.name, p.dimension) for p in res.parts] == parts
+    assert res.distance == d and res.exact
+    assert res.evaluations == sum(q**p.dimension for p in res.parts)
+    assert min(p.distance for p in res.parts if p.name in ("C", "KA", "KB")) == d
 
 
-@pytest.mark.parametrize("q", [3, 4, 8])
-def test_information_set_ranks_non_increasing(q):
-    # each greedy round reduces on a subset of the previous round's unused columns
-    f, basis, _ = _search_inputs(q)
-    ranks = [r for _, _, _, r in _information_sets(f, basis)]
-    assert ranks == sorted(ranks, reverse=True)
+def test_split_that_does_not_close_raises(monkeypatch):
+    """With the first half of the coordinates as one side at q = 2, words
+    nonzero on both sides may weigh 2 by the projections' bound, below the
+    kernels' 8: the split raises and never reports an exact distance."""
+    monkeypatch.setattr(codes, "family_mask", lambda q: np.arange(point_count(q)) < point_count(q) // 2)
+    with pytest.raises(RuntimeError, match="does not certify .* weigh 2, below the least kernel weight 8"):
+        minimum_distance(field(2), budget=10**4)
 
 
 #: (q, rows of the reduced basis): subcodes small enough to scan exhaustively
@@ -377,10 +379,10 @@ def _reference_round(f, rows_scaled, w):
 
 @functools.lru_cache(maxsize=None)
 def _reference_supports_and_weights(q, rows, w):
-    """The reference round on the first rows of the first information set, supports and weights concatenated."""
+    """The reference round on the first rows of the reduced basis, supports and weights concatenated."""
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
-    ref = list(_reference_round(f, _scaled_rows(f, _information_sets(f, basis)[0][1][:rows]), w))
+    ref = list(_reference_round(f, _scaled_rows(f, basis[:rows]), w))
     return [support for support, _ in ref], np.concatenate([weights for _, weights in ref])
 
 
@@ -414,19 +416,19 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
     """
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
-    rows_scaled = _scaled_rows(f, _information_sets(f, basis)[0][1][:rows])
+    rows_scaled = _scaled_rows(f, basis[:rows])
     n = rows_scaled.shape[2]
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
     suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
-    tables = _suffix_tables(f, rows_scaled, codes._BLOCK_BYTES)
+    tables = _suffix_tables(f, rows_scaled)
     for w in (1, 2, 3, 4):
         if comb(rows, w) * (q - 1) ** w * n > 5 * 10**7:
             continue
         ref_supports, ref_weights = _reference_supports_and_weights(q, rows, w)
         per_support = ref_weights.reshape(len(ref_supports), -1)
         assert np.array_equal(per_support[:, _normal_form_index(f, w)], per_support)
-        chunks = list(_round_weights(f, rows_scaled, w, tables, codes._BLOCK_BYTES))
+        chunks = list(_round_weights(f, rows_scaled, w, tables))
         support_index = {support: i for i, support in enumerate(ref_supports)}
         ranks = []
         for prefixes, suffixes, weights in chunks:
@@ -445,82 +447,91 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
             assert len(prefixes) > len(set(prefixes))
 
 
-def _first_minimum_message(f, basis, d_up, d):
-    """The first message of weight-d codeword in the search's enumeration order, by the reference loop."""
-    q, (k, _) = f.q, basis.shape
-    sets = _information_sets(f, basis)
-    _, size = _projected_cost(q, k, [r for _, _, _, r in sets], d_up)
-    for w in range(1, k + 1):
-        for _, sys_rows, exprs, _ in sets[:size]:
-            for support, weights in _reference_round(f, _scaled_rows(f, sys_rows), w):
-                hits = np.flatnonzero(weights == d)
-                if len(hits):
-                    idx = int(hits[0])
-                    coeffs = [idx // (q - 1) ** (w - 1 - i) % (q - 1) + 1 for i in range(w)]
-                    msg = [0] * k
-                    for j, c in zip(support, coeffs):
-                        msg = [f.add(m, f.mul(c, e)) for m, e in zip(msg, exprs[j])]
-                    return tuple(msg)
-    return None
+def _weight_of(f, coeffs, rows):
+    add, mul, _, _ = f.np_tables()
+    cw = np.zeros(rows.shape[1], dtype=rows.dtype)
+    for c, row in zip(coeffs, rows):
+        cw = add[cw, mul[c, row]]
+    return int(np.count_nonzero(cw))
 
 
 @pytest.mark.parametrize("q, rows", SUBCODES)
-def test_bounded_search_matches_exhaustive_scan(q, rows):
+def test_split_matches_exhaustive_scan(q, rows):
+    """On the family split of the first basis rows the split either certifies
+    the full scan's distance, with a message of that weight, or (at q = 8,
+    where both kernels are empty) refuses to."""
     f, sub = _subcode(q, rows)
-    n = sub.shape[1]
-    d, msg, _ = _bounded_search(f, sub, n + 1, 10**12)
-    assert d == _exhaustive_scan(f, sub)[0]
+    if q == 8:
+        with pytest.raises(RuntimeError, match="both kernels are empty"):
+            _split_distance(f, sub, family_mask(q), 10**12)
+        return
+    d, msg, _ = _split_distance(f, sub, family_mask(q), 10**12)
+    assert d == _exhaustive_scan(f, sub)[0] == _weight_of(f, msg, sub)
+
+
+def _all_codewords(f, rows):
+    """Every codeword of the row space, one per message, the zero message first."""
     add, mul, _, _ = f.np_tables()
-    cw = np.zeros(n, dtype=sub.dtype)
-    for c, row in zip(msg, sub):
-        cw = add[cw, mul[c, row]]
-    assert np.count_nonzero(cw) == d
-    assert msg == _first_minimum_message(f, sub, n + 1, d)
+    words = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        words = add[words[:, None, :], mul[:, row][None, :, :]].reshape(-1, rows.shape[1])
+    return words
 
 
-@settings(max_examples=40, deadline=None)
-@given(q=st.sampled_from([3, 4, 5, 7, 8, 9]), data=st.data(), spread=st.booleans(),
-       block_target=st.sampled_from([None, 1, 3, 7, 40]), shuffle=st.randoms(use_true_random=False))
-def test_bounded_search_witness_is_the_first_in_the_frozen_order(q, data, spread, block_target, shuffle):
-    """Random subcodes of a few basis rows, with rows r_i + 2*r_(i-1) when
-    ``spread`` (minimum words on messages over several rows), block targets
-    of t packed codewords that force L = 1 and split leaves, and each
-    round's leaves shuffled: however the leaves come out, the search keeps
-    the first minimum-weight message of the reference order."""
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), n=st.integers(2, 12), data=st.data())
+def test_split_lemma_against_full_scan(q, n, data):
+    """d(C) = min(d(K_A), d(K_B), m), where m >= d(C_A) + d(C_B) bounds the
+    words nonzero on both sides: on random small codes and random coordinate
+    splits, some rows confined to one side so that kernels are nonempty
+    (and often empty otherwise), the split returns the full scan's distance
+    and the brute-force part distances whenever d(C_A) + d(C_B) reaches
+    min(d(K_A), d(K_B)), and raises otherwise."""
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    picked = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=4 if q > 5 else 5, unique=True))
-    sub = basis[picked].copy()
-    if spread:
-        for i in range(1, len(sub)):
-            sub[i] = _np_add(f, sub[i], f.np_tables()[1][2, sub[i - 1]])
-    n = sub.shape[1]
-    leaves = codes._round_weights
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    k0 = data.draw(st.integers(1, min(5, n)))
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                       min_size=k0, max_size=k0)), dtype=np.uint8)
+    for row in rows:
+        row[(mask, ~mask, np.zeros(n, dtype=bool))[data.draw(st.integers(0, 2))]] = 0
+    reduced, pivots = row_reduce(f, rows, range(n))
+    assume(pivots)
+    basis = reduced[:len(pivots)]
+    words = _all_codewords(f, basis)[1:]
+    on_a, on_b = np.count_nonzero(words[:, mask], axis=1), np.count_nonzero(words[:, ~mask], axis=1)
+    big = n + 1
 
-    def shuffled(*args):
-        out = list(leaves(*args))
-        shuffle.shuffle(out)
-        return out
+    def least(w):
+        return int(w.min()) if len(w) else big
 
-    with pytest.MonkeyPatch.context() as mp:
-        if block_target is not None:
-            mp.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
-        mp.setattr(codes, "_round_weights", shuffled)
-        d, msg, _ = _bounded_search(f, sub, n + 1, 10**12)
-    assert msg == _first_minimum_message(f, sub, n + 1, d)
+    d_ka, d_kb = least(on_a[on_b == 0]), least(on_b[on_a == 0])
+    d_ca, d_cb = least(on_a[on_a > 0]), least(on_b[on_b > 0])
+    cross = least((on_a + on_b)[(on_a > 0) & (on_b > 0)])
+    d = _exhaustive_scan(f, basis)[0]
+    assert d == min(d_ka, d_kb, cross) and cross >= min(d_ca + d_cb, big)
+    if d_ca + d_cb < min(d_ka, d_kb):
+        with pytest.raises(RuntimeError, match="does not certify"):
+            _split_distance(f, basis, mask, 10**12)
+        return
+    got, msg, parts = _split_distance(f, basis, mask, 10**12)
+    assert got == d == _weight_of(f, msg, basis)
+    expected = {"KA": d_ka, "CA": d_ca, "KB": d_kb, "CB": d_cb}
+    assert all(p.distance == expected[p.name] and p.evaluations == q**p.dimension for p in parts)
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_leaves_and_prefix_buffers_stay_within_block_bytes(monkeypatch, q):
-    """Every XOR a leaf computes and every prefix block the leaves read fits
-    in _BLOCK_BYTES during the search, and so does every element-domain chunk
-    of prefix codewords the builder packs, whenever one prefix's fit.  At an
-    eighth of the budget the prefixes of a round no longer fit in one chunk."""
+    """During the split's scans every XOR a leaf computes fits in _BLOCK_BYTES
+    whenever one (prefix, suffix) pair's fit, and so do every prefix block the
+    leaves read and every element-domain chunk of prefix codewords the
+    builder packs, whenever one prefix's fit.  At an eighth of the budget the
+    prefixes of a round no longer fit in one chunk, and at q = 4 the last
+    rounds of the 10-row projections hold single pairs above the budget."""
     prefix_bytes = []
-    weights, pack, groups = codes._weights, codes._pack, codes._prefix_groups
+    weights, pack, groups, round_weights = codes._weights, codes._pack, codes._prefix_groups, codes._round_weights
 
     def recorded(a, neg_b):
-        sizes.append(np.prod(np.broadcast_shapes(a.shape, neg_b.shape)) * 8)
+        xors.append(np.prod(np.broadcast_shapes(a.shape, neg_b.shape)) * 8)
         return weights(a, neg_b)
 
     def packed(x, planes):
@@ -536,16 +547,24 @@ def test_leaves_and_prefix_buffers_stay_within_block_bytes(monkeypatch, q):
             yield group
         prefix_bytes.pop()
 
+    def leaves(*args):
+        for prefixes, suffixes, leaf in round_weights(*args):
+            pairs.append(len(prefixes) * len(suffixes))
+            yield prefixes, suffixes, leaf
+
     monkeypatch.setattr(codes, "_weights", recorded)
     monkeypatch.setattr(codes, "_pack", packed)
     monkeypatch.setattr(codes, "_prefix_groups", recording)
-    f, basis, d_up = _search_inputs(q)
+    monkeypatch.setattr(codes, "_round_weights", leaves)
+    f = field(q)
     for block in (codes._BLOCK_BYTES, codes._BLOCK_BYTES // 8):
-        sizes, chunks = [], []
+        sizes, chunks, xors, pairs = [], [], [], []
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block)
-        assert _bounded_search(f, basis, d_up, codes.DEFAULT_BUDGET)[0] == d_up
+        assert minimum_distance(f).distance == weight(min_weight_witness(f)).total
         assert sizes and max(sizes) <= block
+        assert len(xors) == len(pairs) and all(x <= block or p == 1 for x, p in zip(xors, pairs))
         assert chunks and all(chunk <= block for chunk, one in chunks if one <= block)
+    assert (max(xors) > block) == (q == 4)
 
 
 def test_weights_matches_count_nonzero():
@@ -574,29 +593,35 @@ def test_weights_matches_count_nonzero():
 
 
 @pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
-def test_round_evaluations_count_every_message(q, rows):
-    """Each round counts all C(k, w) * (q-1)^w messages of weight w per set
-    searched, though it computes one weight per scalar class."""
+def test_round_evaluations_count_every_message(monkeypatch, q, rows):
+    """Round w of a scan weighs the C(k, w) * (q-1)^(w-1) messages of weight w
+    whose first coefficient is 1, one per scalar class, so with the zero word
+    the q-1 multiples of the rounds make the q^k evaluations of its part."""
     f, sub = _subcode(q, rows)
-    k, n = sub.shape
-    _, size = _projected_cost(q, k, [r for _, _, _, r in _information_sets(f, sub)], n + 1)
-    _, _, rounds = _bounded_search(f, sub, n + 1, 10**12)
-    assert [r.w for r in rounds] == list(range(1, len(rounds) + 1))
-    assert 0 < len(rounds) <= k
-    for r in rounds:
-        assert r.evaluations == size * comb(k, r.w) * (q - 1) ** r.w
+    k = len(sub)
+    counts = {}
+    round_weights = codes._round_weights
+
+    def counted(f, rows_scaled, w, tables):
+        for leaf in round_weights(f, rows_scaled, w, tables):
+            counts[w] = counts.get(w, 0) + len(leaf[2])
+            yield leaf
+
+    monkeypatch.setattr(codes, "_round_weights", counted)
+    part, _ = codes._scan_part(f, "C", sub, 1)
+    assert counts == {w: comb(k, w) * (q - 1) ** (w - 1) for w in range(1, k + 1)}
+    assert 1 + (q - 1) * sum(counts.values()) == part.evaluations == q**k
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
 def test_suffix_tables_carry_the_lexicographic_subsets(q, rows):
     """Level j of the suffix tables lists the j-subsets of rows in the order
-    of ``combinations``, for the q = 2 basis (k = 14) and the first
-    information set at q = 3 (k = 20)."""
+    of ``combinations``, for the reduced bases at q = 2 (k = 14) and
+    q = 3 (k = 20)."""
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    sys_rows = _information_sets(f, basis)[0][1][:rows]
-    k = len(sys_rows)
-    tables = _suffix_tables(f, _scaled_rows(f, sys_rows), codes._BLOCK_BYTES)
+    rows = _reduced_basis(build_generator(f))[0][:rows]
+    k = len(rows)
+    tables = _suffix_tables(f, _scaled_rows(f, rows))
     assert len(tables) > 1
     for j, (packed, subsets) in enumerate(tables, start=1):
         assert subsets.tolist() == [list(s) for s in combinations(range(k), j)]

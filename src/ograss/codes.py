@@ -11,26 +11,24 @@ expansion on the cells' open parameter grids.  The direct 3x3
 determinant of each column triple stays as its oracle: ``verify``
 evaluates it on the dense cell arrays (``cell_matrices``) and compares
 the two on every point and every column set.  Every two-operand table
-lookup in this module (``_np_add`` in extension fields, ``_scaled_rows``,
+lookup in this module (``_np_add`` in extension fields, ``_codewords``,
 ``_combine``) is one ``gf.gather`` from a flattened (q, q) table.
 
-One kernel, ``_round_weights``, enumerates codewords: one round weighs
-every message of one weight w on a set of rows.  Every nonzero multiple
-of a codeword has its weight, so a round weighs only the messages whose
-first coefficient is 1, one per scalar class.  The full scan of all q^k
-codewords of a basis (``_exhaustive_scan``) runs the rounds w = 1..k,
-scales the histogram by q-1 and keeps the lexicographically least
-minimum-weight message, which has first coefficient 1 and so is always
-weighed.  Each round splits every support of weight w into a prefix and
-a suffix of L rows, and keeps a packed, negated table of the codewords
-on every L-subset of rows (``_pack``).  The prefixes that end at one row
-s all meet the same run of suffixes, the L-subsets after s, so one XOR
-of their packed codewords against that run, the OR of the planes and a
-popcount weigh all of those supports at once (a + b is nonzero exactly
+One kernel, the full scan ``_exhaustive_scan``, enumerates codewords.
+Every nonzero multiple of a codeword has its weight, so it weighs only
+the messages whose first nonzero coefficient is 1, one per scalar
+class, scales the histogram by q-1 and keeps the lexicographically
+least minimum-weight message, which is always weighed.  The basis splits
+into a head of floor(k/2) rows and a tail of the rest, and each half's
+codewords are built once, in lexicographic message order, and packed
+as bit planes (``_pack``), the tail's negated.  One XOR of packed head
+codewords against a slice of the tail table, the OR of the planes and
+a popcount weigh a whole block of messages (a + b is nonzero exactly
 where a != -b, so the sum is never formed and one kernel serves every
-field).  With several threads the rounds go to a pool, largest first,
-and the merge (histograms summed, minimum over (weight, message)) does
-not depend on the thread count or the completion order.
+field), and no XOR exceeds _BLOCK_BYTES.  The blocks come in message
+order; with several threads they are dealt round-robin to a pool, and
+the merge (histograms summed, minimum over (weight, block)) does not
+depend on the thread count.
 
 The dimension is 14 in even characteristic (reflected-complement minors
 coincide on the point set) but the full 20 for odd q.  When q^k exceeds
@@ -53,10 +51,7 @@ from __future__ import annotations
 
 import functools
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -98,11 +93,6 @@ def _np_add(f: GF, x, y):
         np.minimum(s, s - f.p, out=s)
         return s
     return gather(f.np_tables()[0], x, y)
-
-
-def _scaled_rows(f: GF, rows: np.ndarray) -> np.ndarray:
-    """(k, q-1, n): the q-1 nonzero multiples of each of the k rows, coefficient 1 first."""
-    return gather(f.np_tables()[1], np.arange(1, f.q)[:, None], rows[:, None, :])
 
 
 def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
@@ -183,53 +173,49 @@ def min_weight_witness(f: GF) -> MinorFunction:
 def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1) -> tuple[int, tuple[int, ...], np.ndarray]:
     """Minimum nonzero weight, its lex-least message vector, and the full histogram.
 
-    Runs the rounds w = 1..k of ``_round_weights`` on the basis rows, one
-    message per scalar class, and scales the histogram by q-1.  The
-    lex-least member of a scalar class has first coefficient 1, so the
-    lex-least minimum-weight message is among those weighed.  The suffix
-    tables are built once, before the rounds, which only read them, so the
-    threads share them.  A round weighs C(k, w) * (q-1)^(w-1) messages;
-    with one thread every round runs in the calling thread.  With more, a
-    round whose packed codewords fit in _BLOCK_BYTES, about one leaf, still
-    runs there, where a worker would only add overhead, and the others run
-    on ``threads`` workers, the costliest first (no pool when there are
-    none).  The merge is independent of completion order.
+    The first floor(k/2) rows are the head and the rest the tail; each
+    half's codewords are built once (``_codewords``) and packed, the
+    tail's negated.  Every nonzero multiple of a codeword has its weight,
+    so one message per scalar class is weighed, the one whose first
+    nonzero coefficient is 1, which is also the lex-least of its class.
+    ``_blocks`` lists them in lexicographic order as (head, tail) slices,
+    each block one ``_weights`` XOR of at most _BLOCK_BYTES, so the first
+    minimum met is the lex-least minimum-weight message.  The histogram is
+    scaled by q-1 and counts the zero message once.  With more than one
+    thread and more than one block of work, the blocks are dealt
+    round-robin to ``threads`` workers; the merge (histograms summed,
+    minimum over (weight, block)) does not depend on the thread count.
     """
     k, n = basis.shape
     if k == 0:
         raise ValueError("cannot scan a zero-dimensional code")
-    q = f.q
-    rows_scaled = _scaled_rows(f, basis)
-    tables = _suffix_tables(f, rows_scaled)
+    q, h = f.q, k // 2
+    planes = (q - 1).bit_length()
+    heads = _pack(_codewords(f, basis[:h]), planes)
+    tails = _pack(f.np_tables()[2][_codewords(f, basis[h:])], planes)
+    cap = max(1, _BLOCK_BYTES // _packed_row_bytes(q, n))
+    blocks = list(enumerate(_blocks(q, h, k - h, cap)))
 
-    def scan_round(w):
-        hist = np.zeros(n + 1, dtype=np.int64)
-        least, hits = n + 1, []
-        for prefixes, suffixes, weights in _round_weights(f, rows_scaled, w, tables):
-            hist += np.bincount(weights, minlength=n + 1)
-            wmin = int(weights.min())
-            if wmin < least:
-                least, hits = wmin, []
-            if wmin == least:
-                hits.append(_leaf_messages(q, w, prefixes, suffixes, np.flatnonzero(weights == wmin)))
-        supports, coeffs = (np.concatenate(parts) for parts in zip(*hits))
-        msgs = np.zeros((len(coeffs), k), dtype=np.int64)
-        np.put_along_axis(msgs, supports, coeffs, axis=1)
-        return hist, (least, tuple(msgs[np.lexsort(msgs.T[::-1])[0]].tolist()))
+    def scan(work):
+        hist, best = np.zeros(n + 1, dtype=np.int64), (n + 1,)
+        for i, (hs, ts) in work:
+            weights = _weights(heads[:, :, hs, None], tails[:, :, None, ts])
+            hist += np.bincount(weights.reshape(-1), minlength=n + 1)
+            head, tail = divmod(int(weights.argmin()), weights.shape[1])
+            best = min(best, (int(weights[head, tail]), i, (hs.start + head) * q ** (k - h) + ts.start + tail))
+        return hist, best
 
-    work = {w: comb(k, w) * (q - 1) ** (w - 1) * _packed_row_bytes(q, n) for w in range(1, k + 1)}
-    rounds = sorted(work, key=work.get, reverse=True)
-    pooled = [w for w in rounds if threads > 1 and work[w] > _BLOCK_BYTES]
-    results = [scan_round(w) for w in rounds if w not in pooled]
-    if pooled:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a round above one leaf uses it
+    if threads > 1 and (q**k - 1) // (q - 1) > cap:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a scan above one block uses it
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results += ex.map(scan_round, pooled)
-    hist = sum(h for h, _ in results) * (q - 1)
-    hist[0] = 1
-    best_w, best_msg = min(b for _, b in results)
-    return best_w, best_msg, hist
+            results = list(ex.map(scan, (blocks[i::threads] for i in range(threads))))
+    else:
+        results = [scan(blocks)]
+    hist = sum(hist for hist, _ in results) * (q - 1)
+    hist[0] += 1
+    best_w, _, m = min(best for _, best in results)
+    return best_w, tuple(m // q**i % q for i in range(k - 1, -1, -1)), hist
 
 
 def _message_to_function(f: GF, msg: tuple[int, ...], exprs) -> MinorFunction:
@@ -237,8 +223,36 @@ def _message_to_function(f: GF, msg: tuple[int, ...], exprs) -> MinorFunction:
 
 
 # ---------------------------------------------------------------------------
-# the round kernel
+# the scan kernel
 # ---------------------------------------------------------------------------
+
+def _codewords(f: GF, rows: np.ndarray) -> np.ndarray:
+    """(q^m, n): the codeword of every message on the m rows, in lexicographic
+    message order (the first coefficient most significant)."""
+    n = rows.shape[1]
+    words = np.zeros((1, n), dtype=rows.dtype)
+    for row in rows:
+        words = _np_add(f, words[:, None], gather(f.np_tables()[1], np.arange(f.q)[:, None], row)).reshape(-1, n)
+    return words
+
+
+def _blocks(q: int, h: int, t: int, cap: int):
+    """(head slice, tail slice) blocks of at most cap pairs over the messages
+    on h head and t tail rows whose first nonzero coefficient is 1, in
+    lexicographic message order.
+
+    In lexicographic order the messages of m digits whose first nonzero
+    digit is 1 are the index runs [q^e, 2q^e), e < m.  So the zero head
+    meets each such run of tails, then each such run of heads meets all
+    q^t tails.  A block holds as many whole head rows as fit in cap, or
+    one head row and a run of its tails."""
+    rects = [(0, 1, q**e, 2 * q**e) for e in range(t)] + [(q**e, 2 * q**e, 0, q**t) for e in range(h)]
+    for h0, h1, t0, t1 in rects:
+        per, step = max(1, cap // (t1 - t0)), min(cap, t1 - t0)
+        for a in range(h0, h1, per):
+            for b in range(t0, t1, step):
+                yield slice(a, min(a + per, h1)), slice(b, min(b + step, t1))
+
 
 def _packed_row_bytes(q: int, n: int) -> int:
     """Bytes of one codeword of length n over GF(q) in ``_pack`` form."""
@@ -275,149 +289,6 @@ def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
         diff |= plane
     counts = np.bitwise_count(diff)
     return counts.sum(axis=0, dtype=np.min_scalar_type(64 * len(counts)))
-
-
-def _prefix_groups(f: GF, rows_scaled: np.ndarray, depth: int, L: int, cap: int):
-    """Every support prefix of ``depth`` >= 1 rows that leaves L later rows, with
-    its packed codewords, gathered by its last row s: (s, prefixes, packed
-    block (planes, words, prefixes, (q-1)^(depth-1))), at most
-    max(1, cap // C(k-s-1, L)) prefixes at a time.
-
-    The prefixes are the ``depth``-subsets of the first k - L rows, sorted
-    stably by last row, so those of one last row stay lexicographic.  Their
-    codewords, first coefficient 1 and the first position most significant,
-    are built from the rows with one add per position, in chunks of at most
-    _BLOCK_BYTES in the element domain (at least one prefix), each packed once.
-    """
-    k, units, n = rows_scaled.shape
-    prefixes = np.array(list(combinations(range(k - L), depth)), dtype=np.intp)
-    prefixes = prefixes[np.argsort(prefixes[:, -1], kind="stable")]
-    chunk = max(1, _BLOCK_BYTES // (units ** (depth - 1) * n * rows_scaled.itemsize))
-    planes = (f.q - 1).bit_length()
-    for i in range(0, len(prefixes), chunk):
-        part = prefixes[i:i + chunk]
-        block = rows_scaled[part[:, 0], :1]
-        for col in part.T[1:]:
-            block = _np_add(f, block[:, :, None], rows_scaled[col][:, None]).reshape(len(part), -1, n)
-        packed = _pack(block, planes)
-        last, j = part[:, -1].tolist(), 0
-        while j < len(part):
-            s = last[j]
-            end = min(bisect_right(last, s, j), j + max(1, cap // comb(k - s - 1, L)))
-            yield s, part[j:end], packed[:, :, j:end]
-            j = end
-
-
-def _suffix_tables(f: GF, rows_scaled: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(packed negated codewords, subsets) on the j-subsets of rows, for j = 1..L.
-
-    L is the largest length such that each table 2..L is no larger than
-    the largest round on the rows (round v weighs C(k, v) * (q-1)^(v-1)
-    codewords) and, in ``_pack`` form, fits in _BLOCK_BYTES.  Level j
-    lists the (C(k, j), j) subsets in lexicographic order, each with all
-    (q-1)^j coefficient vectors, the first position most significant; its
-    codewords are (planes, words, C(k, j), (q-1)^j).  The j-subsets that
-    start at row i are i followed by the last C(k-i-1, j-1) subsets of
-    level j-1, so each level takes one add per row from the one before and
-    is packed block by block; -(a + b) = -a + -b, so the negated rows
-    build it directly.
-    """
-    k, units, n = rows_scaled.shape
-    cap = min(_BLOCK_BYTES // _packed_row_bytes(f.q, n),
-              max(comb(k, v) * units ** (v - 1) for v in range(1, k + 1)))
-    planes = (f.q - 1).bit_length()
-    neg_rows = f.np_tables()[2][rows_scaled]
-    blocks, subsets, tables = [neg_rows], np.arange(k)[:, None], []
-    for j in range(1, k + 1):
-        if j > 1:
-            starts = [len(subsets) - comb(k - i - 1, j - 1) for i in range(k)]
-            blocks = (_np_add(f, row[None, :, None, :], prev[s:, None]).reshape(-1, units**j, n)
-                      for row, s in zip(neg_rows, starts))
-            subsets = np.concatenate([np.column_stack((np.full(len(subsets) - s, i), subsets[s:]))
-                                      for i, s in enumerate(starts)])
-        last = j == k or comb(k, j + 1) * units ** (j + 1) > cap
-        if not last:
-            prev = np.concatenate(list(blocks))
-            blocks = [prev]
-        tables.append((np.concatenate([_pack(block, planes) for block in blocks], axis=2), subsets))
-        if last:
-            return tables
-
-
-def _round_weights(f: GF, rows_scaled: np.ndarray, w: int, tables):
-    """Weights of every message of weight w <= k on k rows whose first coefficient is 1.
-
-    Every nonzero multiple of a message has its weight, so the normal
-    form c1^-1 * m of each message m (c1 its first coefficient) stands for
-    its q-1 multiples, and a message's rank (its support, then its
-    coefficients, in lexicographic order) is never below its normal form's.
-
-    ``rows_scaled[j]`` holds the q-1 nonzero multiples of row j, and
-    ``tables`` are its ``_suffix_tables``.  With L = min(w, len(tables))
-    each support splits into a prefix of w-L rows, the first with
-    coefficient 1 only, and a suffix from the level-L table.  The suffixes
-    that extend a prefix ending at row s are the contiguous run of
-    L-subsets starting after s, so a leaf weighs the packed blocks of
-    several prefixes that end at s against a slice of that run in one
-    broadcast ``_weights``, the longer operand along the contiguous inner
-    axis.  ``_prefix_groups`` builds the prefixes and their codewords from
-    the rows; when w = L the prefix is empty and the table's coefficient-1
-    slice is weighed.  A leaf holds at most max(1, _BLOCK_BYTES // (bytes
-    of (q-1)^(w-1) packed codewords)) (prefix, suffix) pairs, each pair
-    with every coefficient of both.
-
-    Yields (prefixes, suffixes, weights) per leaf, in no particular order:
-    the prefixes an array of supports, the suffixes a slice of the (C(k, L),
-    L) subsets array, and the weights laid out as (prefix, suffix, prefix
-    coefficients, suffix coefficients), in rank order within the leaf;
-    ``_leaf_messages`` decodes leaf indices.
-    """
-    k, units, n = rows_scaled.shape
-    L = min(w, len(tables))
-    depth = w - L
-    table, subsets = tables[L - 1]
-    cap = max(1, _BLOCK_BYTES // (_packed_row_bytes(f.q, n) * units ** (w - 1)))
-    if depth == 0:
-        groups = [(-1, np.empty((1, 0), dtype=subsets.dtype), np.zeros((*table.shape[:2], 1, 1), dtype=table.dtype))]
-        table = table[..., :units ** (L - 1)]
-    else:
-        groups = _prefix_groups(f, rows_scaled, depth, L, cap)
-    units_l = table.shape[3]
-    flat = table.reshape(*table.shape[:2], -1)
-    for s, prefixes, block in groups:
-        count, units_d = block.shape[2:]
-        rows = block.reshape(*block.shape[:2], -1)
-        a = len(subsets) - comb(k - s - 1, L)
-        step = min(cap, len(subsets) - a)
-        for b in range(a, len(subsets), step):
-            run = flat[:, :, b * units_l:(b + step) * units_l]
-            suffixes = subsets[b:b + step]
-            if rows.shape[2] > run.shape[2]:
-                weights = _weights(run[..., None], rows[:, :, None])
-                weights = weights.reshape(len(suffixes), units_l, count, units_d).transpose(2, 0, 3, 1)
-            else:
-                weights = _weights(rows[..., None], run[:, :, None])
-                weights = weights.reshape(count, units_d, len(suffixes), units_l).transpose(0, 2, 1, 3)
-            yield prefixes, suffixes, weights.reshape(-1)
-
-
-def _coefficients(idx, w: int, units: int) -> np.ndarray:
-    """(len(idx), w): the coefficients 1..q-1 of the messages idx on a support
-    of w rows, idx counting their (q-1)^w vectors with the first position most significant."""
-    return np.asarray(idx)[:, None] // units ** np.arange(w - 1, -1, -1) % units + 1
-
-
-def _leaf_messages(q: int, w: int, prefixes, suffixes, idx):
-    """(supports, coefficients), each (len(idx), w), of the entries idx of a
-    ``_round_weights`` leaf of weight w.
-
-    Entry i of a leaf with P prefixes and S suffixes is the pair (prefix
-    i // ((q-1)^(w-1) * S), suffix i // (q-1)^(w-1) % S), with coefficient
-    vector i % (q-1)^(w-1) in ``_coefficients`` order; the first
-    coefficient is always 1."""
-    pair, rest = np.divmod(np.asarray(idx), (q - 1) ** (w - 1))
-    p, s = np.divmod(pair, len(suffixes))
-    return np.hstack([prefixes[p], suffixes[s]]), _coefficients(rest, w, q - 1)
 
 
 class Part(NamedTuple):

@@ -1,12 +1,12 @@
-import functools
 import os
 import random
 import subprocess
 import sys
 import time
-from itertools import combinations, product
+from itertools import product
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,15 +18,12 @@ from ograss.codes import (
     GeneratorMatrix,
     _direct_minors,
     _exhaustive_scan,
-    _leaf_messages,
     _message_to_function,
     _np_add,
     _pack,
     _packed_row_bytes,
     _reduced_basis,
-    _round_weights,
     _split_distance,
-    _suffix_tables,
     _weights,
     build_generator,
     codeword,
@@ -356,103 +353,68 @@ def _subcode(q, rows):
     return f, basis[:rows]
 
 
-def _scaled_rows(f, rows):
-    """(k, q-1, n): the nonzero multiples of each row, coefficient 1 first."""
-    mul = f.np_tables()[1]
-    return np.stack([mul[c, rows] for c in range(1, f.q)], axis=1)
+def _record_weights(monkeypatch):
+    """Every ``_weights`` call from here on, as (XOR shape, weights), in call order."""
+    calls, weights = [], codes._weights
+
+    def recorded(a, neg_b):
+        out = weights(a, neg_b)
+        calls.append((np.broadcast_shapes(a.shape, neg_b.shape), out))
+        return out
+
+    monkeypatch.setattr(codes, "_weights", recorded)
+    return calls
 
 
-def _reference_round(f, rows_scaled, w):
-    """The per-support loop the round kernel replaced: (support, weights) in the frozen order.
-
-    Each support's block of (q-1)^w codewords is rebuilt from scratch, the
-    first support position most significant, through the add table.
-    """
-    add = f.np_tables()[0]
-    n = rows_scaled.shape[2]
-    for support in combinations(range(len(rows_scaled)), w):
-        block = rows_scaled[support[0]]
-        for j in support[1:]:
-            block = add[block[:, None, :], rows_scaled[j][None, :, :]].reshape(-1, n)
-        yield support, np.count_nonzero(block, axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_supports_and_weights(q, rows, w):
-    """The reference round on the first rows of the reduced basis, supports and weights concatenated."""
-    f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    ref = list(_reference_round(f, _scaled_rows(f, basis[:rows]), w))
-    return [support for support, _ in ref], np.concatenate([weights for _, weights in ref])
-
-
-def _normal_form_index(f, w):
-    """For each coefficient tuple (c1..cw) of a support, first position most
-    significant, the index of its normal form c1^-1 * (c1..cw)."""
-    q = f.q
-    out = []
-    for coeffs in product(range(1, q), repeat=w):
-        inv = f.inv(coeffs[0])
-        out.append(sum((f.mul(inv, c) - 1) * (q - 1) ** (w - 1 - i) for i, c in enumerate(coeffs)))
-    return np.array(out)
+def _messages(q, k):
+    """(q^k, k): the digits of every message on k rows, in lexicographic order."""
+    return np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
 
 
 @pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
 def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
-    """The table kernel yields the reference weight of every message whose
-    first coefficient is 1, each exactly once, in leaves of any order.
+    """The scan weighs every message whose first nonzero coefficient is 1,
+    each exactly once and in lexicographic order, with the weight of its
+    codeword; every other nonzero message is a multiple of one of them
+    and has its weight, which is what lets the scan skip them.
 
-    Each reference weight equals that of its normal form, which is what
-    lets the kernel skip the other q-2 multiples.  Every leaf entry is
-    decoded and labelled with its reference rank (support index, then
-    coefficient index); the labels must be exactly 0..count-1 and carry
-    the reference weights.  A block target of t packed codewords
-    (_BLOCK_BYTES = t * the bytes of one) of 5 leaves single rows as
-    suffixes (L = 1) and splits each run of them into several leaves; 2000
-    gives suffixes of two rows and 30000 of three on every (q, rows) here,
-    once w reaches them.  Rounds run to w = 4 while they hold at most 5e7
-    entries (all but q = 8, 9).
+    The rows are the first of the reduced basis, as many as keep q^rows
+    <= 2 * 10^4 (9, 7, 6, 4 and 4 of the 20, 14, 12, 8 and 8 named).  A
+    block target of t packed codewords (_BLOCK_BYTES = t * the bytes of
+    one) of 5 splits every head row's tails into several blocks, 2000
+    holds several whole head rows and 30000 whole runs of them.
     """
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    rows_scaled = _scaled_rows(f, basis[:rows])
-    n = rows_scaled.shape[2]
+    rows = max(r for r in range(1, rows + 1) if q**r <= 2 * 10**4)
+    sub = _reduced_basis(build_generator(f))[0][:rows]
     if block_target is not None:
-        monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, n))
-    suffix_length = {5: 1, 2000: 2, 30000: 3}.get(block_target)
-    tables = _suffix_tables(f, rows_scaled)
-    for w in (1, 2, 3, 4):
-        if comb(rows, w) * (q - 1) ** w * n > 5 * 10**7:
-            continue
-        ref_supports, ref_weights = _reference_supports_and_weights(q, rows, w)
-        per_support = ref_weights.reshape(len(ref_supports), -1)
-        assert np.array_equal(per_support[:, _normal_form_index(f, w)], per_support)
-        chunks = list(_round_weights(f, rows_scaled, w, tables))
-        support_index = {support: i for i, support in enumerate(ref_supports)}
-        ranks = []
-        for prefixes, suffixes, weights in chunks:
-            supports, coeffs = _leaf_messages(q, w, prefixes, suffixes, np.arange(len(weights)))
-            assert np.all(coeffs[:, 0] == 1)
-            ranks.append(np.array([support_index[s] for s in map(tuple, supports.tolist())]) * (q - 1) ** (w - 1)
-                         + (coeffs - 1) @ (q - 1) ** np.arange(w - 1, -1, -1))
-        ranks = np.concatenate(ranks)
-        assert np.array_equal(np.sort(ranks), np.arange(len(ref_supports) * (q - 1) ** (w - 1)))
-        assert np.array_equal(np.concatenate([weights for _, _, weights in chunks])[np.argsort(ranks)],
-                              per_support[:, :(q - 1) ** (w - 1)].reshape(-1))
-        if suffix_length is not None:
-            assert {len(s) for _, suffixes, _ in chunks for s in suffixes} == {min(w, suffix_length)}
-        if block_target == 5:
-            prefixes = [tuple(prefix) for ps, _, _ in chunks for prefix in ps.tolist()]
-            assert len(prefixes) > len(set(prefixes))
+        monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, sub.shape[1]))
+    calls = _record_weights(monkeypatch)
+    _exhaustive_scan(f, sub)
+    weighed = [weights.reshape(-1) for _, weights in calls]
+    reference = np.count_nonzero(_all_codewords(f, sub), axis=1)
+    digits = _messages(q, rows)
+    lead = digits[np.arange(q**rows), np.argmax(digits != 0, axis=1)]
+    assert np.array_equal(np.concatenate(weighed), reference[lead == 1])
+    mul = f.np_tables()[1]
+    for c in range(2, q):
+        assert np.array_equal(reference[mul[c, digits] @ q ** np.arange(rows - 1, -1, -1)], reference)
+    if block_target == 5:
+        assert max(map(len, weighed)) <= 5 < q ** (rows - rows // 2)
 
 
-def _weight_of(f, coeffs, rows):
+def _word_of(f, coeffs, rows):
+    """sum_i coeffs[i] * rows[i], one row at a time through the add and mul tables."""
     add, mul, _, _ = f.np_tables()
     cw = np.zeros(rows.shape[1], dtype=rows.dtype)
     for c, row in zip(coeffs, rows):
         cw = add[cw, mul[c, row]]
-    return int(np.count_nonzero(cw))
+    return cw
+
+
+def _weight_of(f, coeffs, rows):
+    return int(np.count_nonzero(_word_of(f, coeffs, rows)))
 
 
 @pytest.mark.parametrize("q, rows", SUBCODES)
@@ -520,51 +482,20 @@ def test_split_lemma_against_full_scan(q, n, data):
 
 
 @pytest.mark.parametrize("q", [3, 4])
-def test_leaves_and_prefix_buffers_stay_within_block_bytes(monkeypatch, q):
-    """During the split's scans every XOR a leaf computes fits in _BLOCK_BYTES
-    whenever one (prefix, suffix) pair's fit, and so do every prefix block the
-    leaves read and every element-domain chunk of prefix codewords the
-    builder packs, whenever one prefix's fit.  At an eighth of the budget the
-    prefixes of a round no longer fit in one chunk, and at q = 4 the last
-    rounds of the 10-row projections hold single pairs above the budget."""
-    prefix_bytes = []
-    weights, pack, groups, round_weights = codes._weights, codes._pack, codes._prefix_groups, codes._round_weights
-
-    def recorded(a, neg_b):
-        xors.append(np.prod(np.broadcast_shapes(a.shape, neg_b.shape)) * 8)
-        return weights(a, neg_b)
-
-    def packed(x, planes):
-        if prefix_bytes:
-            chunks.append((x.nbytes, prefix_bytes[-1]))
-        return pack(x, planes)
-
-    def recording(f, rows_scaled, depth, *args):
-        # the codewords of one prefix: (q-1)^(depth-1) * n elements
-        prefix_bytes.append((f.q - 1) ** (depth - 1) * rows_scaled.shape[2] * rows_scaled.itemsize)
-        for group in groups(f, rows_scaled, depth, *args):
-            sizes.append(group[2].nbytes)
-            yield group
-        prefix_bytes.pop()
-
-    def leaves(*args):
-        for prefixes, suffixes, leaf in round_weights(*args):
-            pairs.append(len(prefixes) * len(suffixes))
-            yield prefixes, suffixes, leaf
-
-    monkeypatch.setattr(codes, "_weights", recorded)
-    monkeypatch.setattr(codes, "_pack", packed)
-    monkeypatch.setattr(codes, "_prefix_groups", recording)
-    monkeypatch.setattr(codes, "_round_weights", leaves)
+def test_scan_blocks_stay_within_block_bytes(monkeypatch, q):
+    """During the split's scans every XOR that ``_weights`` computes fits in
+    _BLOCK_BYTES, with no exception, at the default budget and at an
+    eighth of it, where the parts take more blocks."""
     f = field(q)
+    calls, counts = _record_weights(monkeypatch), []
     for block in (codes._BLOCK_BYTES, codes._BLOCK_BYTES // 8):
-        sizes, chunks, xors, pairs = [], [], [], []
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block)
+        calls.clear()
         assert minimum_distance(f).distance == weight(min_weight_witness(f)).total
-        assert sizes and max(sizes) <= block
-        assert len(xors) == len(pairs) and all(x <= block or p == 1 for x, p in zip(xors, pairs))
-        assert chunks and all(chunk <= block for chunk, one in chunks if one <= block)
-    assert (max(xors) > block) == (q == 4)
+        xors = [int(np.prod(shape)) * 8 for shape, _ in calls]
+        assert xors and max(xors) <= block
+        counts.append(len(xors))
+    assert counts[0] < counts[1]
 
 
 def test_weights_matches_count_nonzero():
@@ -594,38 +525,36 @@ def test_weights_matches_count_nonzero():
 
 @pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
 def test_round_evaluations_count_every_message(monkeypatch, q, rows):
-    """Round w of a scan weighs the C(k, w) * (q-1)^(w-1) messages of weight w
-    whose first coefficient is 1, one per scalar class, so with the zero word
-    the q-1 multiples of the rounds make the q^k evaluations of its part."""
+    """A scan weighs (q^k - 1)/(q - 1) messages through ``_weights``, one per
+    scalar class of the nonzero messages, so with the zero word their q-1
+    multiples make the q^k evaluations of its part."""
     f, sub = _subcode(q, rows)
     k = len(sub)
-    counts = {}
-    round_weights = codes._round_weights
-
-    def counted(f, rows_scaled, w, tables):
-        for leaf in round_weights(f, rows_scaled, w, tables):
-            counts[w] = counts.get(w, 0) + len(leaf[2])
-            yield leaf
-
-    monkeypatch.setattr(codes, "_round_weights", counted)
+    calls = _record_weights(monkeypatch)
     part, _ = codes._scan_part(f, "C", sub, 1)
-    assert counts == {w: comb(k, w) * (q - 1) ** (w - 1) for w in range(1, k + 1)}
-    assert 1 + (q - 1) * sum(counts.values()) == part.evaluations == q**k
+    weighed = sum(weights.size for _, weights in calls)
+    assert weighed == (q**k - 1) // (q - 1)
+    assert 1 + (q - 1) * weighed == part.evaluations == q**k
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
 def test_suffix_tables_carry_the_lexicographic_subsets(q, rows):
-    """Level j of the suffix tables lists the j-subsets of rows in the order
-    of ``combinations``, for the reduced bases at q = 2 (k = 14) and
-    q = 3 (k = 20)."""
+    """The scan's two tables, the codewords of the head (the first
+    floor(k/2) rows) and of the tail (the rest), list the codeword of
+    every message in lexicographic message order: entry m combines the
+    rows by the base-q digits of m, the first most significant.  Checked
+    at the first, the last and 200 random entries of both halves of the
+    reduced bases at q = 2 (k = 14) and q = 3 (k = 20)."""
     f = field(q)
-    rows = _reduced_basis(build_generator(f))[0][:rows]
-    k = len(rows)
-    tables = _suffix_tables(f, _scaled_rows(f, rows))
-    assert len(tables) > 1
-    for j, (packed, subsets) in enumerate(tables, start=1):
-        assert subsets.tolist() == [list(s) for s in combinations(range(k), j)]
-        assert packed.shape[2:] == (comb(k, j), (q - 1) ** j)
+    basis = _reduced_basis(build_generator(f))[0][:rows]
+    rng = np.random.default_rng(q)
+    for half in (basis[:len(basis) // 2], basis[len(basis) // 2:]):
+        m = len(half)
+        table = codes._codewords(f, half)
+        assert table.shape == (q**m, basis.shape[1])
+        for idx in [0, 1, q**m - 1, *rng.integers(0, q**m, 200).tolist()]:
+            digits = [idx // q**i % q for i in range(m - 1, -1, -1)]
+            assert np.array_equal(table[idx], _word_of(f, digits, half))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 47])
@@ -655,8 +584,8 @@ def _family_half(q):
 def test_pless_power_moments(q, rows):
     """Moments 0-2 of the weight histogram against B1, B2 of the dual, read off the columns.
 
-    The family halves (rows "A") take prefixes deeper than the suffix
-    tables; their minimum weight is (q-1)q^2 (Sorensen), met by
+    The family halves (rows "A") take several blocks at q = 4 and 5;
+    their minimum weight is (q-1)q^2 (Sorensen), met by
     (q-1) * C(q^3+q^2+q+1, 2) codewords, and two threads scan the same."""
     f, sub = _family_half(q) if rows == "A" else _subcode(q, rows)
     k, n = sub.shape
@@ -719,11 +648,10 @@ def test_exhaustive_scan_matches_direct_enumeration(q, rows):
 
 @pytest.mark.parametrize("q, rows", [(3, 9), (5, 5), (9, 4)])
 def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
-    """A block target of p packed codewords forces suffix tables of single
-    rows (L = 1) and splits each leaf's run of suffixes, and rows
-    r_i + 2*r_(i-1) put the minimum words on messages that span several
-    rows, so the message found depends on the prefix builder and on the
-    decode of split leaves."""
+    """A block target of p packed codewords splits every head row's tails
+    into blocks of p, and rows r_i + 2*r_(i-1) put the minimum words on
+    messages that span several rows, so the message found depends on the
+    order of the blocks and on the decode of split head rows."""
     f = field(q)
     basis, _ = _reduced_basis(build_generator(f))
     monkeypatch.setattr(codes, "_BLOCK_BYTES", f.p * _packed_row_bytes(q, basis.shape[1]))
@@ -733,6 +661,35 @@ def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
     d, msg, hist = _exhaustive_scan(f, sub)
     d0, msg0, hist0 = _direct_scan(f, sub)
     assert any(msg0[:-1])
+    assert (d, msg) == (d0, msg0)
+    assert np.array_equal(hist, hist0)
+
+
+#: the most rows, at most 8, of a random code with q^k <= 3^8 messages
+_SCAN_ROWS = {2: 8, 3: 8, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4, 16: 3, 25: 2, 27: 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(_SCAN_ROWS)), n=st.integers(1, 70), tiny=st.booleans(), data=st.data())
+def test_exhaustive_scan_matches_direct_scan_on_random_codes(q, n, tiny, data):
+    """On random codes over prime, 2^e and odd-extension fields, with
+    k = 1..8 rows (odd and even k, so heads of every size from none on)
+    and often a row that is a multiple of an earlier one, the scan returns
+    the direct enumeration's distance (0 on dependent rows), lex-least
+    message and histogram; also with _BLOCK_BYTES cut to one packed
+    codeword, where every block weighs a single message."""
+    f = field(q)
+    k = data.draw(st.integers(1, _SCAN_ROWS[q]))
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                       min_size=k, max_size=k)), dtype=np.uint8)
+    if k > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, k - 2))
+        j = data.draw(st.integers(i + 1, k - 1))
+        rows[j] = f.np_tables()[1][data.draw(st.integers(0, q - 1)), rows[i]]
+    block = _packed_row_bytes(q, n) if tiny else codes._BLOCK_BYTES
+    with mock.patch.object(codes, "_BLOCK_BYTES", block):
+        d, msg, hist = _exhaustive_scan(f, rows)
+    d0, msg0, hist0 = _direct_scan(f, rows)
     assert (d, msg) == (d0, msg0)
     assert np.array_equal(hist, hist0)
 
@@ -780,12 +737,12 @@ def test_scan_threads_deterministic(q, rows):
 
 
 def test_full_scan_with_one_thread_runs_inline(monkeypatch):
-    """threads=1 never builds a pool, not even for the rounds larger than one leaf."""
+    """threads=1 never builds a pool, not even for a scan of many blocks."""
     import concurrent.futures
 
     f, basis = _subcode(3, 13)
     k, n = basis.shape
-    assert max(comb(k, w) * 2 ** (w - 1) for w in range(1, k + 1)) * _packed_row_bytes(3, n) > codes._BLOCK_BYTES
+    assert (3**k - 1) // 2 * _packed_row_bytes(3, n) > codes._BLOCK_BYTES
     pools = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
@@ -795,7 +752,7 @@ def test_full_scan_with_one_thread_runs_inline(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     threaded = _exhaustive_scan(f, basis, threads=2)
-    assert pools == [{"max_workers": 2}]  # the rounds above one leaf reach the pool
+    assert pools == [{"max_workers": 2}]  # a scan above one block reaches the pool
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a one-thread scan built a thread pool")
@@ -819,8 +776,8 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 
 def test_threaded_scan_without_a_large_round_leaves_the_thread_pool_unloaded():
-    """At q = 2 every round of the full scan fits one leaf and runs inline,
-    so two threads build no pool and never import concurrent.futures."""
+    """At q = 2 the whole full scan fits one block and runs inline, so two
+    threads build no pool and never import concurrent.futures."""
     src = os.path.dirname(os.path.dirname(codes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, ograss; d = ograss.minimum_distance(ograss.field(2), threads=2).distance; "

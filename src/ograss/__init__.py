@@ -36,21 +36,15 @@ _EXPORTS = {
     "gf": ("GF", "DEFAULT_IRREDUCIBLE", "FieldMismatchError", "factor_prime_power", "field", "is_irreducible"),
     "grassmann": (
         "COLUMN_SETS",
-        "ColumnTransform",
         "MatrixRep",
         "MinorFunction",
         "RankDeficientError",
-        "apply_transform",
         "expand_minor",
         "expansion_sign",
-        "identity_transform",
         "minor",
-        "mirrored_permutation",
-        "paired_column_operation",
         "reduced_minor_indices",
         "reflected_complement",
         "rref_right_to_left",
-        "third_compound",
     ),
     "polar": (
         "CELL_ARITY",

@@ -15,14 +15,6 @@ anti-diagonal identity), and all signs in this module are exact
 determinant signs.  ``expansion_plan`` states the pivot expansion once:
 the non-pivot block and the sign of each minor on each pivot cell, which
 the generator build and ``expand_minor`` both read.
-
-Column substitutions act on coefficient vectors through the third
-compound matrix (Cauchy-Binet): if g(M) = f(M*T) then the coefficients of
-g are the compound of T applied to those of f.  Two families of
-substitutions preserve total singularity and are provided here: paired
-column operations (add a*C_j to C_i while subtracting a*C_{m+1-i} from
-C_{m+1-j}) and permutations of the left half of the columns mirrored onto
-the right half.
 """
 
 from __future__ import annotations
@@ -88,20 +80,6 @@ class MatrixRep:
     @property
     def m(self) -> int:
         return len(self.rows[0])
-
-
-def mat_mul(f: GF, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact matrix product over GF(q)."""
-    if any(len(r) != len(b) for r in a):
-        raise ValueError("inner dimensions do not match")
-    return tuple(tuple(functools.reduce(f.add, map(f.mul, arow, col), 0) for col in zip(*b)) for arow in a)
-
-
-def rank_of(f: GF, rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(q) by Gaussian elimination."""
-    if len(rows) == 0:
-        return 0
-    return len(row_reduce(f, rows, range(len(rows[0])))[1])
 
 
 def det(f: GF, rows: Sequence[Sequence[int]]) -> int:
@@ -344,97 +322,3 @@ def expand_minor(M: MatrixRep, A: Sequence[int]) -> int:
     block, negate = expansion_plan(pivots)[COLSET_INDEX[A]]
     value = det(M.field, [[M.rows[r][c] for r, c in row] for row in block])
     return M.field.neg(value) if negate else value
-
-
-# ---------------------------------------------------------------------------
-# column transforms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ColumnTransform:
-    """An invertible m x m matrix acting on points by M -> M*T."""
-
-    field: GF
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        mat = tuple(tuple(int(v) for v in r) for r in self.matrix)
-        m = len(mat)
-        if any(len(r) != m for r in mat):
-            raise ValueError("transform matrix must be square")
-        object.__setattr__(self, "matrix", mat)
-        if rank_of(self.field, mat) != m:
-            raise ValueError("singular column transform")
-
-    @property
-    def m(self) -> int:
-        return len(self.matrix)
-
-    def apply_to(self, M: MatrixRep) -> MatrixRep:
-        _same_field(self.field, M.field)
-        return MatrixRep(M.field, mat_mul(M.field, M.rows, self.matrix))
-
-    def matmul(self, other: "ColumnTransform") -> "ColumnTransform":
-        _same_field(self.field, other.field)
-        return ColumnTransform(self.field, mat_mul(self.field, self.matrix, other.matrix))
-
-
-def identity_transform(f: GF, m: int = AMBIENT) -> ColumnTransform:
-    return ColumnTransform(f, tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
-
-
-def paired_column_operation(f: GF, i: int, j: int, a: int) -> ColumnTransform:
-    """The transform doing C_i += a*C_j together with C_{m+1-j} -= a*C_{m+1-i}.
-
-    Requires i != j and i != m+1-j; the pairing keeps both B and Q zero on
-    every totally singular space.  a = 0 gives the identity, and
-    composing with the same operation at -a gives the identity back.
-    """
-    m = AMBIENT
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError(f"column indices must lie in 1..{m}")
-    if i == j or i == m + 1 - j:
-        raise ValueError(f"invalid column pair (i={i}, j={j})")
-    f._chk(a)
-    mat = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-    mat[j - 1][i - 1] = a
-    mat[m - i][m - j] = f.neg(a)
-    return ColumnTransform(f, tuple(tuple(r) for r in mat))
-
-
-def mirrored_permutation(f: GF, eta: Sequence[int]) -> ColumnTransform:
-    """Permute columns 1..ell by eta and columns ell+1..2*ell by the mirror rule.
-
-    The full permutation is sigma(i) = eta(i) for i <= ell and
-    sigma(i) = m+1 - eta(m+1-i) above, so sigma(m+1-i) = m+1 - sigma(i)
-    and both forms are preserved.  Column c of M*T is column sigma(c) of M.
-    """
-    m = AMBIENT
-    if sorted(eta) != list(range(1, ELL + 1)):
-        raise ValueError(f"eta must be a permutation of 1..{ELL}")
-    sigma = {i: eta[i - 1] if i <= ELL else m + 1 - eta[m - i] for i in range(1, m + 1)}
-    mat = [[0] * m for _ in range(m)]
-    for c in range(1, m + 1):
-        mat[sigma[c] - 1][c - 1] = 1
-    return ColumnTransform(f, tuple(tuple(r) for r in mat))
-
-
-@functools.lru_cache(maxsize=512)
-def third_compound(f: GF, matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """20x20 matrix of all 3x3 minors: entry [B][A] = det of matrix[rows B, cols A]."""
-    comp = []
-    for B in COLUMN_SETS:
-        row = []
-        for A in COLUMN_SETS:
-            sub = [[matrix[b - 1][a - 1] for a in A] for b in B]
-            row.append(det(f, sub))
-        comp.append(tuple(row))
-    return tuple(comp)
-
-
-def apply_transform(fn: MinorFunction, T: ColumnTransform) -> MinorFunction:
-    """The coefficient vector of g with g(M) = fn(M*T), via Cauchy-Binet."""
-    _same_field(fn.field, T.field)
-    f = fn.field
-    return MinorFunction(f, tuple(functools.reduce(f.add, map(f.mul, brow, fn.coeffs), 0)
-                                  for brow in third_compound(f, T.matrix)))

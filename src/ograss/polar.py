@@ -33,9 +33,9 @@ coordinate order of every codeword and is part of the file-format
 contract.  Total count: 2*(q^3 + q^2 + q + 1).
 
 ``brute_force_points`` is an independent oracle: it scans every rank-3
-right-to-left reduced 3x6 matrix and filters by the form conditions.  It
-is test machinery, lives behind a cost guard, and never feeds the
-production path.
+right-to-left reduced 3x6 matrix and filters by the form conditions.
+``verify`` compares the cell enumeration with it at q <= 3; a cost guard
+refuses it above q = 4.
 """
 
 from __future__ import annotations

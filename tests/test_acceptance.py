@@ -11,27 +11,18 @@ import pytest
 
 from ograss.cli import main as cli_main
 from ograss.codes import (
-    _reduced_basis,
+    _combine,
+    _direct_minors,
     build_generator,
-    codeword,
     min_weight_witness,
     minimum_distance,
     verify,
     weight,
 )
-from ograss.forms import FormSpace
-from ograss.gf import field
-from ograss.grassmann import (
-    COLUMN_SETS,
-    MinorFunction,
-    apply_transform,
-    expand_minor,
-    minor,
-    mirrored_permutation,
-    paired_column_operation,
-    reflected_complement,
-)
-from ograss.polar import CELL_ORDER, brute_force_points, enumerate_points, point_count
+from ograss.forms import totally_singular_mask
+from ograss.gf import field, gather
+from ograss.grassmann import COLUMN_SETS, expand_minor, minor, reflected_complement
+from ograss.polar import CELL_ORDER, brute_force_points, cell_matrices, enumerate_points, point_count
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -118,34 +109,76 @@ def test_criterion_7_even_characteristic_self_pairing(q):
     _report("criterion 7", f"q={q} generator rows equal on all reflected-complement pairs")
 
 
-@pytest.mark.parametrize("q", [2, 3])
+def _joined_cells(f):
+    """The eight cell arrays joined to one (3, 6, n) array in the frozen point order."""
+    return np.concatenate([cell_matrices(f, pivots) for pivots in CELL_ORDER], axis=2)
+
+
+def _transforms(f, rng, count):
+    """``count`` paired column operations, then ``count`` mirrored permutations, as one (2 * count, 6, 6) array.
+
+    M -> M T keeps both forms zero on every totally singular M.  A paired
+    operation adds a * column j to column i and -a * column 5 - i to column
+    5 - j (0-based, i != j, i != 5 - j); a mirrored permutation moves
+    columns 0..2 by a permutation eta and columns 5..3 by the same eta.
+    """
+    neg = f.np_tables()[2]
+    eye = np.eye(6, dtype=neg.dtype)
+    out = []
+    while len(out) < count:
+        i, j = rng.randrange(6), rng.randrange(6)
+        if i == j or i == 5 - j:
+            continue
+        a = rng.randrange(f.q)
+        T = eye.copy()
+        T[j, i], T[5 - i, 5 - j] = a, neg[a]
+        out.append(T)
+    for _ in range(count):
+        eta = rng.sample(range(3), 3)
+        out.append(eye[:, eta + [5 - e for e in reversed(eta)]])
+    return np.array(out)
+
+
+def _images(f, mats, transforms):
+    """M T for every representative M of a (3, 6, n) array and every T: a (3, 6, len(transforms) * n) array."""
+    add, mul = f.np_tables()[:2]
+    out = 0
+    for s in range(6):  # out[:, c, t, p] += M_p[:, s] * T_t[s, c]
+        out = gather(add, out, gather(mul, mats[:, s, None, None, :], transforms[:, s].T[None, :, :, None]))
+    return out.reshape(3, 6, -1)
+
+
+def _normalized(f, cols):
+    """The columns of a (20, ...) array each scaled so that their first nonzero entry is 1."""
+    _, mul, _, inv = f.np_tables()
+    first = np.take_along_axis(cols, np.argmax(cols != 0, axis=0)[None], axis=0)
+    return gather(mul, inv[first], cols)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_criterion_8_automorphism_invariance(q):
+    """Each transform maps the point set onto itself: the images are totally
+    singular and their Pluecker coordinates are the columns of G up to scaling
+    and order, so every codeword weight is preserved."""
     f = field(q)
-    space = FormSpace(f, 3)
-    pts = enumerate_points(f)
+    mats = _joined_cells(f)
+    n = mats.shape[2]
     G = build_generator(f)
     rng = random.Random(100 + q)
-    transforms = []
-    while len(transforms) < 100:
-        if rng.random() < 0.5:
-            i, j = rng.randrange(1, 7), rng.randrange(1, 7)
-            if i == j or i == 7 - j:
-                continue
-            transforms.append(paired_column_operation(f, i, j, rng.randrange(q)))
-        else:
-            transforms.append(mirrored_permutation(f, tuple(rng.sample([1, 2, 3], 3))))
-    failures = 0
-    for T in transforms:
-        for pt in pts:
-            if not space.is_totally_singular(T.apply_to(pt.matrix)):
-                failures += 1
-        fn = MinorFunction(f, tuple(rng.randrange(q) for _ in range(20)))
-        before = int(np.count_nonzero(codeword(fn, G)))
-        after = int(np.count_nonzero(codeword(apply_transform(fn, T), G)))
-        if before != after:
-            failures += 1
-    assert failures == 0
-    _report("criterion 8", f"q={q}, 100 random transforms, zero failures")
+    transforms = _transforms(f, rng, 100)
+    images = _images(f, mats, transforms)
+    assert totally_singular_mask(f, images).all()
+    minors = _direct_minors(f, images).reshape(20, len(transforms), n)
+    # the images' Pluecker points are G's columns: equal once normalized and sorted
+    image_cols = _normalized(f, minors)
+    image_cols = np.take_along_axis(image_cols, np.lexsort(image_cols)[None], axis=-1)
+    point_cols = _normalized(f, G.matrix)
+    assert (image_cols == point_cols[:, None, np.lexsort(point_cols)]).all()
+    for t in range(len(transforms)):
+        coeffs = [rng.randrange(q) for _ in range(20)]
+        before = np.count_nonzero(_combine(f, coeffs, G.matrix))
+        assert np.count_nonzero(_combine(f, coeffs, minors[:, t])) == before
+    _report("criterion 8", f"q={q}, {len(transforms)} random transforms map all {n} points onto themselves")
 
 
 def test_criterion_9_property_suites():
@@ -169,17 +202,18 @@ def test_criterion_9_property_suites():
         f = field(q)
         squares = {f.mul(b, b) for b in range(q)}
         assert all(f.is_square(a) == (a in squares) for a in range(q))
-    # compound multiplicativity on 50 random transform pairs
+    # Cauchy-Binet on every point: the minors of M T are the third compound
+    # of T, whose row B is the minors of T's rows B, applied to the minors of M
     rng = random.Random(77)
-    for _ in range(50):
-        q = rng.choice([2, 3, 4])
+    row_sets = np.array(COLUMN_SETS).T - 1
+    for q in (2, 3, 4, 5, 7, 8, 9):
         f = field(q)
-        fn = MinorFunction(f, tuple(rng.randrange(q) for _ in range(20)))
-        while True:
-            i, j = rng.randrange(1, 7), rng.randrange(1, 7)
-            if i != j and i != 7 - j:
-                break
-        T1 = paired_column_operation(f, i, j, rng.randrange(q))
-        T2 = mirrored_permutation(f, tuple(rng.sample([1, 2, 3], 3)))
-        assert apply_transform(apply_transform(fn, T1), T2) == apply_transform(fn, T2.matmul(T1))
-    _report("criterion 9", "field axioms q<=9, residues q<=49, 50 compound pairs")
+        mats = _joined_cells(f)
+        G = build_generator(f)
+        transforms = _transforms(f, rng, 3)
+        minors = _direct_minors(f, _images(f, mats, transforms)).reshape(20, len(transforms), -1)
+        for t, T in enumerate(transforms):
+            compound = _direct_minors(f, T[row_sets].transpose(0, 2, 1)).T
+            expected = [_combine(f, compound[:, A], G.matrix) for A in range(20)]
+            assert np.array_equal(minors[:, t], expected)
+    _report("criterion 9", "field axioms q<=9, residues q<=49, Cauchy-Binet on every point q<=9")

@@ -200,11 +200,12 @@ def test_distance_parts_stay_off_stdout(monkeypatch, capsys):
     assert all(p.seconds >= 0 for p in res.parts)
 
 
-def test_distance_stdout_with_threads(capsys):
-    """q = 4 runs the family split, whose 10-row projections send their
-    largest rounds to the workers; stdout does not depend on it."""
-    out = _stdout(capsys, ["distance", "--q", "4", "--threads", "2"])
-    assert out == (GOLDEN / "distance-q4.json").read_text()
+@pytest.mark.parametrize("q", [4, 5])
+def test_distance_stdout_with_threads(capsys, q):
+    """q = 4 and 5 run the family split, whose larger parts are scanned by
+    the workers; stdout does not depend on the thread count."""
+    out = _stdout(capsys, ["distance", "--q", str(q), "--threads", "2"])
+    assert out == (GOLDEN / f"distance-q{q}.json").read_text()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -1,29 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ograss.forms import FormSpace
 from ograss.gf import FieldMismatchError, field
 from ograss.grassmann import (
     COLUMN_SETS,
-    ColumnTransform,
     MatrixRep,
     MinorFunction,
     RankDeficientError,
-    apply_transform,
     det,
     expand_minor,
     expansion_sign,
-    identity_transform,
-    mat_mul,
     minor,
-    mirrored_permutation,
-    paired_column_operation,
     reduced_minor_indices,
     reflected_complement,
     rref_right_to_left,
-    third_compound,
 )
 from ograss.polar import CELL_ORDER, build_cell, enumerate_points
 
@@ -95,7 +88,7 @@ def test_rref_recovers_cell_from_row_mixing():
             U = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
             if det(f, U) != 0:
                 break
-        mixed = MatrixRep(f, mat_mul(f, U, target.rows))
+        mixed = MatrixRep(f, np.array(U) @ np.array(target.rows) % 3)
         reduced, pivots = rref_right_to_left(mixed)
         assert pivots == (2, 4, 6)
         assert reduced.rows == target.rows
@@ -161,8 +154,9 @@ def test_field_mismatch_rejected():
         fn.evaluate(M)
     with pytest.raises(FieldMismatchError):
         fn.plus(MinorFunction.single(f3, (1, 2, 3)))
+    # equal order, different defining polynomials
     with pytest.raises(FieldMismatchError):
-        identity_transform(f2).apply_to(M)
+        MinorFunction.single(field(9), (1, 2, 3)).plus(MinorFunction.single(field(9, [2, 1, 1]), (1, 2, 3)))
 
 
 def test_serialization_formats():
@@ -269,148 +263,3 @@ def test_even_q_reflected_pairs_evaluate_equal():
                 fs = MinorFunction.single(f, reflected_complement(A))
                 assert fa.evaluate(pt.matrix) == fs.evaluate(pt.matrix)
 
-
-# ---------------------------------------------------------------------------
-# column transforms
-# ---------------------------------------------------------------------------
-
-def test_singular_transform_rejected():
-    f = field(3)
-    with pytest.raises(ValueError):
-        ColumnTransform(f, tuple(tuple(0 for _ in range(6)) for _ in range(6)))
-
-
-def test_paired_operation_zero_is_identity():
-    f = field(5)
-    assert paired_column_operation(f, 1, 2, 0).matrix == identity_transform(f).matrix
-
-
-def test_paired_operation_inverse_composition():
-    f = field(7)
-    T = paired_column_operation(f, 2, 4, 3)
-    Tinv = paired_column_operation(f, 2, 4, f.neg(3))
-    assert T.matmul(Tinv).matrix == identity_transform(f).matrix
-
-
-def test_paired_operation_invalid_pairs():
-    f = field(3)
-    with pytest.raises(ValueError):
-        paired_column_operation(f, 2, 5, 1)  # i = 7 - j
-    with pytest.raises(ValueError):
-        paired_column_operation(f, 3, 3, 1)
-    with pytest.raises(ValueError):
-        paired_column_operation(f, 0, 2, 1)
-
-
-def test_paired_operation_preserves_singularity_q3():
-    f = field(3)
-    space = FormSpace(f, 3)
-    pts = enumerate_points(f)
-    rng = random.Random(11)
-    for _ in range(40):
-        while True:
-            i, j = rng.randrange(1, 7), rng.randrange(1, 7)
-            if i != j and i != 7 - j:
-                break
-        T = paired_column_operation(f, i, j, rng.randrange(3))
-        for pt in pts:
-            assert space.is_totally_singular(T.apply_to(pt.matrix))
-
-
-def test_mirrored_permutation_swap():
-    f = field(3)
-    T = mirrored_permutation(f, (2, 1, 3))
-    M = MatrixRep(f, ((1, 2, 0, 0, 1, 2), (0, 0, 1, 1, 0, 0), (2, 1, 0, 0, 2, 1)))
-    out = T.apply_to(M)
-    # columns 1,2 swapped and columns 5,6 swapped
-    assert out.rows == ((2, 1, 0, 0, 2, 1), (0, 0, 1, 1, 0, 0), (1, 2, 0, 0, 1, 2))
-
-
-def test_mirrored_permutation_identity_and_validation():
-    f = field(2)
-    assert mirrored_permutation(f, (1, 2, 3)).matrix == identity_transform(f).matrix
-    with pytest.raises(ValueError):
-        mirrored_permutation(f, (1, 1, 2))
-
-
-def test_mirrored_permutation_preserves_singularity_q2():
-    from itertools import permutations
-    f = field(2)
-    space = FormSpace(f, 3)
-    for eta in permutations((1, 2, 3)):
-        T = mirrored_permutation(f, eta)
-        for pt in enumerate_points(f):
-            assert space.is_totally_singular(T.apply_to(pt.matrix))
-
-
-def test_apply_transform_identity():
-    f = field(4)
-    fn = MinorFunction.from_map(f, {(1, 3, 5): 2, (2, 4, 6): 3})
-    assert apply_transform(fn, identity_transform(f)) == fn
-
-
-def _swap34(f):
-    rows = [[0] * 6 for _ in range(6)]
-    perm = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
-    for c, r in perm.items():
-        rows[r - 1][c - 1] = 1
-    return ColumnTransform(f, tuple(tuple(r) for r in rows))
-
-
-def test_apply_transform_column_swap():
-    f = field(5)
-    swapped = apply_transform(MinorFunction.single(f, (1, 2, 3)), _swap34(f))
-    assert swapped == MinorFunction.single(f, (1, 2, 4))
-    # a set containing both swapped columns picks up the transposition sign
-    swapped = apply_transform(MinorFunction.single(f, (1, 3, 4)), _swap34(f))
-    assert swapped == MinorFunction.single(f, (1, 3, 4), coeff=f.neg(1))
-
-
-def test_apply_transform_pointwise_oracle_q2():
-    f = field(2)
-    rng = random.Random(3)
-    pts = enumerate_points(f)
-    for _ in range(10):
-        fn = MinorFunction(f, tuple(rng.randrange(2) for _ in range(20)))
-        while True:
-            i, j = rng.randrange(1, 7), rng.randrange(1, 7)
-            if i != j and i != 7 - j:
-                break
-        T = paired_column_operation(f, i, j, 1)
-        g = apply_transform(fn, T)
-        for pt in pts:
-            assert g.evaluate(pt.matrix) == fn.evaluate(T.apply_to(pt.matrix))
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_compound_multiplicativity(q):
-    f = field(q)
-    rng = random.Random(q * 13)
-    for _ in range(8):
-        fn = MinorFunction(f, tuple(rng.randrange(q) for _ in range(20)))
-        T1 = paired_column_operation(f, 1, 3, rng.randrange(1, q) if q > 1 else 1)
-        T2 = mirrored_permutation(f, tuple(rng.sample([1, 2, 3], 3)))
-        lhs = apply_transform(apply_transform(fn, T1), T2)
-        rhs = apply_transform(fn, T2.matmul(T1))
-        assert lhs == rhs
-
-
-def test_third_compound_of_identity():
-    f = field(3)
-    comp = third_compound(f, identity_transform(f).matrix)
-    for i in range(20):
-        for j in range(20):
-            assert comp[i][j] == (1 if i == j else 0)
-
-
-def test_weight_invariance_under_transforms():
-    f = field(3)
-    pts = enumerate_points(f)
-    rng = random.Random(5)
-    for _ in range(10):
-        fn = MinorFunction(f, tuple(rng.randrange(3) for _ in range(20)))
-        T = paired_column_operation(f, 1, 2, rng.randrange(1, 3))
-        g = apply_transform(fn, T)
-        before = sum(1 for pt in pts if fn.evaluate(pt.matrix) != 0)
-        after = sum(1 for pt in pts if g.evaluate(pt.matrix) != 0)
-        assert before == after

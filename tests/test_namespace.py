@@ -21,10 +21,9 @@ EXPORTED = {
               "rank_dimension", "verify", "weight", "weight_distribution"],
     "forms": ["FormSpace"],
     "gf": ["GF", "DEFAULT_IRREDUCIBLE", "FieldMismatchError", "factor_prime_power", "field", "is_irreducible"],
-    "grassmann": ["COLUMN_SETS", "ColumnTransform", "MatrixRep", "MinorFunction", "RankDeficientError",
-                  "apply_transform", "expand_minor", "expansion_sign", "identity_transform",
-                  "minor", "mirrored_permutation", "paired_column_operation", "reduced_minor_indices",
-                  "reflected_complement", "rref_right_to_left", "third_compound"],
+    "grassmann": ["COLUMN_SETS", "MatrixRep", "MinorFunction", "RankDeficientError", "expand_minor",
+                  "expansion_sign", "minor", "reduced_minor_indices", "reflected_complement",
+                  "rref_right_to_left"],
     "polar": ["CELL_ARITY", "CELL_ORDER", "CostGuardExceeded", "Point", "brute_force_points", "build_cell",
               "cell_slices", "enumerate_points", "point_count", "swap34_map"],
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate [n, k, d] over a range of field sizes.
 
-The distance column is exact whenever the full scan or the family split
-fits the evaluation budget (q <= 5 under the default) and falls back to
-the witness upper bound otherwise (marked <=).
+The distance column is exact whenever the family split, the one exact
+path at every q, fits the evaluation budget (q <= 5 under the default)
+and falls back to the witness upper bound otherwise (marked <=).
 Exit status: 0, or 2 on a usage error (a --qs entry that names no
 supported field, or a --csv path that cannot be opened for writing).
 """

@@ -63,8 +63,8 @@ _ORDERING_NOTE = (
 )
 
 _THREADS_HELP = (
-    "worker threads for the full enumeration of the code, or of each part of the "
-    "family split used when q^k exceeds the budget; the output does not depend on it"
+    "worker threads for the scan of each part of the family split, the one exact "
+    "distance path; the output does not depend on it"
 )
 
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
     sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS,
-                    help="maximum number of codeword evaluations for exhaustive search")
+                    help="maximum codeword evaluations of the exact family split")
     sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
 

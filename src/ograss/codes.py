@@ -31,15 +31,18 @@ the merge (histograms summed, minimum over (weight, block)) does not
 depend on the thread count.
 
 The dimension is 14 in even characteristic (reflected-complement minors
-coincide on the point set) but the full 20 for odd q.  When q^k exceeds
-the budget, the distance comes from the two families of generators of
+coincide on the point set) but the full 20 for odd q.  The exact
+distance has one path at every q: the two families of generators of
 Q+(5,q) (``polar.family_mask``), the paper's cells in two classes: K_S,
 the codewords that vanish off family S, and C_S, the projection of the
 code on S.  A codeword nonzero on both families weighs at least
 d(C_A) + d(C_B), so once that sum reaches min(d(K_A), d(K_B)), that is
 the distance (``_split_distance``).  For odd q, C is the direct sum of
 K_A and K_B (10 + 10 rows), and only the kernels are scanned: 2 * 3^10
-evaluations at q = 3.  For even q, K_S has 4 rows and C_S 10.
+evaluations at q = 3.  For even q, K_S has 4 rows and C_S 10: 2 080
+evaluations at q = 2, against the 2^14 of the whole code.  The budget
+only refuses a split that costs more; the full scan of the whole code
+serves ``weight_distribution`` alone.
 
 The known minimum-weight codewords: for even q the single minor on
 columns 456 (weight q^3, all of it on cell P456); for odd q the
@@ -292,8 +295,8 @@ def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
 
 
 class Part(NamedTuple):
-    """One scanned part of the distance engine: the whole code "C", or a
-    kernel "KA", "KB" or projection "CA", "CB" of the family split."""
+    """One scanned part of the family split: a kernel "KA", "KB" or a
+    projection "CA", "CB"."""
 
     name: str
     dimension: int
@@ -371,9 +374,9 @@ def _split_distance(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int, thr
 @dataclass
 class DistanceResult:
     """``evaluations`` counts the codewords whose weight was established:
-    the sum of q^dimension over ``parts``, the scanned parts (the whole
-    code, or the kernels and projections of the family split), and 1 in
-    witness mode, where ``parts`` is empty."""
+    the sum of q^dimension over ``parts``, the kernels and projections
+    that the family split scanned, and 1 in witness mode, where ``parts``
+    is empty."""
 
     q: int
     n: int
@@ -395,13 +398,13 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
                      threads: int = 1) -> DistanceResult:
     """Minimum Hamming weight of a nonzero codeword.
 
-    ``exhaustive`` computes the exact distance: all q^k codewords are
-    enumerated when that count fits the budget, otherwise the family split
-    (``_split_distance``) scans the kernels and projections of the two
-    families of generators; its witness is ``min_weight_witness`` when that
-    has the distance's weight.  ``witness`` only evaluates the known
-    minimum-weight codeword and reports its weight, an upper bound on the
-    distance.
+    ``exhaustive`` computes the exact distance at every q by the family
+    split (``_split_distance``), which scans the kernels and projections of
+    the two families of generators; the budget only refuses a split that
+    costs more.  Its witness is ``min_weight_witness`` when that has the
+    distance's weight, else the split's kernel message.  ``witness`` only
+    evaluates the known minimum-weight codeword and reports its weight, an
+    upper bound on the distance.
     """
     _check_threads(threads)
     G = build_generator(f)
@@ -413,17 +416,11 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'witness'")
     basis, exprs = _reduced_basis(G)
-    k = len(exprs)
-    if f.q**k <= budget:
-        part, msg = _scan_part(f, "C", basis, threads)
-        best_w, parts = part.distance, (part,)
+    best_w, msg, parts = _split_distance(f, basis, family_mask(f.q), budget, threads)
+    wit = min_weight_witness(f)
+    if weight(wit).total != best_w:
         wit = _message_to_function(f, msg, exprs)
-    else:
-        best_w, msg, parts = _split_distance(f, basis, family_mask(f.q), budget, threads)
-        wit = min_weight_witness(f)
-        if weight(wit).total != best_w:
-            wit = _message_to_function(f, msg, exprs)
-    return DistanceResult(q=f.q, n=G.n, dimension=k, distance=best_w, witness=wit, exact=True,
+    return DistanceResult(q=f.q, n=G.n, dimension=len(exprs), distance=best_w, witness=wit, exact=True,
                           method="exhaustive", evaluations=sum(p.evaluations for p in parts), parts=parts)
 
 

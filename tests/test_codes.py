@@ -226,7 +226,8 @@ def test_minimum_distance_q2_exhaustive():
     assert (res.q, res.n, res.dimension) == (2, 30, 14)
     assert res.distance == 8
     assert res.exact and res.method == "exhaustive"
-    assert res.evaluations == 2**14
+    assert res.evaluations == 2 * (2**4 + 2**10)
+    assert res.witness.coeffs == min_weight_witness(field(2)).coeffs
     assert weight(res.witness).total == 8
 
 
@@ -307,21 +308,33 @@ def test_budget_floor_never_exceeds_projection_of_any_ranks(q, k, data):
 
 
 def test_split_equals_full_scan_at_q2_and_q4():
-    """The split against the full scan of all q^k codewords: distance and
-    witness weight at q = 2, and at q = 4 under a budget of 4^14."""
-    f = field(2)
-    basis, exprs = _reduced_basis(build_generator(f))
-    d, msg, _ = _split_distance(f, basis, family_mask(2), 10**12)
-    full = minimum_distance(f)
-    assert [p.name for p in full.parts] == ["C"]
-    assert d == full.distance == weight(_message_to_function(f, msg, exprs)).total == 8
-    split, full = minimum_distance(field(4)), minimum_distance(field(4), budget=4**14)
-    assert [p.name for p in full.parts] == ["C"] and full.evaluations == 4**14
-    assert split.distance == full.distance == weight(split.witness).total == weight(full.witness).total == 64
+    """The split against its oracle, the full scan of all q^k codewords of
+    the whole reduced basis: the same distance, and messages of that
+    weight, at q = 2 (2^14 words) and q = 4 (4^14)."""
+    for q in (2, 4):
+        f = field(q)
+        basis, _ = _reduced_basis(build_generator(f))
+        d, msg, _ = _split_distance(f, basis, family_mask(q), 10**12)
+        full_d, full_msg, _ = _exhaustive_scan(f, basis)
+        assert d == full_d == _weight_of(f, msg, basis) == _weight_of(f, full_msg, basis) == q**3
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_budget_above_the_split_cost_changes_nothing(q):
+    """The budget only guards: at the split's exact cost, at q^k (every word
+    of the code) and at 10^12, the distance, witness, evaluations and parts
+    are the same."""
+    f = field(q)
+    basis, _ = _reduced_basis(build_generator(f))
+    cost = sum(p.evaluations for p in _split_distance(f, basis, family_mask(q), 10**12)[2])
+    assert cost == 2 * (q**4 + q**10) < q ** len(basis)
+    results = {(res.distance, res.witness.coeffs, res.evaluations, tuple(p.name for p in res.parts))
+               for res in (minimum_distance(f, budget=b) for b in (cost, q ** len(basis), 10**12))}
+    assert results == {(q**3, min_weight_witness(f).coeffs, cost, ("KA", "CA", "KB", "CB"))}
 
 
 @pytest.mark.parametrize("q, parts, d", [
-    (2, [("C", 14)], 8),
+    (2, [("KA", 4), ("CA", 10), ("KB", 4), ("CB", 10)], 8),
     (3, [("KA", 10), ("KB", 10)], 18),
     (4, [("KA", 4), ("CA", 10), ("KB", 4), ("CB", 10)], 64),
     (5, [("KA", 10), ("KB", 10)], 100),
@@ -331,7 +344,7 @@ def test_distance_parts_by_field(q, parts, d):
     assert [(p.name, p.dimension) for p in res.parts] == parts
     assert res.distance == d and res.exact
     assert res.evaluations == sum(q**p.dimension for p in res.parts)
-    assert min(p.distance for p in res.parts if p.name in ("C", "KA", "KB")) == d
+    assert min(p.distance for p in res.parts if p.name in ("KA", "KB")) == d
 
 
 def test_split_that_does_not_close_raises(monkeypatch):
@@ -524,7 +537,7 @@ def test_weights_matches_count_nonzero():
 
 
 @pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
-def test_round_evaluations_count_every_message(monkeypatch, q, rows):
+def test_scan_evaluations_count_every_message(monkeypatch, q, rows):
     """A scan weighs (q^k - 1)/(q - 1) messages through ``_weights``, one per
     scalar class of the nonzero messages, so with the zero word their q-1
     multiples make the q^k evaluations of its part."""
@@ -538,7 +551,7 @@ def test_round_evaluations_count_every_message(monkeypatch, q, rows):
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
-def test_suffix_tables_carry_the_lexicographic_subsets(q, rows):
+def test_half_tables_carry_the_lexicographic_messages(q, rows):
     """The scan's two tables, the codewords of the head (the first
     floor(k/2) rows) and of the tail (the rest), list the codeword of
     every message in lexicographic message order: entry m combines the
@@ -775,9 +788,9 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_threaded_scan_without_a_large_round_leaves_the_thread_pool_unloaded():
-    """At q = 2 the whole full scan fits one block and runs inline, so two
-    threads build no pool and never import concurrent.futures."""
+def test_threaded_scan_within_one_block_leaves_the_thread_pool_unloaded():
+    """At q = 2 every part of the family split fits one block and runs
+    inline, so two threads build no pool and never import concurrent.futures."""
     src = os.path.dirname(os.path.dirname(codes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, ograss; d = ograss.minimum_distance(ograss.field(2), threads=2).distance; "

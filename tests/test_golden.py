@@ -10,12 +10,14 @@ byte table; the larger fields and non-default polynomials of
 GENMAT_WIDE_SHA256 before the generator was evaluated on open parameter
 grids; the points txt hashes and POINTS_WIDE_SHA256 before points was written
 from reused record buffers (the points json hashes for q <= 9 are older still).
-``witness_coeffs`` in the distance outputs depends on the pivot rule of the
-row reduction: where k = 14 < 20, each basis row has more than one
-expression in the 20 original rows.  The ``evaluations`` of distance-q3.json
-and distance-q4.json, and the distance line of verify-q2-budget1000.txt, were
-re-recorded when the family split replaced the information-set search
-(distance-q5.json dates from then); every other byte of them is older.
+``witness_coeffs`` in every distance output (q = 2..5) is
+``min_weight_witness``, so none depends on the pivot rule of the row
+reduction.  The ``evaluations`` of distance-q3.json and distance-q4.json,
+and the distance line of verify-q2-budget1000.txt, were re-recorded when the
+family split replaced the information-set search (distance-q5.json dates
+from then); the ``evaluations`` and ``witness_coeffs`` of distance-q2.json
+when the split became the one exact path at every q.  Every other byte of
+them is older.
 """
 
 import hashlib

@@ -2,8 +2,9 @@
 
 All outputs are byte-deterministic: JSON uses sorted keys and exact
 integers only, matrices and points follow the frozen orderings spelled
-out in --help.  Exit codes: 0 success, 1 verification failure, 2
-usage/configuration error.  Every numeric argument is read by
+out in --help.  Exit codes: 0 success, 1 verification failure (a failed
+``verify`` check, or a ``weight-dist`` histogram failing ``codes.macwilliams``:
+no CSV), 2 usage/configuration error.  Every numeric argument is read by
 ``grassmann.parse_decimal`` (ASCII decimal digits only), and the fields
 by ``_field``, which the scripts share; it parses ``--poly`` and leaves
 the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
@@ -62,10 +63,9 @@ _ORDERING_NOTE = (
     "order 123, 124, 125, ..., 456."
 )
 
-_THREADS_HELP = (
-    "worker threads for the scan of each part of the family split, the one exact "
-    "distance path; the output does not depend on it"
-)
+_THREADS_HELP = "worker threads for the scan of each side of the family split; the output does not depend on it"
+
+_BUDGET_HELP = "maximum codeword evaluations of the family split (default 10^8)"
 
 
 def _at_least(low: int):
@@ -261,6 +261,11 @@ def _cmd_weight_dist(args: argparse.Namespace) -> int:
 
     f = _field(args.q, args.poly)
     dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
+    try:
+        codes.macwilliams(f.q, polar.point_count(f.q), dist)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
     _emit([("\n".join(lines) + "\n").encode()], args.out)
     return 0
@@ -305,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distance", help="minimum distance (exhaustive or witness bound)")
     common(sp)
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
-    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS,
-                    help="maximum codeword evaluations of the exact family split")
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS, help=_BUDGET_HELP)
     sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
 
@@ -319,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weight-dist", help="full weight distribution as CSV")
     common(sp)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS)
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS, help=_BUDGET_HELP)
     sp.set_defaults(func=_cmd_weight_dist)
 
     sp = sub.add_parser("verify", help="run all structural checks, nonzero exit on failure")
     common(sp)
-    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS)
+    sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS, help=_BUDGET_HELP)
     sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_verify)
 

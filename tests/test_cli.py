@@ -173,11 +173,50 @@ def test_weight_dist_csv(tmp_path, capsys):
     assert sum(table.values()) == 2**14 and table[0] == 1 and table[8] == 345
 
 
+def test_weight_dist_failing_macwilliams_writes_no_csv(monkeypatch, tmp_path, capsys):
+    """A distribution whose dual is not a code (one word moved from weight 8
+    to 9) is a failed check: exit 1, an error and no CSV, on stdout or --out."""
+    inner = codes.weight_distribution
+
+    def moved(*args, **kwargs):
+        dist = inner(*args, **kwargs)
+        return {**dist, 8: dist[8] - 1, 9: 1}
+
+    monkeypatch.setattr(codes, "weight_distribution", moved)
+    out_path = tmp_path / "wd.csv"
+    for argv in (["weight-dist", "--q", "2"], ["weight-dist", "--q", "2", "--out", str(out_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "MacWilliams" in err
+    assert not out_path.exists()
+
+
+def test_budget_help_names_the_default(capsys):
+    for command in ("distance", "weight-dist", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "family split (default 10^8)" in " ".join(capsys.readouterr().out.split())
+    assert codes.DEFAULT_BUDGET == 10**8
+
+
 def test_verify_q2_exit_and_report(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2")
     assert code == 0
     assert "n=30 k=14 d=8" in out
     assert "FAIL" not in out
+
+
+def test_verify_heavier_witness_exits_1_with_the_report(monkeypatch, capsys):
+    """A witness heavier than the counted distance is a verification failure:
+    exit 1 and every check listed, the failing one marked."""
+    from ograss.grassmann import MinorFunction
+
+    heavier = MinorFunction.from_map(field(2), {(1, 2, 3): 1, (4, 5, 6): 1})
+    monkeypatch.setattr(codes, "min_weight_witness", lambda f: heavier)
+    code, out, err = run(capsys, "verify", "--q", "2")
+    assert code == 1 and err == ""
+    assert "n=30 k=14 d=8" in out and "13/15 checks passed" in out
+    assert "FAIL witness weight: expected 8, got 16" in out
+    assert "PASS exact minimum distance: expected 8, got 8" in out
 
 
 def test_outputs_byte_identical(capsys):

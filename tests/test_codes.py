@@ -18,15 +18,15 @@ from ograss.codes import (
     GeneratorMatrix,
     _direct_minors,
     _exhaustive_scan,
-    _message_to_function,
     _np_add,
     _pack,
     _packed_row_bytes,
     _reduced_basis,
-    _split_distance,
+    _split,
     _weights,
     build_generator,
     codeword,
+    macwilliams,
     min_weight_witness,
     minimum_distance,
     rank_dimension,
@@ -93,12 +93,12 @@ def test_rank_oracle_agreement_q3():
 
 def test_reduced_basis_computed_once_per_generator_and_read_only():
     G = build_generator(field(3))
-    basis, exprs = _reduced_basis(G)
-    assert _reduced_basis(G)[0] is basis
+    basis = _reduced_basis(G)
+    assert _reduced_basis(G) is basis
     assert not basis.flags.writeable
     with pytest.raises(ValueError):
         basis[0, 0] = 0
-    assert rank_dimension(G) == len(exprs) == 20
+    assert rank_dimension(G) == len(basis) == 20
 
 
 def test_rank_zero_matrix():
@@ -226,7 +226,7 @@ def test_minimum_distance_q2_exhaustive():
     assert (res.q, res.n, res.dimension) == (2, 30, 14)
     assert res.distance == 8
     assert res.exact and res.method == "exhaustive"
-    assert res.evaluations == 2 * (2**4 + 2**10)
+    assert res.evaluations == 2 * 2**10
     assert res.witness.coeffs == min_weight_witness(field(2)).coeffs
     assert weight(res.witness).total == 8
 
@@ -243,7 +243,7 @@ def test_minimum_distance_witness_mode():
 def test_minimum_distance_q4_exact_via_split():
     res = minimum_distance(field(4))
     assert res.distance == 64 and res.exact
-    assert res.evaluations == 2 * (4**4 + 4**10)
+    assert res.evaluations == 2 * 4**10
     assert weight(res.witness).total == 64
 
 
@@ -255,16 +255,16 @@ def test_budget_errors_suggest_witness_mode():
 
 
 def test_budget_error_raised_before_the_search(monkeypatch):
-    """The exact cost of the split, the sum of q^dimension over its parts, is
-    refused before any part is scanned where the floor 2 * q^7 lets it
-    through: 2 * (q^4 + q^10) at q = 4 and 8."""
+    """The exact cost of the split, the sum of q^dimension over its two
+    sides, is refused before either side is scanned where the floor 2 * q^7
+    lets it through: 2 * q^10 at q = 4 and 8."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("the exact cost must reject before any part is scanned")
+        raise AssertionError("the exact cost must reject before any side is scanned")
 
     monkeypatch.setattr(codes, "_exhaustive_scan", forbidden)
-    with pytest.raises(BudgetExceeded, match="needs 2097664 codeword evaluations"):
-        minimum_distance(field(4), budget=2_097_663)
-    with pytest.raises(BudgetExceeded, match="needs 2147491840 codeword evaluations .*witness"):
+    with pytest.raises(BudgetExceeded, match="needs 2097152 codeword evaluations"):
+        minimum_distance(field(4), budget=2_097_151)
+    with pytest.raises(BudgetExceeded, match="needs 2147483648 codeword evaluations .*witness"):
         minimum_distance(field(8))
 
 
@@ -286,37 +286,48 @@ def _split_floor(q, k):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_budget_floor_never_exceeds_projection(q):
-    """The floor the split refuses on is at most its exact cost, the projection of its parts."""
+    """The floor the split refuses on is at most its exact cost, the projections it scans."""
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
+    basis = _reduced_basis(build_generator(f))
     floor = _split_floor(q, len(basis))
     with pytest.raises(BudgetExceeded, match=f"needs at least {floor} codeword"):
-        _split_distance(f, basis, family_mask(q), floor - 1)
-    _, _, parts = _split_distance(f, basis, family_mask(q), 10**12)
+        _split(f, basis, family_mask(q), floor - 1)
+    _, parts = _split(f, basis, family_mask(q), 10**12)
     assert floor <= sum(p.evaluations for p in parts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]), k=st.integers(2, 20), data=st.data())
 def test_budget_floor_never_exceeds_projection_of_any_ranks(q, k, data):
-    """Side S scans at least q^(rank C_S) words when that rank is positive
-    (K_S, or C_S and K_S), and rank C_A + rank C_B >= k, so no ranks cost
-    less than the floor once k >= 2."""
+    """Side S scans q^(rank C_S) words, and rank C_A + rank C_B >= k, so no
+    ranks cost less than the floor once k >= 2."""
     rank_a = data.draw(st.integers(0, k))
     rank_b = data.draw(st.integers(k - rank_a, k))
     assert _split_floor(q, k) <= sum(q**r for r in (rank_a, rank_b) if r)
 
 
+def _least(hist):
+    """The least nonzero weight of a histogram over the weights 0..n, None if it has none."""
+    nonzero = np.flatnonzero(np.asarray(hist)[1:])
+    return int(nonzero[0]) + 1 if len(nonzero) else None
+
+
+def _golden_distribution(q):
+    rows = (Path(__file__).parent / "golden" / f"weight-dist-q{q}.csv").read_text().splitlines()[1:]
+    return {int(w): int(c) for w, c in (row.split(",") for row in rows)}
+
+
 def test_split_equals_full_scan_at_q2_and_q4():
     """The split against its oracle, the full scan of all q^k codewords of
-    the whole reduced basis: the same distance, and messages of that
-    weight, at q = 2 (2^14 words) and q = 4 (4^14)."""
+    the whole reduced basis: the same weight distribution at q = 2 (2^14
+    words) and q = 4 (4^14).  The q = 3 whole-code scan (3^20 words, about
+    16 s) is pinned in CI."""
     for q in (2, 4):
         f = field(q)
-        basis, _ = _reduced_basis(build_generator(f))
-        d, msg, _ = _split_distance(f, basis, family_mask(q), 10**12)
-        full_d, full_msg, _ = _exhaustive_scan(f, basis)
-        assert d == full_d == _weight_of(f, msg, basis) == _weight_of(f, full_msg, basis) == q**3
+        basis = _reduced_basis(build_generator(f))
+        hist, _ = _split(f, basis, family_mask(q), 10**12)
+        assert np.array_equal(hist, _exhaustive_scan(f, basis)[0])
+        assert _least(hist) == q**3
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -325,35 +336,52 @@ def test_budget_above_the_split_cost_changes_nothing(q):
     of the code) and at 10^12, the distance, witness, evaluations and parts
     are the same."""
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    cost = sum(p.evaluations for p in _split_distance(f, basis, family_mask(q), 10**12)[2])
-    assert cost == 2 * (q**4 + q**10) < q ** len(basis)
+    basis = _reduced_basis(build_generator(f))
+    cost = sum(p.evaluations for p in _split(f, basis, family_mask(q), 10**12)[1])
+    assert cost == 2 * q**10 < q ** len(basis)
     results = {(res.distance, res.witness.coeffs, res.evaluations, tuple(p.name for p in res.parts))
                for res in (minimum_distance(f, budget=b) for b in (cost, q ** len(basis), 10**12))}
-    assert results == {(q**3, min_weight_witness(f).coeffs, cost, ("KA", "CA", "KB", "CB"))}
+    assert results == {(q**3, min_weight_witness(f).coeffs, cost, ("CA", "CB"))}
 
 
 @pytest.mark.parametrize("q, parts, d", [
-    (2, [("KA", 4), ("CA", 10), ("KB", 4), ("CB", 10)], 8),
-    (3, [("KA", 10), ("KB", 10)], 18),
-    (4, [("KA", 4), ("CA", 10), ("KB", 4), ("CB", 10)], 64),
-    (5, [("KA", 10), ("KB", 10)], 100),
+    (2, [("CA", 10), ("CB", 10)], 8),
+    (3, [("CA", 10), ("CB", 10)], 18),
+    (4, [("CA", 10), ("CB", 10)], 64),
+    (5, [("CA", 10), ("CB", 10)], 100),
 ])
 def test_distance_parts_by_field(q, parts, d):
     res = minimum_distance(field(q))
     assert [(p.name, p.dimension) for p in res.parts] == parts
     assert res.distance == d and res.exact
-    assert res.evaluations == sum(q**p.dimension for p in res.parts)
-    assert min(p.distance for p in res.parts if p.name in ("KA", "KB")) == d
+    assert res.evaluations == sum(p.evaluations for p in res.parts) == 2 * q**10
 
 
-def test_split_that_does_not_close_raises(monkeypatch):
-    """With the first half of the coordinates as one side at q = 2, words
-    nonzero on both sides may weigh 2 by the projections' bound, below the
-    kernels' 8: the split raises and never reports an exact distance."""
+def test_half_coordinate_split_is_exact(monkeypatch):
+    """With the first half of the coordinates as one side at q = 2, where the
+    bound d(C_A) + d(C_B) = 2 on the words nonzero on both sides fell below
+    the kernels' 8, the split still counts every word: d = 8 and the golden
+    weight distribution."""
     monkeypatch.setattr(codes, "family_mask", lambda q: np.arange(point_count(q)) < point_count(q) // 2)
-    with pytest.raises(RuntimeError, match="does not certify .* weigh 2, below the least kernel weight 8"):
-        minimum_distance(field(2), budget=10**4)
+    res = minimum_distance(field(2), budget=10**5)
+    assert (res.distance, res.exact) == (8, True)
+    assert weight_distribution(field(2), budget=10**5) == _golden_distribution(2)
+
+
+def test_minimum_distance_raises_on_a_heavier_witness(monkeypatch):
+    """The known witness must weigh the distance that the split counted."""
+    f = field(2)
+    heavier = MinorFunction.from_map(f, {(1, 2, 3): 1, (4, 5, 6): 1})
+    assert weight(heavier).total > 8
+    monkeypatch.setattr(codes, "min_weight_witness", lambda f: heavier)
+    with pytest.raises(codes.WitnessMismatch, match=f"weighs {weight(heavier).total}, not the distance 8"):
+        minimum_distance(f)
+    rep = verify(f, budget=10**5)
+    failed = [(c.name, c.actual) for c in rep.checks if not c.passed]
+    assert failed == [("witness weight", weight(heavier).total),
+                      ("witness cell profile", tuple(weight(heavier).per_cell[piv] for piv in CELL_ORDER))]
+    assert (rep.distance, rep.distance_exact) == (8, True)
+    assert "exact minimum distance" in [c.name for c in rep.checks if c.passed]
 
 
 #: (q, rows of the reduced basis): subcodes small enough to scan exhaustively
@@ -362,8 +390,7 @@ SUBCODES = [(3, 9), (4, 8), (5, 6), (8, 5), (9, 5)]
 
 def _subcode(q, rows):
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    return f, basis[:rows]
+    return f, _reduced_basis(build_generator(f))[:rows]
 
 
 def _record_weights(monkeypatch):
@@ -386,7 +413,7 @@ def _messages(q, k):
 
 @pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
-def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_target):
+def test_scan_weighs_each_scalar_class_once_in_message_order(monkeypatch, q, rows, block_target):
     """The scan weighs every message whose first nonzero coefficient is 1,
     each exactly once and in lexicographic order, with the weight of its
     codeword; every other nonzero message is a multiple of one of them
@@ -400,7 +427,7 @@ def test_round_weights_keep_the_per_support_order(monkeypatch, q, rows, block_ta
     """
     f = field(q)
     rows = max(r for r in range(1, rows + 1) if q**r <= 2 * 10**4)
-    sub = _reduced_basis(build_generator(f))[0][:rows]
+    sub = _reduced_basis(build_generator(f))[:rows]
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, sub.shape[1]))
     calls = _record_weights(monkeypatch)
@@ -426,26 +453,18 @@ def _word_of(f, coeffs, rows):
     return cw
 
 
-def _weight_of(f, coeffs, rows):
-    return int(np.count_nonzero(_word_of(f, coeffs, rows)))
-
-
 @pytest.mark.parametrize("q, rows", SUBCODES)
 def test_split_matches_exhaustive_scan(q, rows):
-    """On the family split of the first basis rows the split either certifies
-    the full scan's distance, with a message of that weight, or (at q = 8,
-    where both kernels are empty) refuses to."""
+    """On the family split of the first basis rows the split gives the full
+    scan's weight distribution, also at q = 8, where both kernels are empty
+    and every message on the rows is a coset of its own."""
     f, sub = _subcode(q, rows)
-    if q == 8:
-        with pytest.raises(RuntimeError, match="both kernels are empty"):
-            _split_distance(f, sub, family_mask(q), 10**12)
-        return
-    d, msg, _ = _split_distance(f, sub, family_mask(q), 10**12)
-    assert d == _exhaustive_scan(f, sub)[0] == _weight_of(f, msg, sub)
+    hist, _ = _split(f, sub, family_mask(q), 10**12)
+    assert np.array_equal(hist, _exhaustive_scan(f, sub)[0])
 
 
 def _all_codewords(f, rows):
-    """Every codeword of the row space, one per message, the zero message first."""
+    """Every codeword of the row space, one per message in lexicographic order, the zero message first."""
     add, mul, _, _ = f.np_tables()
     words = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
     for row in rows:
@@ -454,16 +473,19 @@ def _all_codewords(f, rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 5]), n=st.integers(2, 12), data=st.data())
-def test_split_lemma_against_full_scan(q, n, data):
-    """d(C) = min(d(K_A), d(K_B), m), where m >= d(C_A) + d(C_B) bounds the
-    words nonzero on both sides: on random small codes and random coordinate
-    splits, some rows confined to one side so that kernels are nonempty
-    (and often empty otherwise), the split returns the full scan's distance
-    and the brute-force part distances whenever d(C_A) + d(C_B) reaches
-    min(d(K_A), d(K_B)), and raises otherwise."""
+@given(q=st.sampled_from([2, 3, 4, 5]), n=st.integers(2, 12), empty=st.sampled_from([None, True, False]),
+       data=st.data())
+def test_split_lemma_against_full_scan(q, n, empty, data):
+    """Every codeword is t + k_A + k_B in one way, so the split counts each
+    word once: on random small codes and random coordinate splits (some
+    rows confined to one side so that kernels are nonempty, often empty
+    otherwise, and a third of the splits with an empty side), the split's
+    weight distribution and distance are the full scan's, and each side is
+    scanned at the rank of the code's projection on it."""
     f = field(q)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if empty is not None:
+        mask[:] = empty
     k0 = data.draw(st.integers(1, min(5, n)))
     rows = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                                        min_size=k0, max_size=k0)), dtype=np.uint8)
@@ -472,26 +494,12 @@ def test_split_lemma_against_full_scan(q, n, data):
     reduced, pivots = row_reduce(f, rows, range(n))
     assume(pivots)
     basis = reduced[:len(pivots)]
-    words = _all_codewords(f, basis)[1:]
-    on_a, on_b = np.count_nonzero(words[:, mask], axis=1), np.count_nonzero(words[:, ~mask], axis=1)
-    big = n + 1
-
-    def least(w):
-        return int(w.min()) if len(w) else big
-
-    d_ka, d_kb = least(on_a[on_b == 0]), least(on_b[on_a == 0])
-    d_ca, d_cb = least(on_a[on_a > 0]), least(on_b[on_b > 0])
-    cross = least((on_a + on_b)[(on_a > 0) & (on_b > 0)])
-    d = _exhaustive_scan(f, basis)[0]
-    assert d == min(d_ka, d_kb, cross) and cross >= min(d_ca + d_cb, big)
-    if d_ca + d_cb < min(d_ka, d_kb):
-        with pytest.raises(RuntimeError, match="does not certify"):
-            _split_distance(f, basis, mask, 10**12)
-        return
-    got, msg, parts = _split_distance(f, basis, mask, 10**12)
-    assert got == d == _weight_of(f, msg, basis)
-    expected = {"KA": d_ka, "CA": d_ca, "KB": d_kb, "CB": d_cb}
-    assert all(p.distance == expected[p.name] and p.evaluations == q**p.dimension for p in parts)
+    hist, parts = _split(f, basis, mask, 10**12)
+    full = _exhaustive_scan(f, basis)[0]
+    assert np.array_equal(hist, full) and _least(hist) == _least(full) is not None
+    ranks = [len(row_reduce(f, basis[:, on], range(int(on.sum())))[1]) for on in (mask, ~mask)]
+    assert [(p.name, p.dimension, p.evaluations) for p in parts] == [
+        ("CA", ranks[0], q ** ranks[0]), ("CB", ranks[1], q ** ranks[1])]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -540,14 +548,14 @@ def test_weights_matches_count_nonzero():
 def test_scan_evaluations_count_every_message(monkeypatch, q, rows):
     """A scan weighs (q^k - 1)/(q - 1) messages through ``_weights``, one per
     scalar class of the nonzero messages, so with the zero word their q-1
-    multiples make the q^k evaluations of its part."""
+    multiples make the q^k words its histogram counts."""
     f, sub = _subcode(q, rows)
     k = len(sub)
     calls = _record_weights(monkeypatch)
-    part, _ = codes._scan_part(f, "C", sub, 1)
+    hist = _exhaustive_scan(f, sub)
     weighed = sum(weights.size for _, weights in calls)
     assert weighed == (q**k - 1) // (q - 1)
-    assert 1 + (q - 1) * weighed == part.evaluations == q**k
+    assert 1 + (q - 1) * weighed == hist.sum() == q**k
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
@@ -559,7 +567,7 @@ def test_half_tables_carry_the_lexicographic_messages(q, rows):
     at the first, the last and 200 random entries of both halves of the
     reduced bases at q = 2 (k = 14) and q = 3 (k = 20)."""
     f = field(q)
-    basis = _reduced_basis(build_generator(f))[0][:rows]
+    basis = _reduced_basis(build_generator(f))[:rows]
     rng = np.random.default_rng(q)
     for half in (basis[:len(basis) // 2], basis[len(basis) // 2:]):
         m = len(half)
@@ -602,12 +610,12 @@ def test_pless_power_moments(q, rows):
     (q-1) * C(q^3+q^2+q+1, 2) codewords, and two threads scan the same."""
     f, sub = _family_half(q) if rows == "A" else _subcode(q, rows)
     k, n = sub.shape
-    d, msg, hist = _exhaustive_scan(f, sub)
+    hist = _exhaustive_scan(f, sub)[0]
     if rows == "A":
+        d = _least(hist)
         assert d == (q - 1) * q**2
         assert hist[d] == (q - 1) * comb(q**3 + q**2 + q + 1, 2)
-        two = _exhaustive_scan(f, sub, threads=2)
-        assert (two[0], two[1]) == (d, msg) and np.array_equal(two[2], hist)
+        assert np.array_equal(_exhaustive_scan(f, sub, threads=2)[0], hist)
     _, mul, _, inv = f.np_tables()
     zero_cols = 0
     classes = {}  # nonzero columns up to scaling, each normalized to a leading 1
@@ -628,54 +636,37 @@ def test_pless_power_moments(q, rows):
 
 
 def _direct_scan(f, rows):
-    """(min nonzero weight, lex-least such message, histogram) over every F_q-combination of rows."""
+    """The weight histogram of every F_q-combination of rows, the zero word included."""
     add, mul, _, _ = f.np_tables()
-    k, n = rows.shape
+    n = rows.shape[1]
     tails = np.zeros((1, n), dtype=rows.dtype)
     for row in rows[1:]:
         tails = add[tails[:, None, :], mul[:, row][None, :, :]].reshape(-1, n)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    best = (n + 1, None)
-    for c0 in range(f.q):
-        weights = np.count_nonzero(add[tails, mul[c0, rows[0]]], axis=1)
-        hist += np.bincount(weights, minlength=n + 1)
-        if c0 == 0:
-            weights[0] = n + 1  # the zero message
-        j = int(weights.argmin())
-        if weights[j] < best[0]:
-            best = (int(weights[j]), (c0,) + tuple(j // f.q**i % f.q for i in range(k - 2, -1, -1)))
-    return best[0], best[1], hist
+    return sum(np.bincount(np.count_nonzero(add[tails, mul[c0, rows[0]]], axis=1), minlength=n + 1)
+               for c0 in range(f.q))
 
 
 @pytest.mark.parametrize("q, rows", [(3, 9), (4, 7), (9, 5)])
 def test_exhaustive_scan_matches_direct_enumeration(q, rows):
     # in extension fields the scan must reach every F_q multiple of each row,
     # not only the prime-subfield ones
-    f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
-    d, msg, hist = _exhaustive_scan(f, basis[:rows])
-    d0, msg0, hist0 = _direct_scan(f, basis[:rows])
-    assert (d, msg) == (d0, msg0)
-    assert np.array_equal(hist, hist0)
+    f, sub = _subcode(q, rows)
+    assert np.array_equal(_exhaustive_scan(f, sub)[0], _direct_scan(f, sub))
 
 
 @pytest.mark.parametrize("q, rows", [(3, 9), (5, 5), (9, 4)])
 def test_exhaustive_scan_steps_outer_generators(monkeypatch, q, rows):
     """A block target of p packed codewords splits every head row's tails
-    into blocks of p, and rows r_i + 2*r_(i-1) put the minimum words on
-    messages that span several rows, so the message found depends on the
-    order of the blocks and on the decode of split head rows."""
+    into blocks of p, and rows r_i + 2*r_(i-1) spread the minimum words over
+    messages that span several rows; the histogram is still the direct
+    enumeration's."""
     f = field(q)
-    basis, _ = _reduced_basis(build_generator(f))
+    basis = _reduced_basis(build_generator(f))
     monkeypatch.setattr(codes, "_BLOCK_BYTES", f.p * _packed_row_bytes(q, basis.shape[1]))
     sub = basis[:rows].copy()
     for i in range(1, rows):
         sub[i] = _np_add(f, sub[i], f.np_tables()[1][2, sub[i - 1]])
-    d, msg, hist = _exhaustive_scan(f, sub)
-    d0, msg0, hist0 = _direct_scan(f, sub)
-    assert any(msg0[:-1])
-    assert (d, msg) == (d0, msg0)
-    assert np.array_equal(hist, hist0)
+    assert np.array_equal(_exhaustive_scan(f, sub)[0], _direct_scan(f, sub))
 
 
 #: the most rows, at most 8, of a random code with q^k <= 3^8 messages
@@ -688,11 +679,14 @@ def test_exhaustive_scan_matches_direct_scan_on_random_codes(q, n, tiny, data):
     """On random codes over prime, 2^e and odd-extension fields, with
     k = 1..8 rows (odd and even k, so heads of every size from none on)
     and often a row that is a multiple of an earlier one, the scan returns
-    the direct enumeration's distance (0 on dependent rows), lex-least
-    message and histogram; also with _BLOCK_BYTES cut to one packed
-    codeword, where every block weighs a single message."""
+    the direct enumeration's histogram of each coset class, for every
+    number of coset rows; also with _BLOCK_BYTES cut to one packed
+    codeword, where every block weighs a single message.  Class 0 is the
+    zero message on the coset rows, and class i > 0 the i-th such message
+    whose first nonzero digit is 1."""
     f = field(q)
     k = data.draw(st.integers(1, _SCAN_ROWS[q]))
+    cosets = data.draw(st.integers(0, k))
     rows = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                                        min_size=k, max_size=k)), dtype=np.uint8)
     if k > 1 and data.draw(st.booleans()):
@@ -701,10 +695,12 @@ def test_exhaustive_scan_matches_direct_scan_on_random_codes(q, n, tiny, data):
         rows[j] = f.np_tables()[1][data.draw(st.integers(0, q - 1)), rows[i]]
     block = _packed_row_bytes(q, n) if tiny else codes._BLOCK_BYTES
     with mock.patch.object(codes, "_BLOCK_BYTES", block):
-        d, msg, hist = _exhaustive_scan(f, rows)
-    d0, msg0, hist0 = _direct_scan(f, rows)
-    assert (d, msg) == (d0, msg0)
-    assert np.array_equal(hist, hist0)
+        hist = _exhaustive_scan(f, rows, cosets=cosets)
+    weights = np.count_nonzero(_all_codewords(f, rows), axis=1).reshape(q**cosets, -1)
+    leads = [0] + [t for e in range(cosets) for t in range(q**e, 2 * q**e)]
+    assert np.array_equal(hist, [np.bincount(weights[t], minlength=n + 1) for t in leads])
+    if not cosets:
+        assert np.array_equal(hist[0], _direct_scan(f, rows))
 
 
 def test_weight_distribution_q2():
@@ -715,15 +711,36 @@ def test_weight_distribution_q2():
     assert set(wd) == {0, 8, 12, 16, 20, 24}
 
 
-def test_weight_distribution_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        weight_distribution(field(3))
+def test_weight_distribution_budget_guard(monkeypatch):
+    """weight_distribution has the distance's budget: the split's cost at
+    q = 7 (its floor and exact cost alike, 2 * 7^10) and its exact cost
+    2 * 8^10 at q = 8 are refused before any scan, and the floor 2 * 9^10
+    at q = 9 before any elimination."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the budget must refuse before this runs")
+
+    monkeypatch.setattr(codes, "_exhaustive_scan", forbidden)
+    with pytest.raises(BudgetExceeded, match="needs at least 564950498 "):
+        weight_distribution(field(7), budget=564_950_497)
+    with pytest.raises(BudgetExceeded, match="needs 2147483648 "):
+        weight_distribution(field(8))
+    f = field(9)
+    rank_dimension(build_generator(f))  # the reduced basis, cached before row_reduce is replaced
+    monkeypatch.setattr(codes, "row_reduce", forbidden)
+    with pytest.raises(BudgetExceeded, match="needs at least 6973568802 "):
+        weight_distribution(f)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_weight_distribution_threads_match(q):
+    """At q = 4 and 5 each side takes several blocks, which two threads share."""
+    assert weight_distribution(field(q), threads=2) == weight_distribution(field(q)) == _golden_distribution(q)
 
 
 def test_scan_invariant_under_basis_choice_q2():
     f = field(2)
     G = build_generator(f)
-    basis1, _ = _reduced_basis(G)
+    basis1 = _reduced_basis(G)
     k = len(basis1)
     rng = random.Random(4)
     while True:
@@ -733,20 +750,15 @@ def test_scan_invariant_under_basis_choice_q2():
             break
     basis2 = ((U.astype(np.int64) @ basis1.astype(np.int64)) % 2).astype(np.uint8)
     assert not np.array_equal(basis1, basis2)
-    d1, _, h1 = _exhaustive_scan(f, basis1)
-    d2, _, h2 = _exhaustive_scan(f, basis2)
-    assert d1 == d2 == 8
+    h1, h2 = _exhaustive_scan(f, basis1)[0], _exhaustive_scan(f, basis2)[0]
+    assert _least(h1) == 8
     assert np.array_equal(h1, h2)
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 9), (9, 5)])
 def test_scan_threads_deterministic(q, rows):
     f, basis = _subcode(q, rows)
-    single = _exhaustive_scan(f, basis, threads=1)
-    multi = _exhaustive_scan(f, basis, threads=3)
-    assert single[0] == multi[0]
-    assert single[1] == multi[1]
-    assert np.array_equal(single[2], multi[2])
+    assert np.array_equal(_exhaustive_scan(f, basis, threads=1), _exhaustive_scan(f, basis, threads=3))
 
 
 def test_full_scan_with_one_thread_runs_inline(monkeypatch):
@@ -771,11 +783,8 @@ def test_full_scan_with_one_thread_runs_inline(monkeypatch):
         raise AssertionError("a one-thread scan built a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
-    single = _exhaustive_scan(f, basis, threads=1)
-    assert single[:2] == threaded[:2]
-    assert np.array_equal(single[2], threaded[2])
-    rows = (Path(__file__).parent / "golden" / "weight-dist-q2.csv").read_text().splitlines()[1:]
-    assert weight_distribution(field(2)) == {int(w): int(c) for w, c in (row.split(",") for row in rows)}
+    assert np.array_equal(_exhaustive_scan(f, basis, threads=1), threaded)
+    assert weight_distribution(field(2)) == _golden_distribution(2)
 
 
 def test_import_leaves_the_thread_pool_unloaded():
@@ -806,15 +815,13 @@ def test_threads_below_one_rejected(call):
 
 
 def test_sampled_messages_direct_recount():
-    # engine weights against the scalar evaluation path, 1% of the q=2 message space
+    # engine weights against the scalar evaluation path, on 164 random coefficient vectors at q = 2
     f = field(2)
     G = build_generator(f)
-    basis, exprs = _reduced_basis(G)
     rng = random.Random(9)
     pts = enumerate_points(f)
     for _ in range(164):
-        msg = tuple(rng.randrange(2) for _ in range(len(exprs)))
-        fn = _message_to_function(f, msg, exprs)
+        fn = MinorFunction(f, tuple(rng.randrange(2) for _ in range(len(COLUMN_SETS))))
         engine = int(np.count_nonzero(codeword(fn, G)))
         direct = sum(1 for pt in pts if fn.evaluate(pt.matrix) != 0)
         assert engine == direct
@@ -949,8 +956,11 @@ def test_verify_q5_upper_bound_only():
 
 
 def test_macwilliams_identity_q2():
+    """The full transform of the q = 2 code's weight distribution is the
+    weight distribution of its dual, scanned from a parity-check basis, and
+    ``macwilliams`` gives its first five terms."""
     f = field(2)
-    basis, _ = _reduced_basis(build_generator(f))
+    basis = _reduced_basis(build_generator(f))
     k, n = basis.shape
     rref, pivots = row_reduce(f, basis, range(n))
     free = [c for c in range(n) if c not in pivots]
@@ -960,11 +970,34 @@ def test_macwilliams_identity_q2():
         dual[i, list(pivots)] = rref[:, c]  # -x = x over GF(2)
     assert not np.any((basis.astype(np.int64) @ dual.T.astype(np.int64)) % 2)
     assert len(row_reduce(f, dual, range(n))[1]) == n - k == 16
-    _, _, a = _exhaustive_scan(f, basis)
-    _, _, b = _exhaustive_scan(f, dual)
+    a = _exhaustive_scan(f, basis)[0]
+    b = _exhaustive_scan(f, dual)[0]
 
     def krawtchouk(j, i):
         return sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
 
     for j in range(n + 1):
         assert 2**k * int(b[j]) == sum(int(a[i]) * krawtchouk(j, i) for i in range(n + 1))
+    assert macwilliams(2, n, {i: int(c) for i, c in enumerate(a) if c}) == b[:5].tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_macwilliams_checks_the_family_halves(q):
+    """The scans of the family halves pass the check; moving one word to the
+    next weight breaks the first moment, B_1 = -q / q^k, and fails it."""
+    f, half = _family_half(q)
+    hist = _exhaustive_scan(f, half)[0]
+    dist = {w: int(c) for w, c in enumerate(hist) if c}
+    b = macwilliams(q, half.shape[1], dist)
+    assert b[:4] == [1, 0, 0, 0] and b[4] >= 0
+    d = _least(hist)
+    moved = dict(dist)
+    moved[d] -= 1
+    moved[d + 1] = moved.get(d + 1, 0) + 1
+    with pytest.raises(ValueError, match="MacWilliams identity: its dual would have B_1 = "):
+        macwilliams(q, half.shape[1], moved)
+
+
+@pytest.mark.parametrize("q, b4", [(2, 0), (3, 520), (4, 10710), (5, 96720)])
+def test_macwilliams_of_the_whole_codes(q, b4):
+    assert macwilliams(q, point_count(q), _golden_distribution(q)) == [1, 0, 0, 0, b4]

@@ -16,8 +16,12 @@ reduction.  The ``evaluations`` of distance-q3.json and distance-q4.json,
 and the distance line of verify-q2-budget1000.txt, were re-recorded when the
 family split replaced the information-set search (distance-q5.json dates
 from then); the ``evaluations`` and ``witness_coeffs`` of distance-q2.json
-when the split became the one exact path at every q.  Every other byte of
-them is older.
+when the split became the one exact path at every q, and the ``evaluations``
+of distance-q2.json and distance-q4.json again when the split came to scan
+one projection per side (2 * q^10 at every q).  weight-dist-q3.csv,
+weight-dist-q4.csv and weight-dist-q5.csv were recorded from the split's
+weight distribution; q = 3 equals the scan of all 3^20 words of the whole
+code, which CI runs.  Every other byte of them is older.
 """
 
 import hashlib
@@ -197,7 +201,7 @@ def test_distance_parts_stay_off_stdout(monkeypatch, capsys):
     out = _stdout(capsys, ["distance", "--q", "4"])
     assert out == (GOLDEN / "distance-q4.json").read_text()
     (res,) = results
-    assert [p.name for p in res.parts] == ["KA", "CA", "KB", "CB"]
+    assert [p.name for p in res.parts] == ["CA", "CB"]
     assert sum(p.evaluations for p in res.parts) == res.evaluations == json.loads(out)["evaluations"]
     assert all(p.seconds >= 0 for p in res.parts)
 
@@ -219,6 +223,17 @@ def test_verify_stdout(capsys, q):
 def test_weight_dist_stdout(capsys):
     out = _stdout(capsys, ["weight-dist", "--q", "2"])
     assert out == (GOLDEN / "weight-dist-q2.csv").read_text()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_weight_dist_stdout_beyond_q2(capsys, q):
+    """Under the default budget; every total is q^k and A_d is as recorded."""
+    out = _stdout(capsys, ["weight-dist", "--q", str(q)])
+    assert out == (GOLDEN / f"weight-dist-q{q}.csv").read_text()
+    counts = dict(map(int, line.split(",")) for line in out.splitlines()[1:])
+    d = q**3 - q**2 if q % 2 else q**3
+    assert (sum(counts.values()), min(w for w in counts if w), counts[d]) == (
+        q ** (20 if q % 2 else 14), d, {3: 3120, 4: 510, 5: 96720}[q])
 
 
 def test_weight_distribution_threads_match_golden():

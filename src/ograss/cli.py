@@ -8,6 +8,7 @@ no CSV), 2 usage/configuration error.  Every numeric argument is read by
 ``grassmann.parse_decimal`` (ASCII decimal digits only), and the fields
 by ``_field``, which the scripts share; it parses ``--poly`` and leaves
 the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
+``main`` builds the field once and passes it to the command.
 
 ``genmat`` and ``points`` write their text as bytes, block by block, and no
 Python object is made per entry.  The text of one matrix row entry, or of
@@ -180,8 +181,7 @@ def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
         yield from _record_writer(_template_items(text), f.q)(values)
 
 
-def _cmd_points(args: argparse.Namespace) -> int:
-    f = _field(args.q, args.poly)
+def _cmd_points(f: GF, args: argparse.Namespace) -> int:
     chunks = _point_chunks(f, args.format)
     first = next(chunks)
     del first[0]  # the separator before the first point
@@ -194,10 +194,9 @@ def _cmd_points(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_genmat(args: argparse.Namespace) -> int:
+def _cmd_genmat(f: GF, args: argparse.Namespace) -> int:
     from . import generator
 
-    f = _field(args.q, args.poly)
     G = generator.build_generator(f)
     if args.format == "json":
         text = _dump({
@@ -216,10 +215,9 @@ def _cmd_genmat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field(args.q, args.poly)
     budget = getattr(args, "budget", codes.DEFAULT_BUDGET)
     res = codes.minimum_distance(f, method=args.method, budget=budget, threads=args.threads)
     payload = {
@@ -240,10 +238,9 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_weights(args: argparse.Namespace) -> int:
+def _cmd_weights(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field(args.q, args.poly)
     text = Path(args.coeffs).read_text()
     fn = MinorFunction.parse(f, text)
     rep = codes.weight(fn)
@@ -256,10 +253,9 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_weight_dist(args: argparse.Namespace) -> int:
+def _cmd_weight_dist(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field(args.q, args.poly)
     dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
     try:
         codes.macwilliams(f.q, polar.point_count(f.q), dist)
@@ -271,10 +267,9 @@ def _cmd_weight_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    f = _field(args.q, args.poly)
     report = codes.verify(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET), threads=args.threads)
     sys.stdout.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
@@ -339,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_field(args.q, args.poly), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

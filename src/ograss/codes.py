@@ -104,10 +104,8 @@ def _np_add(f: GF, x, y):
     return gather(f.np_tables()[0], x, y)
 
 
-def codeword(fn: MinorFunction, G: GeneratorMatrix | None = None) -> np.ndarray:
+def codeword(fn: MinorFunction, G: GeneratorMatrix) -> np.ndarray:
     """Evaluation vector of fn over the frozen point order."""
-    if G is None:
-        G = build_generator(fn.field)
     if fn.field != G.field:
         raise ValueError("coefficient vector and generator matrix use different fields")
     return _combine(fn.field, fn.coeffs, G.matrix)
@@ -223,7 +221,10 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0
         from concurrent.futures import ThreadPoolExecutor  # loads logging; only a scan above one block uses it
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            hist = sum(ex.map(scan, (blocks[i::threads] for i in range(threads))))
+            hists = ex.map(scan, (blocks[i::threads] for i in range(threads)))
+            hist = next(hists)
+            for other in hists:  # summed in place: no third histogram
+                hist += other
     else:
         hist = scan(blocks)
     hist[0] *= q - 1
@@ -341,10 +342,12 @@ def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int,
     once (``_exhaustive_scan``, binned by coset of K_S), and the weight
     distribution is the sum over t of the convolutions hist(t_A + K_A) *
     hist(t_B + K_B): the nonzero multiples of t share one pair, and equal
-    pairs are convolved once.  At odd q, T is empty.  Raises BudgetExceeded
-    before any elimination when q^floor(k/2) + q^ceil(k/2) exceeds the
-    budget (no split of k rows costs less: rank C_A + rank C_B >= k), and
-    before any scan when the exact sum of q^rank C_S does.
+    pairs are convolved once.  Side A's cosets are grouped by equal
+    histogram and one row of each group kept, so side A's per-coset array
+    is freed before side B's scan.  At odd q, T is empty.  Raises
+    BudgetExceeded before any elimination when q^floor(k/2) + q^ceil(k/2)
+    exceeds the budget (no split of k rows costs less: rank C_A + rank C_B
+    >= k), and before any scan when the exact sum of q^rank C_S does.
     """
     k, n = basis.shape
     q = f.q
@@ -361,16 +364,26 @@ def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int,
     T = np.delete(basis, list(row_reduce(f, np.vstack(kernels)[:, n:], range(k))[1]), axis=0)
     sides = [np.vstack([T, kernel[:, :n]])[:, on] for kernel, on in zip(kernels, (mask, ~mask))]
     guard(sum(q ** len(rows) for rows in sides))
-    hists, parts = [], []
-    for name, rows in zip(("CA", "CB"), sides):
+    parts = []
+
+    def scan(name, rows):
         start = time.perf_counter()
-        hists.append(_exhaustive_scan(f, rows, threads, cosets=len(T)))
+        hist = _exhaustive_scan(f, rows, threads, cosets=len(T))
         parts.append(Part(name, len(rows), q ** len(rows), time.perf_counter() - start))
+        return hist
+
+    # side A's cosets by class, each named by its first coset of equal histogram: one row per class is kept
+    hist = scan("CA", sides[0])
+    firsts = {}
+    classes = [firsts.setdefault(row.tobytes(), c) for c, row in enumerate(hist)]
+    rows_a = {c: hist[c].copy() for c in firsts.values()}
+    del hist
     pairs = {}
-    for c, (a, b) in enumerate(zip(*hists)):
-        pairs.setdefault(a.tobytes() + b.tobytes(), [a, b, 0])[2] += q - 1 if c else 1
+    for c, (a, b) in enumerate(zip(classes, scan("CB", sides[1]))):
+        pairs.setdefault((a, b.tobytes()), [a, b, 0])[2] += q - 1 if c else 1
     # in Python integers: the counts sum to q^k, past int64 from q = 9 on
-    return sum(m * np.convolve(a.astype(object), b.astype(object)) for a, b, m in pairs.values()), tuple(parts)
+    return (sum(m * np.convolve(rows_a[a].astype(object), b.astype(object)) for a, b, m in pairs.values()),
+            tuple(parts))
 
 
 @dataclass
@@ -418,8 +431,9 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     hist, parts = _split(f, basis, family_mask(f.q), budget, threads)
     d = int(np.flatnonzero(hist[1:])[0]) + 1
     wit = min_weight_witness(f)
-    if weight(wit).total != d:
-        raise WitnessMismatch(weight(wit).total, d)
+    w = weight(wit).total
+    if w != d:
+        raise WitnessMismatch(w, d)
     return DistanceResult(q=f.q, n=G.n, dimension=len(basis), distance=d, witness=wit, exact=True,
                           method="exhaustive", evaluations=sum(p.evaluations for p in parts), parts=parts)
 

@@ -229,21 +229,6 @@ class GF:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._invt[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        """a^n for n >= 0, with 0^0 = 1."""
-        if n < 0:
-            raise ValueError("negative exponent; use inv() first")
-        r, a = 1, self._chk(a)
-        while n:  # square and multiply
-            if n & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            n >>= 1
-        return r
-
     def elements(self) -> list[int]:
         """All q elements in ascending canonical encoding."""
         return list(range(self.q))
@@ -251,20 +236,6 @@ class GF:
     def is_square(self, a: int) -> bool:
         """True iff a = b*b for some b (the diagonal of the multiplication table)."""
         return self._squares[self._chk(a)]
-
-    def from_int(self, n: int) -> int:
-        """Image of the ordinary integer n under Z -> GF(q) (lands in the prime subfield)."""
-        return n % self.p
-
-    def coeffs_of(self, a: int) -> tuple[int, ...]:
-        """Polynomial coefficients of an element, constant term first."""
-        return self._digits(self._chk(a))
-
-    def element_from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.e:
-            raise ValueError(f"at most {self.e} coefficients expected")
-        ds = [c % self.p for c in coeffs] + [0] * (self.e - len(coeffs))
-        return self._undigits(ds)
 
     # -- vectorized view ------------------------------------------------------
 

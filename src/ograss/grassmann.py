@@ -39,11 +39,6 @@ class RankDeficientError(ValueError):
     """A full-rank representative was required but not supplied."""
 
 
-def _same_field(a: GF, b: GF) -> None:
-    if a != b:
-        raise FieldMismatchError(f"mixed fields: {a!r} vs {b!r}")
-
-
 def _colset(A: Sequence[int]) -> tuple[int, int, int]:
     A = tuple(A)
     if A not in COLSET_INDEX:
@@ -72,14 +67,6 @@ class MatrixRep:
                 if not 0 <= v < q:
                     raise ValueError(f"entry {v} out of range for GF({q})")
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def ell(self) -> int:
-        return len(self.rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
 
 
 def det(f: GF, rows: Sequence[Sequence[int]]) -> int:
@@ -113,9 +100,9 @@ def rref_right_to_left(M: MatrixRep) -> tuple[MatrixRep, tuple[int, ...]]:
     reduced matrix and the ascending pivot column set; raises
     RankDeficientError when the rank is below the row count.
     """
-    reduced, pivots = row_reduce(M.field, M.rows, range(M.m - 1, -1, -1))
-    if len(pivots) < M.ell:
-        raise RankDeficientError(f"rank {len(pivots)} < {M.ell}; no canonical representative")
+    reduced, pivots = row_reduce(M.field, M.rows, range(len(M.rows[0]) - 1, -1, -1))
+    if len(pivots) < len(M.rows):
+        raise RankDeficientError(f"rank {len(pivots)} < {len(M.rows)}; no canonical representative")
     return MatrixRep(M.field, tuple(map(tuple, reduced.tolist()))), tuple(sorted(c + 1 for c in pivots))
 
 
@@ -164,12 +151,8 @@ class MinorFunction:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, f: GF) -> "MinorFunction":
-        return cls(f, (0,) * len(COLUMN_SETS))
-
-    @classmethod
-    def single(cls, f: GF, A: Sequence[int], coeff: int = 1) -> "MinorFunction":
-        return cls.from_map(f, {tuple(A): coeff})
+    def single(cls, f: GF, A: Sequence[int]) -> "MinorFunction":
+        return cls.from_map(f, {tuple(A): 1})
 
     @classmethod
     def from_map(cls, f: GF, coeff_map: Mapping[Sequence[int], int]) -> "MinorFunction":
@@ -178,30 +161,15 @@ class MinorFunction:
             coeffs[COLSET_INDEX[_colset(A)]] = c
         return cls(f, tuple(coeffs))
 
-    def __getitem__(self, A: Sequence[int]) -> int:
-        return self.coeffs[COLSET_INDEX[_colset(A)]]
-
-    def support(self) -> tuple[tuple[int, int, int], ...]:
-        """Column sets whose coefficient is nonzero."""
-        return tuple(A for A, c in zip(COLUMN_SETS, self.coeffs) if c)
-
     def evaluate(self, M: MatrixRep) -> int:
-        _same_field(self.field, M.field)
         f = self.field
+        if f != M.field:
+            raise FieldMismatchError(f"mixed fields: {f!r} vs {M.field!r}")
         acc = 0
         for c, A in zip(self.coeffs, COLUMN_SETS):
             if c:
                 acc = f.add(acc, f.mul(c, minor(M, A)))
         return acc
-
-    def plus(self, other: "MinorFunction") -> "MinorFunction":
-        _same_field(self.field, other.field)
-        f = self.field
-        return MinorFunction(f, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c: int) -> "MinorFunction":
-        f = self.field
-        return MinorFunction(f, tuple(f.mul(c, v) for v in self.coeffs))
 
     # serialization: 20 encodings in lexicographic column-set order
     def to_csv(self) -> str:

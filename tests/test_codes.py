@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -122,7 +123,7 @@ def test_even_witness_weight_profile(q):
 
 
 def test_weight_of_zero_function():
-    rep = weight(MinorFunction.zero(field(3)))
+    rep = weight(MinorFunction(field(3), (0,) * 20))
     assert rep.total == 0
     assert all(v == 0 for v in rep.per_cell.values())
 
@@ -145,7 +146,7 @@ def test_codeword_linearity():
         fa = MinorFunction(f, tuple(rng.randrange(5) for _ in range(20)))
         fb = MinorFunction(f, tuple(rng.randrange(5) for _ in range(20)))
         a, b = rng.randrange(1, 5), rng.randrange(1, 5)
-        combo = fa.scaled(a).plus(fb.scaled(b))
+        combo = MinorFunction(f, tuple(add[mul[a, fa.coeffs], mul[b, fb.coeffs]]))
         lhs = codeword(combo, G)
         rhs = add[mul[a, codeword(fa, G)], mul[b, codeword(fb, G)]]
         assert np.array_equal(lhs, rhs)
@@ -328,6 +329,26 @@ def test_split_equals_full_scan_at_q2_and_q4():
         hist, _ = _split(f, basis, family_mask(q), 10**12)
         assert np.array_equal(hist, _exhaustive_scan(f, basis)[0])
         assert _least(hist) == q**3
+
+
+def test_side_a_histograms_are_freed_before_side_b_scans(monkeypatch):
+    """At q = 4, where each side bins its words by the 1 + (4^6 - 1)/3 coset
+    classes of the six rows of T, side A's per-coset array is gone when side
+    B's scan starts, and the weight distribution is still the golden one."""
+    refs, alive = [], []
+    real = codes._exhaustive_scan
+
+    def scan(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        hist = real(*args, **kwargs)
+        refs.append(weakref.ref(hist))
+        return hist
+
+    monkeypatch.setattr(codes, "_exhaustive_scan", scan)
+    f = field(4)
+    hist, _ = _split(f, _reduced_basis(build_generator(f)), family_mask(4), 10**12)
+    assert alive == [[], [False]]
+    assert {w: int(c) for w, c in enumerate(hist) if c} == _golden_distribution(4)
 
 
 @pytest.mark.parametrize("q", [2, 4])

@@ -37,7 +37,6 @@ def test_matrix_validation():
         MatrixRep(f, ((0, 1, 5),))
     M = MatrixRep(f, [[0, 1, 2], [1, 0, 0]])
     assert M.rows == ((0, 1, 2), (1, 0, 0))
-    assert (M.ell, M.m) == (2, 3)
 
 
 def test_det_small_sizes():
@@ -118,22 +117,8 @@ def test_evaluate_witness_combination_vanishes_at_unit():
 
 def test_evaluate_zero_function():
     f = field(3)
-    z = MinorFunction.zero(f)
+    z = MinorFunction(f, (0,) * 20)
     assert all(z.evaluate(pt.matrix) == 0 for pt in enumerate_points(f))
-
-
-def test_support():
-    f = field(5)
-    fn = MinorFunction.from_map(f, {(2, 3, 6): 1, (4, 5, 6): 4})
-    assert fn.support() == ((2, 3, 6), (4, 5, 6))
-    assert MinorFunction.zero(f).support() == ()
-
-
-def test_support_of_scaled_multiple_collapses():
-    # the coefficient 3 is 0 in characteristic 3
-    f = field(3)
-    fn = MinorFunction.single(f, (1, 2, 3), coeff=f.from_int(3))
-    assert fn.support() == ()
 
 
 def test_coefficient_validation():
@@ -152,11 +137,9 @@ def test_field_mismatch_rejected():
     M = build_cell(f3, (1, 2, 3), ())
     with pytest.raises(FieldMismatchError):
         fn.evaluate(M)
-    with pytest.raises(FieldMismatchError):
-        fn.plus(MinorFunction.single(f3, (1, 2, 3)))
     # equal order, different defining polynomials
     with pytest.raises(FieldMismatchError):
-        MinorFunction.single(field(9), (1, 2, 3)).plus(MinorFunction.single(field(9, [2, 1, 1]), (1, 2, 3)))
+        MinorFunction.single(field(9), (1, 2, 3)).evaluate(build_cell(field(9, [2, 1, 1]), (1, 2, 3), ()))
 
 
 def test_serialization_formats():

@@ -18,15 +18,15 @@ One kernel, the full scan ``_exhaustive_scan``, enumerates codewords
 and counts their weights.  Every nonzero multiple of a codeword has its
 weight, so it weighs only the messages whose first nonzero coefficient
 is 1, one per scalar class, and scales the histogram by q-1.  The basis
-splits into a head of floor(k/2) rows and a tail of the rest, and each
-half's codewords are built once, in lexicographic message order, and
-packed as bit planes (``_pack``), the tail's negated.  One XOR of packed
-head codewords against a slice of the tail table, the OR of the planes
-and a popcount weigh a whole block of messages (a + b is nonzero exactly
-where a != -b, so the sum is never formed and one kernel serves every
-field), and no XOR exceeds _BLOCK_BYTES.  The scan can bin its weights
-by coset of the span of its last rows; with several threads the blocks
-are dealt round-robin to a pool, and the histograms summed.
+splits into a head, whose table holds the zero word and one codeword
+per scalar class of head messages, and a tail, whose table holds every
+tail message's codeword, negated, both packed as bit planes (``_pack``).
+One XOR of packed head codewords against a slice of the tail table, the
+OR of the planes and a popcount weigh a whole block of messages (a + b
+is nonzero exactly where a != -b, so the sum is never formed and one
+kernel serves every field), and no XOR exceeds _BLOCK_BYTES.  Each head
+row is a coset class of the span of the tail, and each block bins into
+its head rows of one histogram, which the threads share under a lock.
 
 The dimension is 14 in even characteristic (reflected-complement minors
 coincide on the point set) but the full 20 for odd q.  The weight
@@ -52,6 +52,7 @@ a5 = +-1 (weight q^3 - q^2, split (q-2)*q^2 on P456 plus q^2 on P236).
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -184,68 +185,49 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0
     order: the cosets of the other nonzero messages are multiples of these
     and have their weights.  With no cosets, row 0 is the whole row space.
 
-    The first floor(k/2) rows are the head and the rest the tail; each
-    half's codewords are built once (``_codewords``) and packed, the
-    tail's negated.  Every nonzero multiple of a codeword has its weight,
-    so one message per scalar class is weighed, the one whose first
-    nonzero coefficient is 1, and row 0 is scaled by q-1 and counts the
-    zero message once.  ``_blocks`` lists those messages in lexicographic
-    order as (head, tail) slices, each block one ``_weights`` XOR of at
-    most _BLOCK_BYTES.  With cosets, a block holds a multiple of a coset's
-    q^(k - cosets) messages or a power of q below it, so that it covers
-    whole cosets or lies in one, and one ``bincount`` bins it.  With more
-    than one thread and more than one block of work, the blocks are dealt
-    round-robin to ``threads`` workers and their histograms summed.
+    The head is the first ``cosets`` rows, or floor(k/2) with none, and
+    the tail the rest.  Head row i is the codeword of class i
+    (``_class_words``), the tail table every tail message's codeword,
+    negated, both packed.  Every nonzero multiple of a codeword has its
+    weight, so ``_blocks`` lists one message per scalar class, in
+    lexicographic order, as (head, tail) slices; each is one ``_weights``
+    XOR of at most _BLOCK_BYTES binned into its head rows, and row 0 is
+    scaled by q-1 and counts the zero message once.  With more than one
+    thread and block of work, the blocks are dealt round-robin to
+    ``threads`` workers that add to the one histogram under a lock.  With
+    no cosets, the other rows fold into row 0 with their q-1 multiples.
     """
     k, n = basis.shape
-    q, h = f.q, k // 2
-    size = q ** (k - cosets)
+    q, h = f.q, cosets or k // 2
     planes = (q - 1).bit_length()
-    heads = _pack(_codewords(f, basis[:h]), planes)
+    heads = np.concatenate([_pack(run, planes) for run in _class_words(f, basis[:h])], axis=-1)
     tails = _pack(f.np_tables()[2][_codewords(f, basis[h:])], planes)
     cap = max(1, _BLOCK_BYTES // max(1, _packed_row_bytes(q, n)))
-    if cosets:
-        cap = cap // size * size if cap >= size else _floor_power(q, cap)
-    blocks = list(_blocks(q, h, k - h, cap))
+    blocks = list(_blocks(q, heads.shape[-1], k - h, cap))
+    hist = np.zeros((heads.shape[-1], n + 1), dtype=np.min_scalar_type(q ** (k - h)))
+    lock = threading.Lock()
 
     def scan(work):
-        hist = np.zeros((1 + (q**cosets - 1) // (q - 1), n + 1), dtype=np.min_scalar_type(size))
         for hs, ts in work:
             weights = _weights(heads[:, :, hs, None], tails[:, :, None, ts])
-            c, m = _coset_class(q, (hs.start * q ** (k - h) + ts.start) // size), max(1, weights.size // size)
-            ids = weights.reshape(m, -1) + np.arange(0, m * (n + 1), n + 1)[:, None]
-            hist[c:c + m] += np.bincount(ids.reshape(-1), minlength=m * (n + 1)).reshape(m, n + 1).astype(hist.dtype)
-        return hist
+            m = len(weights)
+            ids = weights + np.arange(0, m * (n + 1), n + 1)[:, None]
+            counts = np.bincount(ids.reshape(-1), minlength=m * (n + 1)).reshape(m, n + 1)
+            with lock:
+                hist[hs] += counts.astype(hist.dtype)
 
     if threads > 1 and (q**k - 1) // (q - 1) > cap:
         from concurrent.futures import ThreadPoolExecutor  # loads logging; only a scan above one block uses it
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            hists = ex.map(scan, (blocks[i::threads] for i in range(threads)))
-            hist = next(hists)
-            for other in hists:  # summed in place: no third histogram
-                hist += other
+            list(ex.map(scan, (blocks[i::threads] for i in range(threads))))
     else:
-        hist = scan(blocks)
+        scan(blocks)
     hist[0] *= q - 1
     hist[0, 0] += 1
+    if not cosets:
+        hist = ((q - 1) * hist[1:].sum(axis=0, dtype=np.min_scalar_type(q**k)) + hist[0])[None]
     return hist
-
-
-def _floor_power(q: int, x: int) -> int:
-    """The largest power of q that is at most x >= 1."""
-    p = 1
-    while p * q <= x:
-        p *= q
-    return p
-
-
-def _coset_class(q: int, v: int) -> int:
-    """The place of v among 0 and the integers whose first nonzero base-q digit is 1, in increasing order."""
-    if not v:
-        return 0
-    p = _floor_power(q, v)
-    return 1 + (p - 1) // (q - 1) + v - p
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +244,28 @@ def _codewords(f: GF, rows: np.ndarray) -> np.ndarray:
     return words
 
 
-def _blocks(q: int, h: int, t: int, cap: int):
-    """(head slice, tail slice) blocks of at most cap pairs over the messages
-    on h head and t tail rows whose first nonzero coefficient is 1, in
-    lexicographic message order.
+def _class_words(f: GF, rows: np.ndarray):
+    """The codewords of the zero message and of every message on the h rows
+    whose first nonzero coefficient is 1, in lexicographic message order:
+    1 + (q^h - 1)/(q - 1) words, yielded in runs.
 
-    In lexicographic order the messages of m digits whose first nonzero
-    digit is 1 are the index runs [q^e, 2q^e), e < m.  So the zero head
-    meets each such run of tails, then each such run of heads meets all
-    q^t tails.  A block holds as many whole head rows as fit in cap, or
-    one head row and a run of its tails."""
-    rects = [(0, 1, q**e, 2 * q**e) for e in range(t)] + [(q**e, 2 * q**e, 0, q**t) for e in range(h)]
+    In lexicographic order such messages are the index runs [q^e, 2q^e),
+    e < h: a 1 on row h-1-e and any message on the e rows after it, whose
+    codewords are the first q^e of the last h-1 rows' (``_codewords``)."""
+    h = len(rows)
+    suffix = _codewords(f, rows[1:])
+    yield suffix[:1]
+    for e in range(h):
+        yield _np_add(f, suffix[:f.q**e], rows[h - 1 - e])
+
+
+def _blocks(q: int, heads: int, t: int, cap: int):
+    """(head slice, tail slice) blocks of at most cap pairs: the zero head
+    row with each tail run [q^e, 2q^e), e < t, of the messages on t tail
+    rows whose first nonzero coefficient is 1, then head rows 1..heads-1
+    with all q^t tails.  A block holds as many whole head rows as fit in
+    cap, or one head row and a run of its tails."""
+    rects = [(0, 1, q**e, 2 * q**e) for e in range(t)] + [(1, heads, 0, q**t)]
     for h0, h1, t0, t1 in rects:
         per, step = max(1, cap // (t1 - t0)), min(cap, t1 - t0)
         for a in range(h0, h1, per):
@@ -290,15 +283,17 @@ def _pack(x: np.ndarray, planes: int) -> np.ndarray:
 
     Plane j holds bit j of every entry, position i in bit i % 64 of word
     i // 64, and positions past n are 0 in every plane, so two packed
-    codewords are equal exactly where every plane of their XOR is 0.
+    codewords are equal exactly where every plane of their XOR is 0.  The
+    planes are packed one at a time: one masked copy of x is alive at once.
     """
     *rows, n = x.shape
     words = -(-n // 64)
     padded = np.zeros((*rows, 64 * words), dtype=x.dtype)
     padded[..., :n] = x
-    bits = padded & (1 << np.arange(planes, dtype=x.dtype)).reshape(-1, *[1] * x.ndim)
-    packed = np.packbits(bits, bitorder="little").view(np.uint64).reshape(planes, *rows, words)
-    return np.ascontiguousarray(packed.transpose(0, x.ndim, *range(1, x.ndim)))
+    out = np.empty((planes, words, *rows), dtype=np.uint64)
+    for j in range(planes):
+        out[j] = np.moveaxis(np.packbits(padded & (1 << j), axis=-1, bitorder="little").view(np.uint64), -1, 0)
+    return out
 
 
 def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
@@ -354,8 +349,7 @@ def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int,
 
     def guard(cost, least=""):
         if cost > budget:
-            raise BudgetExceeded(f"the family split needs {least}{cost} codeword evaluations (budget {budget}); "
-                                 f"use method='witness' for the distance's known upper bound")
+            raise BudgetExceeded(f"the family split needs {least}{cost} codeword evaluations (budget {budget})")
 
     guard(q ** (k // 2) + q ** (k - k // 2), "at least ")
     aug = np.hstack([basis, np.eye(k, dtype=basis.dtype)])
@@ -428,7 +422,10 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'witness'")
     basis = _reduced_basis(G)
-    hist, parts = _split(f, basis, family_mask(f.q), budget, threads)
+    try:
+        hist, parts = _split(f, basis, family_mask(f.q), budget, threads)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc}; use method='witness' for the distance's known upper bound") from None
     d = int(np.flatnonzero(hist[1:])[0]) + 1
     wit = min_weight_witness(f)
     w = weight(wit).total

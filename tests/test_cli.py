@@ -100,6 +100,13 @@ def test_distance_budget_error(capsys):
     assert "witness" in err
 
 
+def test_weight_dist_budget_error_names_no_witness_mode(capsys):
+    """weight-dist has no witness mode, so its refusal states only the cost and the budget."""
+    code, out, err = run(capsys, "weight-dist", "--q", "3", "--budget", "100")
+    assert (code, out) == (2, "")
+    assert "needs at least 118098 codeword evaluations (budget 100)" in err and "witness" not in err
+
+
 def test_q_above_max_rejected(capsys):
     code, _, err = run(capsys, "points", "--q", "53")
     assert code == 2

@@ -581,12 +581,12 @@ def test_scan_evaluations_count_every_message(monkeypatch, q, rows):
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
 def test_half_tables_carry_the_lexicographic_messages(q, rows):
-    """The scan's two tables, the codewords of the head (the first
-    floor(k/2) rows) and of the tail (the rest), list the codeword of
-    every message in lexicographic message order: entry m combines the
-    rows by the base-q digits of m, the first most significant.  Checked
-    at the first, the last and 200 random entries of both halves of the
-    reduced bases at q = 2 (k = 14) and q = 3 (k = 20)."""
+    """``_codewords``, which builds the scan's tail table and the words its
+    head's class words are made from, lists the codeword of every message
+    in lexicographic message order: entry m combines the rows by the
+    base-q digits of m, the first most significant.  Checked at the first,
+    the last and 200 random entries of both halves of the reduced bases
+    at q = 2 (k = 14) and q = 3 (k = 20)."""
     f = field(q)
     basis = _reduced_basis(build_generator(f))[:rows]
     rng = np.random.default_rng(q)
@@ -736,20 +736,22 @@ def test_weight_distribution_budget_guard(monkeypatch):
     """weight_distribution has the distance's budget: the split's cost at
     q = 7 (its floor and exact cost alike, 2 * 7^10) and its exact cost
     2 * 8^10 at q = 8 are refused before any scan, and the floor 2 * 9^10
-    at q = 9 before any elimination."""
+    at q = 9 before any elimination.  No refusal names the witness method,
+    which only the distance has."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the budget must refuse before this runs")
 
     monkeypatch.setattr(codes, "_exhaustive_scan", forbidden)
-    with pytest.raises(BudgetExceeded, match="needs at least 564950498 "):
+    with pytest.raises(BudgetExceeded, match="needs at least 564950498 ") as r7:
         weight_distribution(field(7), budget=564_950_497)
-    with pytest.raises(BudgetExceeded, match="needs 2147483648 "):
+    with pytest.raises(BudgetExceeded, match="needs 2147483648 ") as r8:
         weight_distribution(field(8))
     f = field(9)
     rank_dimension(build_generator(f))  # the reduced basis, cached before row_reduce is replaced
     monkeypatch.setattr(codes, "row_reduce", forbidden)
-    with pytest.raises(BudgetExceeded, match="needs at least 6973568802 "):
+    with pytest.raises(BudgetExceeded, match="needs at least 6973568802 ") as r9:
         weight_distribution(f)
+    assert not any("witness" in str(r.value) for r in (r7, r8, r9))
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -776,10 +778,63 @@ def test_scan_invariant_under_basis_choice_q2():
     assert np.array_equal(h1, h2)
 
 
-@pytest.mark.parametrize("q, rows", [(2, None), (3, 9), (9, 5)])
-def test_scan_threads_deterministic(q, rows):
-    f, basis = _subcode(q, rows)
-    assert np.array_equal(_exhaustive_scan(f, basis, threads=1), _exhaustive_scan(f, basis, threads=3))
+def _side_a(q):
+    """(field, rows, cosets): the arguments of the family split's first side scan at q, which is not run."""
+    class Found(Exception):
+        pass
+
+    def scan(f, rows, threads=1, cosets=0):
+        raise Found(rows, cosets)
+
+    f = field(q)
+    with mock.patch.object(codes, "_exhaustive_scan", scan), pytest.raises(Found) as found:
+        _split(f, _reduced_basis(build_generator(f)), family_mask(q), 10**12)
+    return (f, *found.value.args)
+
+
+@pytest.mark.parametrize("q, rows", [(2, None), (3, 9), (9, 5), (4, "CA")])
+def test_scan_threads_deterministic(monkeypatch, q, rows):
+    """Three threads, more than the cores, give one thread's histograms.  On
+    the q = 4 side "CA" (the six coset rows of T and four of K_A) a block
+    target of 64 packed codewords cuts each head row's 256 tails into four
+    blocks, so the blocks of one histogram row land on different workers,
+    which add them under the lock, switching as often as the interpreter
+    allows: a lost update would change a count in one of five runs."""
+    cosets = 0
+    if rows == "CA":
+        f, basis, cosets = _side_a(q)
+        assert basis.shape[0] - cosets == 4 and cosets == 6
+        monkeypatch.setattr(codes, "_BLOCK_BYTES", 64 * _packed_row_bytes(q, basis.shape[1]))
+    else:
+        f, basis = _subcode(q, rows)
+    one = _exhaustive_scan(f, basis, threads=1, cosets=cosets)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(_exhaustive_scan(f, basis, threads=3, cosets=cosets), one)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("q, h", [(5, 5), (4, 6)])
+def test_scan_packs_only_the_head_words_it_weighs(monkeypatch, q, h):
+    """A side scan of the family split packs the zero word and one head word
+    per scalar class, 1 + (q^h - 1)/(q - 1), and the q^(10-h) tail words:
+    at q = 5 the head is 5 of the 10 rows (no cosets), at q = 4 the six
+    coset rows of T."""
+    f, rows, cosets = _side_a(q)
+    assert (len(rows), cosets) == (10, 0 if q % 2 else h)
+    sizes, pack = [], codes._pack
+
+    def recorded(x, planes):
+        sizes.append(len(x))
+        return pack(x, planes)
+
+    monkeypatch.setattr(codes, "_pack", recorded)
+    _exhaustive_scan(f, rows, cosets=cosets)
+    *head, tail = sizes
+    assert (sum(head), tail) == (1 + (q**h - 1) // (q - 1), q ** (10 - h))
 
 
 def test_full_scan_with_one_thread_runs_inline(monkeypatch):

@@ -19,7 +19,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qs", default="2,3,4,5,7,8,9")
     ap.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
-    ap.add_argument("--threads", type=_at_least(1), default=1)
     ap.add_argument("--csv", default=None, help="optional output path, columns q,n,k,d,exact")
     args = ap.parse_args()
     try:
@@ -34,7 +33,7 @@ def main() -> int:
     print(f"{'q':>3} {'n':>6} {'k':>3} {'d':>8}  evaluations")
     for f in fields:
         try:
-            res = minimum_distance(f, budget=args.budget, threads=args.threads)
+            res = minimum_distance(f, budget=args.budget)
             mark = ""
         except BudgetExceeded:
             res = minimum_distance(f, method="witness")

@@ -16,7 +16,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qs", default="2,3,4,5", help="comma-separated prime powers")
     ap.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
-    ap.add_argument("--threads", type=_at_least(1), default=1)
     args = ap.parse_args()
     try:
         fields = [_field(parse_decimal(t)) for t in args.qs.split(",")]
@@ -24,7 +23,7 @@ def main() -> int:
         ap.error(f"--qs: {exc}")
     ok = True
     for f in fields:
-        report = verify(f, budget=args.budget, threads=args.threads)
+        report = verify(f, budget=args.budget)
         print("\n".join(report.lines()))
         print()
         ok = ok and report.passed

@@ -9,6 +9,8 @@ no CSV), 2 usage/configuration error.  Every numeric argument is read by
 by ``_field``, which the scripts share; it parses ``--poly`` and leaves
 the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
 ``main`` builds the field once and passes it to the command.
+``weight-dist`` opens ``--out`` before the split (``_output``), so that a
+bad path costs no scan.
 
 ``genmat`` and ``points`` write their text as bytes, block by block, and no
 Python object is made per entry.  The text of one matrix row entry, or of
@@ -40,9 +42,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import signal
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
@@ -63,8 +67,6 @@ _ORDERING_NOTE = (
     "generator rows follow the 20 column triples of {1..6} in lexicographic "
     "order 123, 124, 125, ..., 456."
 )
-
-_THREADS_HELP = "worker threads for the scan of each side of the family split; the output does not depend on it"
 
 _BUDGET_HELP = "maximum codeword evaluations of the family split (default 10^8)"
 
@@ -89,14 +91,28 @@ def _field(q: int, poly: str | None = None) -> GF:
     return field(q, tuple(map(parse_decimal, poly.split(","))) if poly else None)
 
 
+@contextmanager
+def _output(out: str | None) -> Iterator:
+    """stdout's binary stream, or the file ``out`` opened at once, so that a bad path fails before
+    the work; a file made here and still empty at the end (an error, a failed check) is removed."""
+    if not out:
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        return
+    made = not os.path.lexists(out)
+    fh = open(out, "wb")
+    try:
+        yield fh
+    finally:
+        fh.close()
+        if made and not os.path.getsize(out):
+            os.remove(out)
+
+
 def _emit(chunks: Iterable, out: str | None) -> None:
     """Write byte chunks (bytes or bytearrays) to the file ``out``, else to stdout."""
-    if out:
-        with open(out, "wb") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(chunks)
+    with _output(out) as fh:
+        fh.writelines(chunks)
 
 
 def _dump(payload) -> str:
@@ -219,7 +235,7 @@ def _cmd_distance(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
     budget = getattr(args, "budget", codes.DEFAULT_BUDGET)
-    res = codes.minimum_distance(f, method=args.method, budget=budget, threads=args.threads)
+    res = codes.minimum_distance(f, method=args.method, budget=budget)
     payload = {
         "q": res.q,
         "n": res.n,
@@ -256,21 +272,22 @@ def _cmd_weights(f: GF, args: argparse.Namespace) -> int:
 def _cmd_weight_dist(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
-    try:
-        codes.macwilliams(f.q, polar.point_count(f.q), dist)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
-    _emit([("\n".join(lines) + "\n").encode()], args.out)
+    with _output(args.out) as out:  # before the split, so that a bad path costs no scan
+        dist = codes.weight_distribution(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
+        try:
+            codes.macwilliams(f.q, polar.point_count(f.q), dist)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        lines = ["weight,count"] + [f"{w},{c}" for w, c in sorted(dist.items())]
+        out.write(("\n".join(lines) + "\n").encode())
     return 0
 
 
 def _cmd_verify(f: GF, args: argparse.Namespace) -> int:
     from . import codes
 
-    report = codes.verify(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET), threads=args.threads)
+    report = codes.verify(f, budget=getattr(args, "budget", codes.DEFAULT_BUDGET))
     sys.stdout.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
 
@@ -306,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--method", choices=("exhaustive", "witness"), default="exhaustive")
     sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS, help=_BUDGET_HELP)
-    sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_distance)
 
     sp = sub.add_parser("weights", help="weight report of a serialized coefficient vector")
@@ -324,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run all structural checks, nonzero exit on failure")
     common(sp)
     sp.add_argument("--budget", type=_at_least(0), default=argparse.SUPPRESS, help=_BUDGET_HELP)
-    sp.add_argument("--threads", type=_at_least(1), default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

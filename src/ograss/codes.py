@@ -15,18 +15,17 @@ lookup in this module (``_np_add`` in extension fields, ``_codewords``,
 ``_combine``) is one ``gf.gather`` from a flattened (q, q) table.
 
 One kernel, the full scan ``_exhaustive_scan``, enumerates codewords
-and counts their weights.  Every nonzero multiple of a codeword has its
-weight, so it weighs only the messages whose first nonzero coefficient
-is 1, one per scalar class, and scales the histogram by q-1.  The basis
-splits into a head, whose table holds the zero word and one codeword
-per scalar class of head messages, and a tail, whose table holds every
-tail message's codeword, negated, both packed as bit planes (``_pack``).
-One XOR of packed head codewords against a slice of the tail table, the
-OR of the planes and a popcount weigh a whole block of messages (a + b
-is nonzero exactly where a != -b, so the sum is never formed and one
-kernel serves every field), and no XOR exceeds _BLOCK_BYTES.  Each head
-row is a coset class of the span of the tail, and each block bins into
-its head rows of one histogram, which the threads share under a lock.
+and counts their weights.  The basis splits into a head, whose table
+holds the zero word and one codeword per scalar class of head messages
+(every nonzero multiple of a codeword has its weight), and a tail, whose
+table holds every tail message's codeword, negated, both packed as bit
+planes (``_pack``).  One XOR of packed head codewords against a slice of
+the tail table, the OR of the planes and a popcount weigh a whole block
+of messages (a + b is nonzero exactly where a != -b, so the sum is never
+formed and one kernel serves every field), and no XOR exceeds
+_BLOCK_BYTES.  Each head row is a coset class of the span of the tail,
+and each block bins into its head rows of one histogram, which a scan of
+_POOL_BLOCKS blocks or more shares between one thread per CPU.
 
 The dimension is 14 in even characteristic (reflected-complement minors
 coincide on the point set) but the full 20 for odd q.  The weight
@@ -52,6 +51,7 @@ a5 = +-1 (weight q^3 - q^2, split (q-2)*q^2 on P456 plus q^2 on P236).
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
@@ -66,6 +66,10 @@ from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, f
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_BYTES = 1 << 20
+# the fewest blocks that a full scan shares out to a thread pool, below which the pool costs what it
+# gains: on 2 cores the split takes 13.5 ms pooled against 11.4 inline at q = 4 (11 blocks a side),
+# 65 against 63 ms at q = 5 (196), and 1.9 against 2.6 s at q = 7 (8 406; in process, medians of 20)
+_POOL_BLOCKS = 1024
 
 
 class BudgetExceeded(RuntimeError):
@@ -175,7 +179,7 @@ def min_weight_witness(f: GF) -> MinorFunction:
 # exhaustive codeword scan
 # ---------------------------------------------------------------------------
 
-def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0) -> np.ndarray:
+def _exhaustive_scan(f: GF, basis: np.ndarray, cosets: int = 0) -> np.ndarray:
     """The weight histograms of the row space of basis, one per coset class: (classes, n + 1).
 
     The rows past the first ``cosets`` span a subspace K, and a coset is
@@ -188,14 +192,15 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0
     The head is the first ``cosets`` rows, or floor(k/2) with none, and
     the tail the rest.  Head row i is the codeword of class i
     (``_class_words``), the tail table every tail message's codeword,
-    negated, both packed.  Every nonzero multiple of a codeword has its
-    weight, so ``_blocks`` lists one message per scalar class, in
-    lexicographic order, as (head, tail) slices; each is one ``_weights``
-    XOR of at most _BLOCK_BYTES binned into its head rows, and row 0 is
-    scaled by q-1 and counts the zero message once.  With more than one
-    thread and block of work, the blocks are dealt round-robin to
-    ``threads`` workers that add to the one histogram under a lock.  With
-    no cosets, the other rows fold into row 0 with their q-1 multiples.
+    negated, both packed.  The blocks cut every head row against every
+    tail, in order, into (head, tail) slices: as many whole head rows as
+    fit in one ``_weights`` XOR of at most _BLOCK_BYTES, or one head row
+    and a run of its tails, binned into its head rows.  With at least
+    _POOL_BLOCKS blocks and more than one CPU that the process may use
+    (its affinity mask, or ``os.cpu_count()`` where the platform has none),
+    the blocks are dealt round-robin to one worker thread per CPU, which
+    add to the one histogram under a lock.  With no cosets, the
+    other rows fold into row 0 with their q-1 multiples.
     """
     k, n = basis.shape
     q, h = f.q, cosets or k // 2
@@ -203,8 +208,10 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0
     heads = np.concatenate([_pack(run, planes) for run in _class_words(f, basis[:h])], axis=-1)
     tails = _pack(f.np_tables()[2][_codewords(f, basis[h:])], planes)
     cap = max(1, _BLOCK_BYTES // max(1, _packed_row_bytes(q, n)))
-    blocks = list(_blocks(q, heads.shape[-1], k - h, cap))
-    hist = np.zeros((heads.shape[-1], n + 1), dtype=np.min_scalar_type(q ** (k - h)))
+    n_heads, n_tails = heads.shape[-1], tails.shape[-1]
+    per, step = max(1, cap // n_tails), min(cap, n_tails)  # a slice past the end stops at it
+    blocks = [(slice(a, a + per), slice(b, b + step)) for a in range(0, n_heads, per) for b in range(0, n_tails, step)]
+    hist = np.zeros((n_heads, n + 1), dtype=np.min_scalar_type(q ** (k - h)))
     lock = threading.Lock()
 
     def scan(work):
@@ -216,15 +223,14 @@ def _exhaustive_scan(f: GF, basis: np.ndarray, threads: int = 1, cosets: int = 0
             with lock:
                 hist[hs] += counts.astype(hist.dtype)
 
-    if threads > 1 and (q**k - 1) // (q - 1) > cap:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a scan above one block uses it
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers > 1 and len(blocks) >= _POOL_BLOCKS:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a pooled scan uses it
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(scan, (blocks[i::threads] for i in range(threads))))
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(scan, (blocks[i::workers] for i in range(workers))))
     else:
         scan(blocks)
-    hist[0] *= q - 1
-    hist[0, 0] += 1
     if not cosets:
         hist = ((q - 1) * hist[1:].sum(axis=0, dtype=np.min_scalar_type(q**k)) + hist[0])[None]
     return hist
@@ -257,20 +263,6 @@ def _class_words(f: GF, rows: np.ndarray):
     yield suffix[:1]
     for e in range(h):
         yield _np_add(f, suffix[:f.q**e], rows[h - 1 - e])
-
-
-def _blocks(q: int, heads: int, t: int, cap: int):
-    """(head slice, tail slice) blocks of at most cap pairs: the zero head
-    row with each tail run [q^e, 2q^e), e < t, of the messages on t tail
-    rows whose first nonzero coefficient is 1, then head rows 1..heads-1
-    with all q^t tails.  A block holds as many whole head rows as fit in
-    cap, or one head row and a run of its tails."""
-    rects = [(0, 1, q**e, 2 * q**e) for e in range(t)] + [(1, heads, 0, q**t)]
-    for h0, h1, t0, t1 in rects:
-        per, step = max(1, cap // (t1 - t0)), min(cap, t1 - t0)
-        for a in range(h0, h1, per):
-            for b in range(t0, t1, step):
-                yield slice(a, min(a + per, h1)), slice(b, min(b + step, t1))
 
 
 def _packed_row_bytes(q: int, n: int) -> int:
@@ -322,8 +314,7 @@ class Part(NamedTuple):
     seconds: float
 
 
-def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int,
-           threads: int = 1) -> tuple[np.ndarray, tuple[Part, Part]]:
+def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int) -> tuple[np.ndarray, tuple[Part, Part]]:
     """The weight distribution of the row space of basis through the coordinate split ``mask``.
 
     Returns (the number of codewords of each weight 0..n, the two scanned
@@ -362,7 +353,7 @@ def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int,
 
     def scan(name, rows):
         start = time.perf_counter()
-        hist = _exhaustive_scan(f, rows, threads, cosets=len(T))
+        hist = _exhaustive_scan(f, rows, cosets=len(T))
         parts.append(Part(name, len(rows), q ** len(rows), time.perf_counter() - start))
         return hist
 
@@ -397,13 +388,7 @@ class DistanceResult:
     parts: tuple[Part, ...] = ()
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
-def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BUDGET,
-                     threads: int = 1) -> DistanceResult:
+def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Minimum Hamming weight of a nonzero codeword.
 
     ``exhaustive`` reads the exact distance, at every q, off the weight
@@ -413,7 +398,6 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
     evaluates the known minimum-weight codeword and reports its weight, an
     upper bound on the distance.
     """
-    _check_threads(threads)
     G = build_generator(f)
     if method == "witness":
         wit = min_weight_witness(f)
@@ -423,7 +407,7 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
         raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'witness'")
     basis = _reduced_basis(G)
     try:
-        hist, parts = _split(f, basis, family_mask(f.q), budget, threads)
+        hist, parts = _split(f, basis, family_mask(f.q), budget)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"{exc}; use method='witness' for the distance's known upper bound") from None
     d = int(np.flatnonzero(hist[1:])[0]) + 1
@@ -435,11 +419,10 @@ def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BU
                           method="exhaustive", evaluations=sum(p.evaluations for p in parts), parts=parts)
 
 
-def weight_distribution(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> dict[int, int]:
+def weight_distribution(f: GF, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """weight -> number of codewords, over all q^k codewords (zero included),
     by the family split (``_split``) under the same budget as the distance."""
-    _check_threads(threads)
-    hist, _ = _split(f, _reduced_basis(build_generator(f)), family_mask(f.q), budget, threads)
+    hist, _ = _split(f, _reduced_basis(build_generator(f)), family_mask(f.q), budget)
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
@@ -501,11 +484,10 @@ class VerificationReport:
         return out
 
 
-def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> VerificationReport:
+def verify(f: GF, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every checkable structural claim for this q and report pass/fail."""
     from .forms import totally_singular_mask  # only verify checks the forms
 
-    _check_threads(threads)
     q = f.q
     checks: list[Check] = []
 
@@ -556,7 +538,7 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Verificatio
     profile = ((q - 2) * q**2, 0, 0, q**2, 0, 0, 0, 0) if q % 2 else (q**3, 0, 0, 0, 0, 0, 0, 0)
     add_check("witness cell profile", profile, tuple(rep.per_cell[piv] for piv in CELL_ORDER))
     try:
-        distance, exact = minimum_distance(f, budget=budget, threads=threads).distance, True
+        distance, exact = minimum_distance(f, budget=budget).distance, True
     except WitnessMismatch as exc:  # the witness check above, or the distance check below, fails
         distance, exact = exc.args[1], True
     except BudgetExceeded:

@@ -197,6 +197,18 @@ def test_weight_dist_failing_macwilliams_writes_no_csv(monkeypatch, tmp_path, ca
     assert not out_path.exists()
 
 
+def test_weight_dist_bad_out_fails_before_the_split(monkeypatch, tmp_path, capsys):
+    """--out is opened before the split, so a path in a missing directory
+    exits 2 without a scan."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split ran before --out was opened")
+
+    monkeypatch.setattr(codes, "_exhaustive_scan", forbidden)
+    code, out, err = run(capsys, "weight-dist", "--q", "2", "--out", str(tmp_path / "missing" / "wd.csv"))
+    assert (code, out) == (2, "") and "No such file or directory" in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_budget_help_names_the_default(capsys):
     for command in ("distance", "weight-dist", "verify"):
         with pytest.raises(SystemExit):
@@ -226,9 +238,13 @@ def test_verify_heavier_witness_exits_1_with_the_report(monkeypatch, capsys):
     assert "PASS exact minimum distance: expected 8, got 8" in out
 
 
-def test_outputs_byte_identical(capsys):
-    _, out1, _ = run(capsys, "distance", "--q", "2", "--threads", "2")
-    _, out2, _ = run(capsys, "distance", "--q", "2", "--threads", "1")
+def test_outputs_byte_identical(monkeypatch, capsys):
+    """distance gives the same bytes on one CPU and in a pool on two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _, out1, _ = run(capsys, "distance", "--q", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(codes, "_POOL_BLOCKS", 1)
+    _, out2, _ = run(capsys, "distance", "--q", "2")
     assert out1 == out2
     _, p1, _ = run(capsys, "points", "--q", "3")
     _, p2, _ = run(capsys, "points", "--q", "3")
@@ -242,9 +258,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["distance", "--q", "2", "--threads", "0"],
-    ["distance", "--q", "2", "--threads", "-3"],
-    ["verify", "--q", "2", "--threads", "0"],
+    ["distance", "--q", "1"],
+    ["points", "--q", "0"],
+    ["verify", "--q", "1"],
     ["verify", "--q", "2", "--budget", "-1"],
     ["distance", "--q", "2", "--budget", "-1"],
     ["weight-dist", "--q", "2", "--budget", "-1"],
@@ -254,6 +270,15 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distance", "verify"])
+def test_threads_is_no_option(capsys, command):
+    """The scan's worker count comes from the CPUs the process may use, so --threads is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def _exit_code(argv):
@@ -269,9 +294,8 @@ def _exit_code(argv):
 @pytest.mark.parametrize("argv", [
     ["points", "--format", "txt", "--q", "{}"],
     ["distance", "--q", "2", "--budget", "{}"],
-    ["verify", "--q", "2", "--threads", "{}"],
     ["points", "--q", "9", "--poly", "2,{},1"],
-], ids=["q", "budget", "threads", "poly"])
+], ids=["q", "budget", "poly"])
 def test_numeric_arguments_are_ascii_decimal_digits(capsys, argv, value):
     """int() would read --q 1_1 as 11 and write the q = 11 points; every numeric argument is a usage error instead."""
     assert _exit_code([a.format(value) for a in argv]) == 2

@@ -435,29 +435,33 @@ def _messages(q, k):
 @pytest.mark.parametrize("block_target", [None, 5, 2000, 30000])
 @pytest.mark.parametrize("q, rows", [(3, 20), (4, 14), (5, 12), (8, 8), (9, 8)])
 def test_scan_weighs_each_scalar_class_once_in_message_order(monkeypatch, q, rows, block_target):
-    """The scan weighs every message whose first nonzero coefficient is 1,
-    each exactly once and in lexicographic order, with the weight of its
-    codeword; every other nonzero message is a multiple of one of them
-    and has its weight, which is what lets the scan skip them.
+    """The scan weighs every message whose head part (its first floor(k/2)
+    digits) is zero or has first nonzero coefficient 1, each exactly once
+    and in lexicographic order, with the weight of its codeword: head rows
+    1.. are one per scalar class, in message order, and the zero head meets
+    every tail.  Every other message is a multiple of one whose head part
+    leads with 1 and has its weight, which is what lets the scan skip it.
 
     The rows are the first of the reduced basis, as many as keep q^rows
     <= 2 * 10^4 (9, 7, 6, 4 and 4 of the 20, 14, 12, 8 and 8 named).  A
     block target of t packed codewords (_BLOCK_BYTES = t * the bytes of
     one) of 5 splits every head row's tails into several blocks, 2000
-    holds several whole head rows and 30000 whole runs of them.
+    holds several whole head rows and 30000 all of them.
     """
     f = field(q)
     rows = max(r for r in range(1, rows + 1) if q**r <= 2 * 10**4)
     sub = _reduced_basis(build_generator(f))[:rows]
     if block_target is not None:
         monkeypatch.setattr(codes, "_BLOCK_BYTES", block_target * _packed_row_bytes(q, sub.shape[1]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU weighs the blocks in order
     calls = _record_weights(monkeypatch)
     _exhaustive_scan(f, sub)
     weighed = [weights.reshape(-1) for _, weights in calls]
     reference = np.count_nonzero(_all_codewords(f, sub), axis=1)
     digits = _messages(q, rows)
-    lead = digits[np.arange(q**rows), np.argmax(digits != 0, axis=1)]
-    assert np.array_equal(np.concatenate(weighed), reference[lead == 1])
+    head = digits[:, :rows // 2]
+    lead = head[np.arange(q**rows), np.argmax(head != 0, axis=1)]  # 0 exactly for the zero head
+    assert np.array_equal(np.concatenate(weighed), reference[lead <= 1])
     mul = f.np_tables()[1]
     for c in range(2, q):
         assert np.array_equal(reference[mul[c, digits] @ q ** np.arange(rows - 1, -1, -1)], reference)
@@ -567,16 +571,18 @@ def test_weights_matches_count_nonzero():
 
 @pytest.mark.parametrize("q, rows", [sc for sc in SUBCODES if sc[0] in (5, 8, 9)])
 def test_scan_evaluations_count_every_message(monkeypatch, q, rows):
-    """A scan weighs (q^k - 1)/(q - 1) messages through ``_weights``, one per
-    scalar class of the nonzero messages, so with the zero word their q-1
-    multiples make the q^k words its histogram counts."""
+    """A scan of h head rows and t tail rows weighs (1 + (q^h - 1)/(q - 1)) *
+    q^t messages through ``_weights``: the zero head and one head per scalar
+    class, each against every tail.  With the q-1 multiples of the classes,
+    they make the q^k words its histogram counts."""
     f, sub = _subcode(q, rows)
     k = len(sub)
+    h, t = k // 2, k - k // 2
     calls = _record_weights(monkeypatch)
     hist = _exhaustive_scan(f, sub)
     weighed = sum(weights.size for _, weights in calls)
-    assert weighed == (q**k - 1) // (q - 1)
-    assert 1 + (q - 1) * weighed == hist.sum() == q**k
+    assert weighed == (1 + (q**h - 1) // (q - 1)) * q**t
+    assert q**t + (q - 1) * (weighed - q**t) == hist.sum() == q**k
 
 
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 20)])
@@ -623,12 +629,12 @@ def _family_half(q):
 
 
 @pytest.mark.parametrize("q, rows", [(2, None)] + SUBCODES + [(q, "A") for q in (2, 3, 4, 5)])
-def test_pless_power_moments(q, rows):
+def test_pless_power_moments(monkeypatch, q, rows):
     """Moments 0-2 of the weight histogram against B1, B2 of the dual, read off the columns.
 
     The family halves (rows "A") take several blocks at q = 4 and 5;
     their minimum weight is (q-1)q^2 (Sorensen), met by
-    (q-1) * C(q^3+q^2+q+1, 2) codewords, and two threads scan the same."""
+    (q-1) * C(q^3+q^2+q+1, 2) codewords, and a pool of two threads scans the same."""
     f, sub = _family_half(q) if rows == "A" else _subcode(q, rows)
     k, n = sub.shape
     hist = _exhaustive_scan(f, sub)[0]
@@ -636,7 +642,8 @@ def test_pless_power_moments(q, rows):
         d = _least(hist)
         assert d == (q - 1) * q**2
         assert hist[d] == (q - 1) * comb(q**3 + q**2 + q + 1, 2)
-        assert np.array_equal(_exhaustive_scan(f, sub, threads=2)[0], hist)
+        _pool_every_scan(monkeypatch, cpus=2)
+        assert np.array_equal(_exhaustive_scan(f, sub)[0], hist)
     _, mul, _, inv = f.np_tables()
     zero_cols = 0
     classes = {}  # nonzero columns up to scaling, each normalized to a leading 1
@@ -755,9 +762,17 @@ def test_weight_distribution_budget_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [4, 5])
-def test_weight_distribution_threads_match(q):
-    """At q = 4 and 5 each side takes several blocks, which two threads share."""
-    assert weight_distribution(field(q), threads=2) == weight_distribution(field(q)) == _golden_distribution(q)
+def test_weight_distribution_threads_match(monkeypatch, q):
+    """At q = 4 and 5 each side takes fewer than _POOL_BLOCKS blocks (11 and
+    196), so a process with two CPUs scans them inline and builds no pool."""
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan below _POOL_BLOCKS blocks built a thread pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
+    assert weight_distribution(field(q)) == _golden_distribution(q)
 
 
 def test_scan_invariant_under_basis_choice_q2():
@@ -783,7 +798,7 @@ def _side_a(q):
     class Found(Exception):
         pass
 
-    def scan(f, rows, threads=1, cosets=0):
+    def scan(f, rows, cosets=0):
         raise Found(rows, cosets)
 
     f = field(q)
@@ -792,10 +807,17 @@ def _side_a(q):
     return (f, *found.value.args)
 
 
+def _pool_every_scan(monkeypatch, cpus):
+    """Make the process see ``cpus`` CPUs and pool every scan of one block or more:
+    with more than one CPU, every scan goes to a pool of one thread per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(codes, "_POOL_BLOCKS", 1)
+
+
 @pytest.mark.parametrize("q, rows", [(2, None), (3, 9), (9, 5), (4, "CA")])
 def test_scan_threads_deterministic(monkeypatch, q, rows):
-    """Three threads, more than the cores, give one thread's histograms.  On
-    the q = 4 side "CA" (the six coset rows of T and four of K_A) a block
+    """Three CPUs, more than the cores, give one CPU's histograms.  On the
+    q = 4 side "CA" (the six coset rows of T and four of K_A) a block
     target of 64 packed codewords cuts each head row's 256 tails into four
     blocks, so the blocks of one histogram row land on different workers,
     which add them under the lock, switching as often as the interpreter
@@ -807,12 +829,14 @@ def test_scan_threads_deterministic(monkeypatch, q, rows):
         monkeypatch.setattr(codes, "_BLOCK_BYTES", 64 * _packed_row_bytes(q, basis.shape[1]))
     else:
         f, basis = _subcode(q, rows)
-    one = _exhaustive_scan(f, basis, threads=1, cosets=cosets)
+    _pool_every_scan(monkeypatch, cpus=1)
+    one = _exhaustive_scan(f, basis, cosets=cosets)
+    _pool_every_scan(monkeypatch, cpus=3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert np.array_equal(_exhaustive_scan(f, basis, threads=3, cosets=cosets), one)
+            assert np.array_equal(_exhaustive_scan(f, basis, cosets=cosets), one)
     finally:
         sys.setswitchinterval(interval)
 
@@ -838,12 +862,13 @@ def test_scan_packs_only_the_head_words_it_weighs(monkeypatch, q, h):
 
 
 def test_full_scan_with_one_thread_runs_inline(monkeypatch):
-    """threads=1 never builds a pool, not even for a scan of many blocks."""
+    """A process with one CPU never builds a pool, not even for a scan of
+    more than _POOL_BLOCKS blocks, which two CPUs share in a pool of two."""
     import concurrent.futures
 
     f, basis = _subcode(3, 13)
-    k, n = basis.shape
-    assert (3**k - 1) // 2 * _packed_row_bytes(3, n) > codes._BLOCK_BYTES
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", 64 * _packed_row_bytes(3, basis.shape[1]))
+    assert (1 + (3**6 - 1) // 2) * -(-3**7 // 64) > codes._POOL_BLOCKS  # head rows, each in 35 blocks
     pools = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
@@ -852,19 +877,21 @@ def test_full_scan_with_one_thread_runs_inline(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    threaded = _exhaustive_scan(f, basis, threads=2)
-    assert pools == [{"max_workers": 2}]  # a scan above one block reaches the pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threaded = _exhaustive_scan(f, basis)
+    assert pools == [{"max_workers": 2}]  # a scan above _POOL_BLOCKS blocks reaches the pool
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a one-thread scan built a thread pool")
+        raise AssertionError("a one-CPU scan built a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
-    assert np.array_equal(_exhaustive_scan(f, basis, threads=1), threaded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert np.array_equal(_exhaustive_scan(f, basis), threaded)
     assert weight_distribution(field(2)) == _golden_distribution(2)
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    """Only a threaded full scan uses concurrent.futures (and the logging it
+    """Only a pooled full scan uses concurrent.futures (and the logging it
     loads), so importing the package and building a field leave it out."""
     src = os.path.dirname(os.path.dirname(codes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -875,19 +902,14 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 def test_threaded_scan_within_one_block_leaves_the_thread_pool_unloaded():
     """At q = 2 every part of the family split fits one block and runs
-    inline, so two threads build no pool and never import concurrent.futures."""
+    inline, so two CPUs build no pool and never import concurrent.futures."""
     src = os.path.dirname(os.path.dirname(codes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, ograss; d = ograss.minimum_distance(ograss.field(2), threads=2).distance; "
+    code = ("import os, sys, ograss; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "d = ograss.minimum_distance(ograss.field(2)).distance; "
             "print(d, 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "8 False"
-
-
-@pytest.mark.parametrize("call", [minimum_distance, weight_distribution, verify])
-def test_threads_below_one_rejected(call):
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        call(field(2), threads=0)
 
 
 def test_sampled_messages_direct_recount():

@@ -26,6 +26,7 @@ code, which CI runs.  Every other byte of them is older.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -206,11 +207,18 @@ def test_distance_parts_stay_off_stdout(monkeypatch, capsys):
     assert all(p.seconds >= 0 for p in res.parts)
 
 
+def _pool_every_scan(monkeypatch):
+    """Make the process see two CPUs, and every scan go to a pool of two threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(codes, "_POOL_BLOCKS", 1)
+
+
 @pytest.mark.parametrize("q", [4, 5])
-def test_distance_stdout_with_threads(capsys, q):
-    """q = 4 and 5 run the family split, whose larger parts are scanned by
-    the workers; stdout does not depend on the thread count."""
-    out = _stdout(capsys, ["distance", "--q", str(q), "--threads", "2"])
+def test_distance_stdout_with_threads(monkeypatch, capsys, q):
+    """q = 4 and 5 run the family split, whose sides take several blocks;
+    with every scan in a pool of two workers, stdout is the golden one."""
+    _pool_every_scan(monkeypatch)
+    out = _stdout(capsys, ["distance", "--q", str(q)])
     assert out == (GOLDEN / f"distance-q{q}.json").read_text()
 
 
@@ -236,7 +244,8 @@ def test_weight_dist_stdout_beyond_q2(capsys, q):
         q ** (20 if q % 2 else 14), d, {3: 3120, 4: 510, 5: 96720}[q])
 
 
-def test_weight_distribution_threads_match_golden():
+def test_weight_distribution_threads_match_golden(monkeypatch):
     rows = (GOLDEN / "weight-dist-q2.csv").read_text().splitlines()[1:]
     golden = {int(w): int(c) for w, c in (row.split(",") for row in rows)}
-    assert codes.weight_distribution(field(2), threads=2) == golden
+    _pool_every_scan(monkeypatch)
+    assert codes.weight_distribution(field(2)) == golden

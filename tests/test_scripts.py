@@ -27,7 +27,8 @@ def _script(name, *argv):
 @pytest.mark.parametrize("name", ["run_verification.py", "distance_table.py"])
 def test_usage_error_exits_2(name, argv):
     """Every field in --qs is built before the first report, so a bad one prints none.  The fields
-    are the CLI's (a prime power <= 49), and every number is ASCII decimal digits, as in the CLI."""
+    are the CLI's (a prime power <= 49), and every number is ASCII decimal digits, as in the CLI.
+    --threads is no option of either script, so it is refused like any unknown argument."""
     res = _script(name, *argv)
     assert (res.returncode, res.stdout) == (2, "")
     assert "usage:" in res.stderr and "Traceback" not in res.stderr

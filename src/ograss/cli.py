@@ -10,7 +10,8 @@ by ``_field``, which the scripts share; it parses ``--poly`` and leaves
 the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
 ``main`` builds the field once and passes it to the command.
 ``weight-dist`` opens ``--out`` before the split (``_output``), so that a
-bad path costs no scan.
+bad path costs no scan, and a run that writes no CSV leaves an existing
+file as it was.
 
 ``genmat`` and ``points`` write their text as bytes, block by block, and no
 Python object is made per entry.  The text of one matrix row entry, or of
@@ -28,28 +29,18 @@ enumeration (``polar``), ``genmat`` also the generator build
 ``verify`` alone extends by the form checks (``forms``).  The ``--budget``
 options default to ``codes.DEFAULT_BUDGET`` when the command runs, so that
 building the parser loads no engine.
-
-``entry`` is the process entry of ``python -m ograss`` and the ``ograss``
-script: it runs ``main``, freezes the objects the garbage collector tracks
-(``gc.freeze``) so that the full collections of interpreter shutdown skip
-the numpy and ograss modules, and exits with main's code.  It first
-restores the default SIGPIPE action, so that a stdout closed early ends
-the process quietly, as it ends ``cat`` (status 141 in the shell).
-``main`` does neither, so tests and library callers can run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
-import signal
 import sys
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,15 +85,19 @@ def _field(q: int, poly: str | None = None) -> GF:
 @contextmanager
 def _output(out: str | None) -> Iterator:
     """stdout's binary stream, or the file ``out`` opened at once, so that a bad path fails before
-    the work; a file made here and still empty at the end (an error, a failed check) is removed."""
+    the work.  An existing file keeps its bytes until output is written (then cut to the output's
+    length), and a file made here and still empty at the end (an error, a failed check) is removed."""
     if not out:
         sys.stdout.flush()
         yield sys.stdout.buffer
         return
     made = not os.path.lexists(out)
-    fh = open(out, "wb")
+    # without O_TRUNC: a run that writes nothing leaves an existing file as it was
+    fh = open(out, "wb", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
     try:
         yield fh
+        if 0 < fh.tell() < os.fstat(fh.fileno()).st_size:  # an old file longer than the output
+            fh.truncate()
     finally:
         fh.close()
         if made and not os.path.getsize(out):
@@ -353,16 +348,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry(argv=None) -> NoReturn:
-    """Run ``main``, then freeze the tracked objects and exit with its code (see the module docstring)."""
-    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process as it ends cat (POSIX only)
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    code = main(argv)
-    gc.freeze()
-    raise SystemExit(code)
-
-
-if __name__ == "__main__":
-    entry()

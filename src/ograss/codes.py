@@ -54,14 +54,12 @@ import functools
 import os
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 import numpy as np
 
 from .generator import GeneratorMatrix, _det_tables, _np_det, build_generator
 from .gf import GF, gather, row_reduce
-from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, reduced_minor_indices, reflected_complement
+from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, reduced_index_table, reflected_complement
 from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, family_mask, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
@@ -150,10 +148,13 @@ def rank_dimension(G: GeneratorMatrix) -> int:
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass
 class WeightReport:
-    total: int
-    per_cell: dict[tuple[int, int, int], int]
+    """The Hamming weight of a codeword, and its weight on each pivot cell."""
+
+    __slots__ = ("total", "per_cell")
+
+    def __init__(self, total: int, per_cell: dict[tuple[int, int, int], int]) -> None:
+        self.total, self.per_cell = total, per_cell
 
 
 def weight(fn: MinorFunction) -> WeightReport:
@@ -304,14 +305,14 @@ def _weights(a: np.ndarray, neg_b: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.min_scalar_type(64 * len(counts)))
 
 
-class Part(NamedTuple):
+class Part:
     """The scan of one side of the family split, "CA" or "CB": the projection
     C_S of the code on family S, of q^dimension evaluations."""
 
-    name: str
-    dimension: int
-    evaluations: int
-    seconds: float
+    __slots__ = ("name", "dimension", "evaluations", "seconds")
+
+    def __init__(self, name: str, dimension: int, evaluations: int, seconds: float) -> None:
+        self.name, self.dimension, self.evaluations, self.seconds = name, dimension, evaluations, seconds
 
 
 def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int) -> tuple[np.ndarray, tuple[Part, Part]]:
@@ -371,21 +372,17 @@ def _split(f: GF, basis: np.ndarray, mask: np.ndarray, budget: int) -> tuple[np.
             tuple(parts))
 
 
-@dataclass
 class DistanceResult:
     """``evaluations`` counts the codewords whose weight was established:
     the sum of q^dimension over ``parts``, the two sides that the family
     split scanned, and 1 in witness mode, where ``parts`` is empty."""
 
-    q: int
-    n: int
-    dimension: int
-    distance: int
-    witness: MinorFunction
-    exact: bool
-    method: str
-    evaluations: int
-    parts: tuple[Part, ...] = ()
+    __slots__ = ("q", "n", "dimension", "distance", "witness", "exact", "method", "evaluations", "parts")
+
+    def __init__(self, q: int, n: int, dimension: int, distance: int, witness: MinorFunction, exact: bool,
+                 method: str, evaluations: int, parts: tuple[Part, ...] = ()) -> None:
+        self.q, self.n, self.dimension, self.distance, self.witness = q, n, dimension, distance, witness
+        self.exact, self.method, self.evaluations, self.parts = exact, method, evaluations, parts
 
 
 def minimum_distance(f: GF, method: str = "exhaustive", budget: int = DEFAULT_BUDGET) -> DistanceResult:
@@ -452,22 +449,24 @@ def macwilliams(q: int, n: int, dist: dict[int, int]) -> list[int]:
 # verification report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Check:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
+    """One line of the verification report: a named claim, its expected and actual values."""
+
+    __slots__ = ("name", "expected", "actual", "passed")
+
+    def __init__(self, name: str, expected: object, actual: object, passed: bool) -> None:
+        self.name, self.expected, self.actual, self.passed = name, expected, actual, passed
 
 
-@dataclass
 class VerificationReport:
-    q: int
-    n: int
-    dimension: int
-    distance: int
-    distance_exact: bool
-    checks: list[Check] = dc_field(default_factory=list)
+    """The code's parameters and every ``Check`` that ``verify`` ran, in order."""
+
+    __slots__ = ("q", "n", "dimension", "distance", "distance_exact", "checks")
+
+    def __init__(self, q: int, n: int, dimension: int, distance: int, distance_exact: bool,
+                 checks: list[Check]) -> None:
+        self.q, self.n, self.dimension, self.distance = q, n, dimension, distance
+        self.distance_exact, self.checks = distance_exact, checks
 
     @property
     def passed(self) -> bool:
@@ -523,9 +522,9 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     G = build_generator(f)
     direct = _direct_minors(f, mats)
     add_check("pivot expansion equals direct minor", 0, int(np.count_nonzero(direct != G.matrix)))
+    indices = reduced_index_table()
     add_check("reduced index transpose duality", True,
-              all(reduced_minor_indices(A, I)[0] == reduced_minor_indices(reflected_complement(A), I)[1]
-                  for A in COLUMN_SETS for I in CELL_ORDER))
+              all(indices[A, I][0] == indices[reflected_complement(A), I][1] for A in COLUMN_SETS for I in CELL_ORDER))
     k = rank_dimension(G)
     if q % 2 == 0:
         bad = sum(1 for A in COLUMN_SETS

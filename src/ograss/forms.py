@@ -18,7 +18,6 @@ for this pair.  ``totally_singular_mask`` runs the test on a whole array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,16 +25,15 @@ import numpy as np
 from .gf import GF, gather
 
 
-@dataclass(frozen=True)
 class FormSpace:
     """The form pair (B, Q) on F_q^(2*ell)."""
 
-    field: GF
-    ell: int
+    __slots__ = ("field", "ell")
 
-    def __post_init__(self) -> None:
-        if self.ell < 1:
+    def __init__(self, field: GF, ell: int) -> None:
+        if ell < 1:
             raise ValueError("ell must be at least 1")
+        self.field, self.ell = field, ell
 
     @property
     def m(self) -> int:

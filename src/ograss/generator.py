@@ -31,7 +31,6 @@ builds its matrix without loading ``codes`` or ``forms``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +39,15 @@ from .grassmann import COLSET_INDEX, COLUMN_SETS, expansion_plan
 from .polar import CELL_ARITY, cell_grid, cell_slices, point_count
 
 
-@dataclass(eq=False)
 class GeneratorMatrix:
-    """20 x n generator matrix; row i lists minor COLUMN_SETS[i] over all points."""
+    """20 x n generator matrix; row i lists minor COLUMN_SETS[i] over all points.
 
-    field: GF
-    matrix: np.ndarray
+    Compared and hashed by identity (``codes._reduced_basis`` caches per generator)."""
+
+    __slots__ = ("field", "matrix")
+
+    def __init__(self, field: GF, matrix: np.ndarray) -> None:
+        self.field, self.matrix = field, matrix
 
     @property
     def n(self) -> int:

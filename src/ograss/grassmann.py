@@ -20,7 +20,6 @@ the generator build and ``expand_minor`` both read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -50,23 +49,30 @@ def _colset(A: Sequence[int]) -> tuple[int, int, int]:
 # matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MatrixRep:
-    """An ell x m matrix over GF(q), rows spanning the represented subspace."""
+    """An ell x m matrix over GF(q), rows spanning the represented subspace.
 
-    field: GF
-    rows: tuple[tuple[int, ...], ...]
+    ``rows`` is read into a tuple of int tuples; two are equal when their fields and rows are.
+    Not hashable."""
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in r) for r in self.rows)
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: GF, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(tuple(int(v) for v in r) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must be non-empty and rectangular")
-        q = self.field.q
+        q = field.q
         for r in rows:
             for v in r:
                 if not 0 <= v < q:
                     raise ValueError(f"entry {v} out of range for GF({q})")
-        object.__setattr__(self, "rows", rows)
+        self.field, self.rows = field, rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows) == (other.field, other.rows)
+
 
 
 def det(f: GF, rows: Sequence[Sequence[int]]) -> int:
@@ -130,25 +136,31 @@ def parse_decimal(text: str) -> int:
     return int(digits)
 
 
-@dataclass(frozen=True)
 class MinorFunction:
     """An F_q-linear combination of the 20 maximal minors.
 
-    ``coeffs[i]`` multiplies the minor on ``COLUMN_SETS[i]``.
+    ``coeffs[i]`` multiplies the minor on ``COLUMN_SETS[i]``; it is read into a tuple
+    of ints.  Two are equal when their fields and coefficients are.
+    Not hashable.
     """
 
-    field: GF
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, field: GF, coeffs: Sequence[int]) -> None:
+        coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != len(COLUMN_SETS):
             raise ValueError(f"expected {len(COLUMN_SETS)} coefficients, got {len(coeffs)}")
-        q = self.field.q
+        q = field.q
         for c in coeffs:
             if not 0 <= c < q:
                 raise ValueError(f"coefficient {c} out of range for GF({q})")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.field, self.coeffs = field, coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
 
     @classmethod
     def single(cls, f: GF, A: Sequence[int]) -> "MinorFunction":
@@ -258,18 +270,32 @@ def expansion_sign(A: Sequence[int], I: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def reduced_index_table() -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``reduced_minor_indices(A, I)`` keyed (A, I), for every column set A on every
+    self-paired pivot set I (the eight cells): 160 pairs, computed once per process
+    and read by ``expansion_plan`` and by verify's transpose duality check.  Shared:
+    callers must not change it."""
+    cells = [I for I in COLUMN_SETS if I == reflected_complement(I)]
+    return {(A, I): reduced_minor_indices(A, I) for I in cells for A in COLUMN_SETS}
+
+
+@functools.lru_cache(maxsize=None)
 def expansion_plan(pivots: tuple[int, ...]) -> tuple[tuple[tuple, bool], ...]:
     """(block, negate) for each column set A on the cell P_I, in COLUMN_SETS order.
 
     ``block`` lists, row by row, the 0-based (row, column) positions in a
     canonical representative of the reduced block of
-    ``reduced_minor_indices(A, I)``, and ``negate`` is
-    ``expansion_sign(A, I) < 0``: det_A is det(block), negated if ``negate``.
+    ``reduced_minor_indices(A, I)`` (read from ``reduced_index_table``), and
+    ``negate`` is ``expansion_sign(A, I) < 0``: det_A is det(block), negated
+    if ``negate``.
     """
+    table = reduced_index_table()
+    if (COLUMN_SETS[0], pivots) not in table:
+        raise ValueError(f"pivot set {pivots} is not self-paired")
     free = [c for c in range(AMBIENT) if c + 1 not in pivots]
     plan = []
     for A in COLUMN_SETS:
-        block_rows, block_cols = reduced_minor_indices(A, pivots)
+        block_rows, block_cols = table[A, pivots]
         block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
         plan.append((block, expansion_sign(A, pivots) < 0))
     return tuple(plan)

@@ -41,7 +41,6 @@ refuses it above q = 4.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
@@ -132,13 +131,13 @@ def cell_grid(f: GF, pivots: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]
     return cell_rows(pivots, axes, neg.__getitem__, neg.dtype.type(0), neg.dtype.type(1))
 
 
-@dataclass(frozen=True)
 class Point:
     """One totally singular 3-space: cell id, parameter tuple, representative."""
 
-    pivots: tuple[int, int, int]
-    params: tuple[int, ...]
-    matrix: MatrixRep
+    __slots__ = ("pivots", "params", "matrix")
+
+    def __init__(self, pivots: tuple[int, int, int], params: tuple[int, ...], matrix: MatrixRep) -> None:
+        self.pivots, self.params, self.matrix = pivots, params, matrix
 
 
 def point_count(q: int) -> int:

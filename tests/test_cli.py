@@ -209,6 +209,34 @@ def test_weight_dist_bad_out_fails_before_the_split(monkeypatch, tmp_path, capsy
     assert not (tmp_path / "missing").exists()
 
 
+def test_weight_dist_refused_by_the_budget_keeps_an_existing_out_file(tmp_path, capsys):
+    """--out is opened before the split without truncating it, so a budget
+    refusal (exit 2) leaves the file's bytes as they were."""
+    out_path = tmp_path / "old.csv"
+    out_path.write_bytes(b"precious\n")
+    code, out, err = run(capsys, "weight-dist", "--q", "7", "--out", str(out_path))
+    assert (code, out) == (2, "") and "budget 100000000" in err
+    assert out_path.read_bytes() == b"precious\n"
+
+
+def test_weight_dist_failing_macwilliams_keeps_an_existing_out_file(monkeypatch, tmp_path, capsys):
+    """A failed MacWilliams check (exit 1) writes no CSV and leaves an existing
+    --out file's bytes as they were; a passing run then replaces them whole."""
+    def failing(*args):
+        raise ValueError("the weight distribution fails the MacWilliams identity")
+
+    out_path = tmp_path / "old.csv"
+    old = "".join(f"{i}\n" for i in range(1000)).encode()  # longer than the CSV
+    out_path.write_bytes(old)
+    with monkeypatch.context() as m:
+        m.setattr(codes, "macwilliams", failing)
+        code, out, err = run(capsys, "weight-dist", "--q", "2", "--out", str(out_path))
+    assert (code, out) == (1, "") and "MacWilliams" in err
+    assert out_path.read_bytes() == old
+    assert run(capsys, "weight-dist", "--q", "2", "--out", str(out_path))[0] == 0
+    assert out_path.read_bytes() == (ROOT / "tests" / "golden" / "weight-dist-q2.csv").read_bytes()
+
+
 def test_budget_help_names_the_default(capsys):
     for command in ("distance", "weight-dist", "verify"):
         with pytest.raises(SystemExit):
@@ -435,8 +463,11 @@ def test_points_writer_matches_reference(monkeypatch, tmp_path, capsysbinary, q,
 
 
 def test_entry_freezes_once_after_main(monkeypatch, capsys):
-    """The process entry restores the default SIGPIPE action, runs main, then
-    freezes once, then exits with main's code."""
+    """The process entry loads cli with the collector off, freezes what the
+    load left and turns the collector on, restores the default SIGPIPE action,
+    runs main, freezes once more, then exits with main's code."""
+    from ograss import __main__ as process
+
     calls = []
     inner = cli.main
 
@@ -446,14 +477,15 @@ def test_entry_freezes_once_after_main(monkeypatch, capsys):
         return code
 
     monkeypatch.setattr(cli, "main", recording)
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    for name in ("disable", "freeze", "enable"):
+        monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
     monkeypatch.setattr(signal, "signal", lambda *handler: calls.append(handler))
     for argv, code in ((["distance", "--q", "2"], 0), (["points", "--q", "6"], 2)):
         calls.clear()
         with pytest.raises(SystemExit) as exc:
-            cli.entry(argv)
+            process.entry(argv)
         assert exc.value.code == code
-        assert calls == [(signal.SIGPIPE, signal.SIG_DFL), ("main", code), "freeze"]
+        assert calls == ["disable", "freeze", "enable", (signal.SIGPIPE, signal.SIG_DFL), ("main", code), "freeze"]
     assert "prime power" in capsys.readouterr().err
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ograss import codes
+from ograss import codes, grassmann
 from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
@@ -39,7 +39,7 @@ from ograss.generator import _det_tables, _np_det
 from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import (
-    COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, reflected_complement,
+    COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, reduced_index_table, reflected_complement,
 )
 from ograss.polar import (
     CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, family_mask, point_count,
@@ -212,7 +212,7 @@ def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):
 
     for name in ("enumerate_points", "MatrixRep", "minor", "FormSpace"):
         assert not hasattr(codes, name)
-    monkeypatch.setattr(MatrixRep, "__post_init__", forbidden)
+    monkeypatch.setattr(MatrixRep, "__init__", forbidden)
     f = field(49)
     start = time.perf_counter()
     G = build_generator.__wrapped__(f)  # past the cache, which another test may have filled
@@ -1045,6 +1045,39 @@ def test_verify_direct_minor_check_fails_on_a_flipped_generator_entry(monkeypatc
     rep = verify(f, budget=1000)
     check = next(c for c in rep.checks if c.name == "pivot expansion equals direct minor")
     assert (check.expected, check.actual, check.passed) == (0, 1, False)
+
+
+_DUALITY = "reduced index transpose duality"
+
+
+@pytest.mark.parametrize("A, I, side", [((1, 2, 3), (4, 5, 6), 0), ((2, 3, 6), (1, 3, 5), 1),
+                                         ((1, 4, 5), (1, 4, 5), 0)])
+def test_verify_duality_check_fails_on_one_corrupted_reduced_index_pair(monkeypatch, A, I, side):
+    """The check reads every column set against its reflected complement on every
+    cell of the shared table, so one pair with an extra row (side 0) or column
+    (side 1) index fails it, and it alone."""
+    table = dict(reduced_index_table())
+    pair = list(table[A, I])
+    pair[side] += (4,)
+    table[A, I] = tuple(pair)
+    monkeypatch.setattr(codes, "reduced_index_table", lambda: table)
+    rep = verify(field(3), budget=1000)
+    assert [c.name for c in rep.checks if not c.passed] == [_DUALITY]
+    assert f"FAIL {_DUALITY}: expected True, got False" in rep.lines()
+
+
+def test_verify_computes_each_reduced_index_pair_once(monkeypatch):
+    """The generator's expansion plans and verify's duality check read one table:
+    from empty caches, verify computes each of the 160 (A, I) pairs once."""
+    calls = []
+    inner = grassmann.reduced_minor_indices
+    monkeypatch.setattr(grassmann, "reduced_minor_indices", lambda A, I: calls.append((A, I)) or inner(A, I))
+    monkeypatch.setattr(codes, "build_generator", build_generator.__wrapped__)  # past the cache
+    reduced_index_table.cache_clear()
+    expansion_plan.cache_clear()
+    assert verify(field(3), budget=1000).passed
+    assert len(calls) == len(set(calls)) == len(COLUMN_SETS) * len(CELL_ORDER) == 160
+    assert reduced_index_table() == {(A, I): inner(A, I) for A in COLUMN_SETS for I in CELL_ORDER}
 
 
 def test_verify_q5_upper_bound_only():

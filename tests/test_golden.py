@@ -21,7 +21,9 @@ of distance-q2.json and distance-q4.json again when the split came to scan
 one projection per side (2 * q^10 at every q).  weight-dist-q3.csv,
 weight-dist-q4.csv and weight-dist-q5.csv were recorded from the split's
 weight distribution; q = 3 equals the scan of all 3^20 words of the whole
-code, which CI runs.  Every other byte of them is older.
+code, which CI runs.  verify-q8.txt was recorded from the command line
+before the process entry moved to ``ograss.__main__``.  Every other byte of
+them is older.
 """
 
 import hashlib
@@ -226,6 +228,13 @@ def test_distance_stdout_with_threads(monkeypatch, capsys, q):
 def test_verify_stdout(capsys, q):
     out = _stdout(capsys, ["verify", "--q", str(q), "--budget", "1000"])
     assert out == (GOLDEN / f"verify-q{q}-budget1000.txt").read_text()
+
+
+def test_verify_stdout_q8(capsys):
+    """verify --q 8 under the default budget, which refuses the split, so the
+    distance line is the witness's upper bound; CI compares the installed
+    script and python -m with it."""
+    assert _stdout(capsys, ["verify", "--q", "8"]) == (GOLDEN / "verify-q8.txt").read_text()
 
 
 def test_weight_dist_stdout(capsys):

@@ -12,6 +12,7 @@ from ograss.grassmann import (
     RankDeficientError,
     det,
     expand_minor,
+    expansion_plan,
     expansion_sign,
     minor,
     reduced_minor_indices,
@@ -203,6 +204,8 @@ def test_reduced_minor_indices():
     assert reduced_minor_indices((1, 2, 3), (4, 5, 6)) == ((1, 2, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         reduced_minor_indices((1, 2, 3), (1, 2, 5))  # pivot set not self-paired
+    with pytest.raises(ValueError, match="not self-paired"):
+        expansion_plan((1, 2, 5))  # no row of the shared table
 
 
 def test_transpose_duality_exhaustive():

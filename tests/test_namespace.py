@@ -1,7 +1,9 @@
 """The lazy package namespace: what each entry loads, checked in fresh interpreters.
 
 The test session has imported every module, so each check runs a small
-script in a new interpreter and reads ``sys.modules`` there.
+script in a new interpreter and reads ``sys.modules`` there; the checks of
+the process entry's collector policy run there too, where no earlier test
+has loaded numpy.
 """
 
 import json
@@ -94,3 +96,75 @@ def test_unknown_name_raises_attribute_error():
         ograss.nosuch
     with pytest.raises(ImportError):
         from ograss import nosuch  # noqa: F401
+
+
+def _process(argv) -> str:
+    """Code that runs ``python -m ograss`` on argv in the fresh interpreter, to its exit status ``code``."""
+    return (f"import runpy\nsys.argv = ['ograss', *{argv!r}]\n"
+            "try:\n    runpy.run_module('ograss', run_name='__main__')\n"
+            "except SystemExit as exc:\n    code = exc.code\n")
+
+
+@pytest.mark.parametrize("argv", [["points", "--q", "3", "--out", os.devnull],
+                                  ["genmat", "--q", "3", "--out", os.devnull],
+                                  ["distance", "--q", "2"],
+                                  ["weights", "--q", "2", "--coeffs", "COEFFS"],
+                                  ["weight-dist", "--q", "2", "--out", os.devnull],
+                                  ["verify", "--q", "3", "--budget", "1000"]],
+                         ids=["points", "genmat", "distance", "weights", "weight-dist", "verify"])
+def test_no_command_loads_dataclasses(argv, tmp_path):
+    """Every class on a command path writes its methods out, so no command
+    imports ``dataclasses``, whose classes generate and compile theirs at import."""
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text(",".join(["1"] + ["0"] * 19))
+    argv = [str(coeffs) if a == "COEFFS" else a for a in argv]
+    assert _fresh(_process(argv) + "print(json.dumps([code, 'dataclasses' in sys.modules]))") == [0, False]
+
+
+def test_process_entry_loads_without_collections():
+    """Through the process entry, the collector makes no pass before ``cli.main``
+    starts (it is off while numpy and cli load), and it is on when main runs.
+    The entry module is imported and the collector emptied first, so that
+    the count starts at the entry."""
+    code = """
+import gc
+from ograss import __main__ as process
+seen, at_main = [], []
+
+def watch(frame, event, arg):
+    if event == "call" and not at_main and frame.f_code.co_name == "main" \\
+            and frame.f_globals.get("__name__") == "ograss.cli":
+        at_main.append([len(seen), gc.isenabled()])
+
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and seen.append(info["generation"]))
+sys.setprofile(watch)
+try:
+    process.entry(["distance", "--q", "2"])
+except SystemExit as exc:
+    code = exc.code
+sys.setprofile(None)
+print(json.dumps([code, at_main]))
+"""
+    assert _fresh(code) == [0, [[0, True]]]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_library_calls_leave_the_collector_alone(enabled):
+    """``import ograss``, ``ograss.field(q)`` and ``cli.main`` in process neither
+    switch the collector nor freeze: only the process entry does."""
+    code = f"""
+import gc
+gc.enable() if {enabled} else gc.disable()
+state = lambda: [gc.isenabled(), gc.get_freeze_count()]
+states = [state()]
+import ograss
+states.append(state())
+ograss.field(8)
+states.append(state())
+from ograss import cli
+assert cli.main(["distance", "--q", "2"]) == 0
+states.append(state())
+print(json.dumps(states))
+"""
+    assert _fresh(code) == [[enabled, 0]] * 4

@@ -6,14 +6,18 @@ first: in GF(9) built on x^2 + 2x + 2 the integer 5 = 2 + 1*3 stands for
 2 + x.  This encoding is stable, hashable, and is the on-disk format used
 by every serializer in the package.
 
-Addition, negation, multiplication and inversion are tables built once at
-construction from the digit representation: addition is digitwise mod p,
-and a * b is the sum over j of b_j * (x^j * a), each term one gather from
-the table of base-field multiples and the map a -> x * a, which folds x^e
-back in through the defining polynomial.  Inverses and squares are read off
-the multiplication table.  The tables are built with numpy and kept both as
-uint8 arrays and as nested lists for the scalar operations.  A GF instance
-is immutable after construction and can be shared freely between threads.
+One construction, ``_tables``, gives addition, negation, multiplication
+and inversion as tables built once from the digit representation:
+addition is digitwise mod p, and a * b is the sum over j of b_j * (x^j * a),
+each term one gather from the table of base-field multiples and the map
+a -> x * a, which folds x^e back in through the defining polynomial.
+Inverses are read off the multiplication table.  The same tables decide
+which polynomials define a field: F_p[x]/(f) is one exactly when its
+multiplication table has no zero divisors, since a finite integral domain
+is a field, so ``GF`` refuses a reducible f by that test and
+``is_irreducible`` reads it too.  The tables are kept both as uint8
+arrays and as nested lists for the scalar operations.  A GF instance is
+immutable after construction and can be shared freely between threads.
 
 This module is the one rule for which fields exist: the 23 prime powers
 q <= ``MAX_Q`` = 49, refused otherwise.  Every extension field among them
@@ -28,7 +32,6 @@ package's one lookup of a two-operand table on arrays.
 from __future__ import annotations
 
 import functools
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -72,65 +75,54 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p; coefficient lists run low to high
-# ---------------------------------------------------------------------------
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_rem(p: int, a: Sequence[int], mod: Sequence[int]) -> list[int]:
-    """Remainder of a modulo a monic polynomial."""
-    a = list(a)
-    d = len(mod) - 1
-    while len(a) > d:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - d
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
+def _tables(p: int, e: int, poly: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (add, mul, neg, inv) tables of F_p[x]/(poly), poly monic of degree e (None for e = 1),
+    as int arrays.  inv[a] is the first b with a * b = 1, and 0 where there is none (a = 0, or a
+    zero divisor when poly is reducible)."""
+    q = p**e
+    # row a of digits holds the base-p digits of a, constant term first
+    place = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // place % p
+    add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, place))
+    neg = -digits % p @ place
+    scale = np.arange(p)[:, None, None] * digits % p @ place  # scale[c, a] = c * a for c in GF(p)
+    # x * a: a's digits shifted up, the top one times x^e (-poly below its lead) added back; unused if e = 1
+    top, x_e = q // p, -np.array((poly or (0,))[:e]) % p @ place
+    times_x = add[np.arange(q) % top * p, scale[np.arange(q) // top, x_e]]
+    mul, xa = 0, np.arange(q)
+    for j in range(e):  # mul[a, b] = sum over j of b_j * (x^j * a)
+        mul = add[mul, scale[digits[:, j], xa[:, None]]]
+        xa = times_x[xa]
+    return add, mul, neg, np.argmax(mul == 1, axis=1)
 
 
 def is_irreducible(p: int, poly: Sequence[int]) -> bool:
-    """Trial division against every monic divisor of degree <= deg/2.
+    """True iff ``poly`` (coefficients low to high, any residues) is irreducible over GF(p).
 
-    Complete: any factorization of a degree-d polynomial contains a factor
-    of degree at most d // 2.
+    F_p[x]/(f) is a field, and f irreducible, exactly when its multiplication
+    table has no zero divisors: a finite integral domain is a field.  The
+    polynomial is made monic first; constants are not irreducible.  Raises
+    ValueError when p^deg exceeds ``MAX_Q``, the largest table built.
     """
-    coeffs = _poly_trim([c % p for c in poly])
+    coeffs = [c % p for c in poly]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     deg = len(coeffs) - 1
     if deg < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for lower in product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            if not _poly_rem(p, coeffs, divisor):
-                return False
-    return True
+    if p**deg > MAX_Q:
+        raise ValueError(f"q={p**deg} exceeds the supported maximum {MAX_Q}")
+    lead = pow(coeffs[-1], -1, p)
+    return bool(_tables(p, deg, [c * lead % p for c in coeffs])[1][1:, 1:].all())
 
 
 def _field_parameters(q: int, poly: Sequence[int] | None) -> tuple[int, int, tuple[int, ...] | None]:
     """(p, e, poly) of GF(q), the polynomial in normal form: None for a prime
-    field, else its coefficients mod p as a tuple, the default of q when none is given."""
-    p, e = factor_prime_power(q)
+    field, else its coefficients mod p as a tuple, the default of q when none is given.
+    The size limit comes first, so that no large q is factored."""
     if q > MAX_Q:
-        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
+        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q} (the fields are the prime powers q <= {MAX_Q})")
+    p, e = factor_prime_power(q)
     if e == 1:
         if poly is not None:
             raise ValueError("prime fields take no defining polynomial")
@@ -149,58 +141,13 @@ class GF:
 
     def __init__(self, q: int, poly: Sequence[int] | None = None):
         p, e, poly = _field_parameters(q, poly)
-        self.q = q
-        self.p = p
-        self.e = e
-        if poly is not None:
-            if len(poly) != e + 1 or poly[-1] != 1:
-                raise ValueError(f"defining polynomial must be monic of degree {e}")
-            if not is_irreducible(p, poly):
-                raise ValueError(f"{list(poly)} is reducible over GF({p})")
-        self.poly = poly
-        self._build_tables()
-
-    # -- construction -------------------------------------------------------
-
-    def _digits(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def _undigits(self, ds: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(ds):
-            out = out * self.p + c
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.p, self._digits(a), self._digits(b))
-        return self._undigits(_poly_rem(self.p, prod, self.poly))
-
-    def _build_tables(self) -> None:
-        q, p, e = self.q, self.p, self.e
-        # row a of digits holds the base-p digits of a, constant term first
-        place = p ** np.arange(e)
-        digits = np.arange(q)[:, None] // place % p
-        add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, place))
-        neg = -digits % p @ place
-        scale = np.arange(p)[:, None, None] * digits % p @ place  # scale[c, a] = c * a for c in GF(p)
-        # x * a: a's digits shifted up, the top one times x^e (-poly below its lead) added back; unused if e = 1
-        top, x_e = q // p, -np.array((self.poly or (0,))[:e]) % p @ place
-        times_x = add[np.arange(q) % top * p, scale[np.arange(q) // top, x_e]]
-        mul, xa = 0, np.arange(q)
-        for j in range(e):  # mul[a, b] = sum over j of b_j * (x^j * a)
-            mul = add[mul, scale[digits[:, j], xa[:, None]]]
-            xa = times_x[xa]
-        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1 and gives 0
-        squares = np.zeros(q, dtype=bool)
-        squares[mul.diagonal()] = True
-        self._squares = squares.tolist()
-        self._add, self._mul, self._negt, self._invt = (t.tolist() for t in (add, mul, neg, inv))
+        if poly is not None and (len(poly) != e + 1 or poly[-1] != 1):
+            raise ValueError(f"defining polynomial must be monic of degree {e}")
+        add, mul, neg, inv = _tables(p, e, poly)
+        if not mul[1:, 1:].all():
+            raise ValueError(f"{list(poly)} is reducible over GF({p})")
+        self.q, self.p, self.e, self.poly = q, p, e, poly
+        self._add, self._mul, self._negt = (t.tolist() for t in (add, mul, neg))
         self._np_tables = tuple(t.astype(np.uint8) for t in (add, mul, neg, inv))
         for t in self._np_tables:
             t.setflags(write=False)
@@ -223,19 +170,6 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[self._chk(a)][self._chk(b)]
-
-    def inv(self, a: int) -> int:
-        if self._chk(a) == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        return self._invt[a]
-
-    def elements(self) -> list[int]:
-        """All q elements in ascending canonical encoding."""
-        return list(range(self.q))
-
-    def is_square(self, a: int) -> bool:
-        """True iff a = b*b for some b (the diagonal of the multiplication table)."""
-        return self._squares[self._chk(a)]
 
     # -- vectorized view ------------------------------------------------------
 

@@ -183,18 +183,10 @@ class MinorFunction:
                 acc = f.add(acc, f.mul(c, minor(M, A)))
         return acc
 
-    # serialization: 20 encodings in lexicographic column-set order
-    def to_csv(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
-    def to_json(self) -> str:
-        import json  # only the two JSON forms use it
-
-        return json.dumps(list(self.coeffs))
-
     @classmethod
     def parse(cls, f: GF, text: str) -> "MinorFunction":
-        """Read either the JSON-array or the comma-separated form."""
+        """Read either the JSON-array or the comma-separated form of the 20 encodings,
+        in lexicographic column-set order."""
         text = text.strip()
         if text.startswith("["):
             import json

@@ -130,7 +130,7 @@ def test_poly_override(capsys):
 def test_weights_witness_file(tmp_path, capsys):
     fn = min_weight_witness(field(3))
     coeffs = tmp_path / "witness.txt"
-    coeffs.write_text(fn.to_csv())
+    coeffs.write_text(",".join(map(str, fn.coeffs)))
     code, out, _ = run(capsys, "weights", "--q", "3", "--coeffs", str(coeffs))
     assert code == 0
     payload = json.loads(out)
@@ -142,7 +142,7 @@ def test_weights_witness_file(tmp_path, capsys):
 def test_weights_json_coeffs_format(tmp_path, capsys):
     fn = min_weight_witness(field(2))
     coeffs = tmp_path / "witness.json"
-    coeffs.write_text(fn.to_json())
+    coeffs.write_text(json.dumps(list(fn.coeffs)))
     code, out, _ = run(capsys, "weights", "--q", "2", "--coeffs", str(coeffs))
     assert code == 0
     assert json.loads(out)["total"] == 8
@@ -542,8 +542,8 @@ def test_command_in_fresh_process(name, tmp_path, capsysbinary):
     236 + 456 witness of q = 3 in both coefficient forms."""
     argv, golden = FRESH_RUNS[name]
     fn = min_weight_witness(field(3))
-    (tmp_path / "witness.txt").write_text(fn.to_csv())
-    (tmp_path / "witness.json").write_text(fn.to_json())
+    (tmp_path / "witness.txt").write_text(",".join(map(str, fn.coeffs)))
+    (tmp_path / "witness.json").write_text(json.dumps(list(fn.coeffs)))
     argv = [str(tmp_path / a) if a.startswith("witness.") else a for a in argv]
     out = _module_run(argv)
     if golden:

@@ -1,4 +1,10 @@
+import functools
 import random
+import re
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,51 @@ from ograss.gf import DEFAULT_IRREDUCIBLE, GF, MAX_Q, factor_prime_power, field,
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# polynomial arithmetic over F_p, coefficient lists low to high: the reference for the field tables
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(p, a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
+
+
+def _poly_rem(p, a, mod):
+    """Remainder of a modulo a monic polynomial."""
+    a = list(a)
+    d = len(mod) - 1
+    while len(a) > d:
+        lead = a[-1]
+        shift = len(a) - 1 - d
+        for i, mi in enumerate(mod):
+            a[shift + i] = (a[shift + i] - lead * mi) % p
+        a.pop()
+    return _poly_trim(a)
+
+
+def _digits(f, a):
+    """The base-p digits of a, constant term first: the coefficients of its residue polynomial."""
+    return [a // f.p**i % f.p for i in range(f.e)]
+
+
+def _undigits(f, ds):
+    return sum(c * f.p**i for i, c in enumerate(ds))
+
+
+def _raw_mul(f, a, b):
+    if f.e == 1:
+        return a * b % f.p
+    return _undigits(f, _poly_rem(f.p, _poly_mul(f.p, _digits(f, a), _digits(f, b)), f.poly))
 
 
 def test_factor_prime_power():
@@ -20,21 +71,18 @@ def test_factor_prime_power():
             factor_prime_power(bad)
 
 
-def test_elements_enumeration():
-    assert field(3).elements() == [0, 1, 2]
-    assert field(4).elements() == [0, 1, 2, 3]
-
-
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_field_axioms_exhaustive(q):
     f = field(q)
-    els = f.elements()
+    inv = f.np_tables()[3]
+    els = range(q)
+    assert inv[0] == 0 and 1 not in [f.mul(0, b) for b in els]  # 0 has no inverse; its entry is a placeholder
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.add(a, f.neg(a)) == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, int(inv[a])) == 1
         for b in els:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
@@ -67,8 +115,8 @@ def test_prime_field_arithmetic():
     assert f3.add(2, 2) == 1
     f5 = field(5)
     assert f5.mul(2, 3) == 1
-    assert f5.inv(2) == 3
-    assert field(2).inv(1) == 1
+    assert f5.np_tables()[3][2] == 3
+    assert field(2).np_tables()[3][1] == 1
 
 
 def test_gf4_generator_square():
@@ -78,8 +126,9 @@ def test_gf4_generator_square():
 
 def test_gf9_inverses_exhaustive():
     f = field(9)
+    inv = f.np_tables()[3]
     for a in range(1, 9):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, int(inv[a])) == 1
 
 
 def test_neg_in_characteristic_two():
@@ -88,34 +137,34 @@ def test_neg_in_characteristic_two():
     assert all(f8.neg(a) == a for a in range(8))
 
 
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        field(5).inv(0)
+def _squares(f):
+    """The squares of GF(q): the diagonal of the multiplication table."""
+    return set(f.np_tables()[1].diagonal().tolist())
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_LE_49)
 def test_is_square_matches_brute_force(q):
+    """Which elements are squares, against Euler's criterion a^((q-1)/2) = 1 on nonzero a for odd
+    q, and against every element for even q, where squaring is the Frobenius automorphism."""
     f = field(q)
-    squares = {f.mul(b, b) for b in range(q)}
-    for a in range(q):
-        assert f.is_square(a) == (a in squares)
+    euler = set(range(q))
+    if q % 2:
+        euler = {0} | {a for a in range(1, q) if functools.reduce(f.mul, [a] * ((q - 1) // 2)) == 1}
+    assert _squares(f) == euler
 
 
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_LE_49 if q % 2])
 def test_square_count_odd_q(q):
-    f = field(q)
-    assert sum(1 for a in range(q) if f.is_square(a)) == (q + 1) // 2
+    assert len(_squares(field(q))) == (q + 1) // 2
 
 
 def test_squares_f3():
-    f = field(3)
-    assert not f.is_square(2)
-    assert f.is_square(0) and f.is_square(1)
+    assert _squares(field(3)) == {0, 1}
 
 
 def test_all_squares_even_q():
-    assert all(field(4).is_square(a) for a in range(4))
-    assert all(field(8).is_square(a) for a in range(8))
+    assert _squares(field(4)) == set(range(4))
+    assert _squares(field(8)) == set(range(8))
 
 
 def test_default_polynomials_are_irreducible():
@@ -126,6 +175,56 @@ def test_default_polynomials_are_irreducible():
         p, e = factor_prime_power(q)
         assert len(poly) == e + 1 and poly[-1] == 1
         assert is_irreducible(p, poly)
+
+
+#: the number of monic irreducible polynomials of degree e over GF(p) (Gauss), for every p^e <= 49 with e >= 2
+IRREDUCIBLE_COUNTS = {(2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6, (3, 2): 3, (3, 3): 8, (5, 2): 10, (7, 2): 21}
+
+
+@pytest.mark.parametrize("p, e", IRREDUCIBLE_COUNTS)
+def test_irreducible_exactly_when_no_product_of_lower_degrees(p, e):
+    """is_irreducible marks exactly the monic polynomials that are no product of two monic ones of
+    lower degree, the products taken by the reference polynomial arithmetic; GF builds on each of
+    those and refuses each product with the reducibility message."""
+    monic = [list(low) + [1] for low in product(range(p), repeat=e)]
+    products = {
+        tuple(_poly_mul(p, list(a) + [1], list(b) + [1]))
+        for d in range(1, e)
+        for a in product(range(p), repeat=d)
+        for b in product(range(p), repeat=e - d)
+    }
+    irreducible = [poly for poly in monic if is_irreducible(p, poly)]
+    assert irreducible == [poly for poly in monic if tuple(poly) not in products]
+    assert len(irreducible) == IRREDUCIBLE_COUNTS[p, e]
+    for poly in monic:
+        if tuple(poly) in products:
+            with pytest.raises(ValueError, match=re.escape(f"{poly} is reducible over GF({p})")):
+                GF(p**e, poly)
+        else:
+            assert GF(p**e, poly).poly == tuple(poly)
+
+
+def test_is_irreducible_normalizes_the_polynomial():
+    """Coefficients in any residue, a lead other than 1 and trailing zeros; constants are not irreducible."""
+    assert is_irreducible(2, (1, 1, 1)) and is_irreducible(2, (3, -1, 1, 0, 2))
+    assert is_irreducible(3, (2, 0, 2)) and not is_irreducible(3, (2, 2, 2))  # 2(x^2 + 1), 2(x - 1)^2
+    assert is_irreducible(7, (3, 1)) and is_irreducible(47, (5, 9))  # every degree-1 polynomial
+    assert not any(is_irreducible(5, c) for c in ((), (0,), (3,), (0, 0), (4, 0, 0)))
+
+
+@pytest.mark.parametrize("p, poly", [(2, (1, 1, 0, 0, 0, 0, 1)), (7, (3, 0, 0, 1)), (53, (1, 1)), (3, (1, 0, 0, 0, 1, 0))])
+def test_is_irreducible_refuses_degrees_above_the_maximum(p, poly):
+    with pytest.raises(ValueError, match=f"q={p ** (len(poly) - 1 - (poly[-1] == 0))} exceeds the supported maximum 49"):
+        is_irreducible(p, poly)
+
+
+def test_large_prime_q_is_refused_at_once():
+    """q = 2^61 - 1 is prime: the size limit refuses it before any factoring, which would take
+    about 1.5e9 trial divisions."""
+    res = subprocess.run([sys.executable, "-c", "from ograss import field; field(2**61 - 1)"],
+                         capture_output=True, text=True, timeout=60, cwd=ROOT / "src")
+    assert res.returncode == 1
+    assert "ValueError: q=2305843009213693951 exceeds the supported maximum 49 (the fields are the prime powers q <= 49)" in res.stderr
 
 
 @pytest.mark.parametrize("q", [53, 64, 121, 256, 1024])
@@ -166,12 +265,12 @@ TABLE_FIELDS = [(q, None) for q in range(2, 50) if _is_prime_power(q)] + [(9, (2
 def test_tables_match_scalar_loops(q, poly):
     """The broadcast tables against one scalar digit or polynomial operation per entry."""
     f = GF(q, poly)
-    digs = [f._digits(a) for a in range(q)]
-    add = [[f._undigits([(x + y) % f.p for x, y in zip(digs[a], digs[b])]) for b in range(q)] for a in range(q)]
-    neg = [f._undigits([-x % f.p for x in digs[a]]) for a in range(q)]
-    mul = [[f._raw_mul(a, b) for b in range(q)] for a in range(q)]
+    digs = [_digits(f, a) for a in range(q)]
+    add = [[_undigits(f, [(x + y) % f.p for x, y in zip(digs[a], digs[b])]) for b in range(q)] for a in range(q)]
+    neg = [_undigits(f, [-x % f.p for x in digs[a]]) for a in range(q)]
+    mul = [[_raw_mul(f, a, b) for b in range(q)] for a in range(q)]
     inv = [0] + [mul[a].index(1) for a in range(1, q)]
-    assert (f._add, f._mul, f._negt, f._invt) == (add, mul, neg, inv)
+    assert (f._add, f._mul, f._negt) == (add, mul, neg)
     assert all(t.tolist() == ref for t, ref in zip(f.np_tables(), (add, mul, neg, inv)))
     assert all(t.dtype == np.uint8 for t in f.np_tables())
 
@@ -240,7 +339,7 @@ def _reference_row_reduce(f, rows, cols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        cinv = f.inv(rows[r][col])
+        cinv = int(f.np_tables()[3][rows[r][col]])
         rows[r] = [f.mul(cinv, v) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:

@@ -2,6 +2,7 @@
 error exits 2 without a traceback, as the CLI's do, and a run prints the
 pinned results."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -53,3 +54,25 @@ def test_distance_table_unwritable_csv_is_a_usage_error(tmp_path):
     res = _script("distance_table.py", "--qs", "2", "--csv", str(tmp_path / "missing" / "d.csv"))
     assert (res.returncode, res.stdout) == (2, "")
     assert "usage:" in res.stderr and "--csv" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_distance_table_run_that_raises_keeps_the_csv_file(tmp_path, monkeypatch, error):
+    """The --csv file is opened before the first distance but written only after the last: a run
+    that raises or is interrupted leaves an existing file byte-identical and makes no new one."""
+    spec = importlib.util.spec_from_file_location("distance_table", ROOT / "scripts" / "distance_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fail(*args, **kwargs):
+        raise error("stopped")
+
+    monkeypatch.setattr(script, "minimum_distance", fail)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"precious\n")
+    for csv in (old, new):
+        monkeypatch.setattr(sys, "argv", ["distance_table.py", "--qs", "2", "--csv", str(csv)])
+        with pytest.raises(error):
+            script.main()
+    assert old.read_bytes() == b"precious\n"
+    assert not new.exists()

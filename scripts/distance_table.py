@@ -8,10 +8,12 @@ Exit status: 0, or 2 on a usage error (a --qs entry that names no
 supported field, or a --csv path that cannot be opened for writing).
 The --csv file is opened before the first distance and written after the
 last (``cli._output``), so a run that is interrupted or raises leaves an
-existing file as it was.
+existing file as it was.  A stdout closed early ends the script by
+SIGPIPE, as it ends cat (status 141 in the shell), with nothing on stderr.
 """
 
 import argparse
+import signal
 from contextlib import ExitStack
 
 from ograss.cli import _at_least, _field, _output
@@ -51,4 +53,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the script as it ends cat (POSIX only)
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

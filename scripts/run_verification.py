@@ -2,10 +2,13 @@
 """Run the structural verification suite over a range of field sizes.
 
 Prints one report per q.  Exit status: 0 if every check passes, 1 if a
-check fails anywhere, 2 on a usage error.
+check fails anywhere, 2 on a usage error.  A stdout closed early ends the
+script by SIGPIPE, as it ends cat (status 141 in the shell), with nothing
+on stderr.
 """
 
 import argparse
+import signal
 
 from ograss.cli import _at_least, _field
 from ograss.codes import DEFAULT_BUDGET, verify
@@ -31,4 +34,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the script as it ends cat (POSIX only)
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -172,14 +172,16 @@ def _point_chunks(f: GF, fmt: str) -> Iterator[bytearray]:
     """The text of every point in the frozen order, as byte chunks of one block of points each.
 
     A cell's template is one point with a field marker for each parameter
-    and each matrix entry that varies over the cell.  Every point starts
-    with the separator that the first point drops.
+    and each matrix entry that varies over the cell.  A parameter's values
+    are the entries of the representatives where ``polar._parameter_entries``
+    puts it.  Every point starts with the separator that the first point drops.
     """
     for pivots in polar.CELL_ORDER:
         arity = polar.CELL_ARITY[pivots]
         mats = polar.cell_matrices(f, pivots).reshape(18, -1)
         live = (mats != mats[:, :1]).any(axis=1)
-        values = np.concatenate([polar.cell_params(f.q, pivots).astype(mats.dtype), mats[live].T], axis=1)
+        at = [6 * r + c for (r, c), _ in polar._parameter_entries(pivots)]
+        values = np.concatenate([mats[at], mats[live]]).T
         columns = iter(range(arity, values.shape[1]))
         entries = [-1 - next(columns) if v else e for v, e in zip(live, mats[:, 0].tolist())]
         params, rows = [-1 - j for j in range(arity)], [entries[i:i + 6] for i in range(0, 18, 6)]

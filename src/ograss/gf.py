@@ -20,9 +20,9 @@ arrays and as nested lists for the scalar operations.  A GF instance is
 immutable after construction and can be shared freely between threads.
 
 This module is the one rule for which fields exist: the 23 prime powers
-q <= ``MAX_Q`` = 49, refused otherwise.  Every extension field among them
-has a default defining polynomial (its Conway polynomial, coefficients
-low to high); pass ``poly=`` to override.
+q <= ``MAX_Q`` = 49, refused otherwise (``factor_prime_power``).  Every
+extension field among them has a default defining polynomial (its Conway
+polynomial, coefficients low to high); pass ``poly=`` to override.
 
 ``row_reduce`` is the package's one Gauss-Jordan elimination over GF(q),
 vectorized over the numpy view of the same tables.  ``gather`` is the
@@ -57,9 +57,12 @@ class FieldMismatchError(ValueError):
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, p prime.  Raises ValueError otherwise."""
+    """Return (p, e) with q = p^e, p prime, for q <= ``MAX_Q``.  Raises ValueError otherwise:
+    the size limit comes first, so that no large q is factored."""
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
+    if q > MAX_Q:
+        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q} (the fields are the prime powers q <= {MAX_Q})")
     p = q
     for cand in range(2, int(q**0.5) + 1):
         if q % cand == 0:
@@ -118,10 +121,7 @@ def is_irreducible(p: int, poly: Sequence[int]) -> bool:
 
 def _field_parameters(q: int, poly: Sequence[int] | None) -> tuple[int, int, tuple[int, ...] | None]:
     """(p, e, poly) of GF(q), the polynomial in normal form: None for a prime
-    field, else its coefficients mod p as a tuple, the default of q when none is given.
-    The size limit comes first, so that no large q is factored."""
-    if q > MAX_Q:
-        raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q} (the fields are the prime powers q <= {MAX_Q})")
+    field, else its coefficients mod p as a tuple, the default of q when none is given."""
     p, e = factor_prime_power(q)
     if e == 1:
         if poly is not None:

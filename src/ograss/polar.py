@@ -20,17 +20,20 @@ diagonal:
 ``cell_rows`` derives these templates from one rule for any pivot set
 (``_parameter_entries``), which also gives ``CELL_ARITY``; the diagram only
 documents them.  ``build_cell`` fills them with
-scalars for one representative, ``cell_grid`` with the cell's parameters as
-open-grid axes (parameter j varies along axis j of a (q,)*arity grid, so an
-entry holding one parameter is a q-vector and a constant is a scalar), the
-form the generator build reads, and ``cell_matrices`` with the dense
-parameter array of a whole cell (``cell_params``), the form ``points`` and
-``verify`` read (``points`` writes its text straight from these arrays).
+scalars for one representative, and ``cell_grid`` with the cell's
+parameters as open-grid axes (parameter j varies along axis j of a
+(q,)*arity grid, so an entry holding one parameter is a q-vector and a
+constant is a scalar), the form the generator build reads.  The C-order
+ravel of that grid is the order of the points within a cell, so that
+parameter tuples ascend in lexicographic order of their integer
+encodings.  ``cell_matrices`` broadcasts every grid entry to the whole
+grid and ravels it, the dense form ``points`` and ``verify`` read; a
+point's parameters are the entries of its representative at the
+positions ``_parameter_entries`` names first.
 
-The frozen point order -- cells as listed above, parameter tuples in
-ascending lexicographic order of their integer encodings -- fixes the
-coordinate order of every codeword and is part of the file-format
-contract.  Total count: 2*(q^3 + q^2 + q + 1).
+The frozen point order -- cells as listed above, each in its grid's
+C order -- fixes the coordinate order of every codeword and is part of
+the file-format contract.  Total count: 2*(q^3 + q^2 + q + 1).
 
 ``brute_force_points`` is an independent oracle: it scans every rank-3
 right-to-left reduced 3x6 matrix and filters by the form conditions.
@@ -83,8 +86,8 @@ def cell_rows(pivots: tuple[int, int, int], params, neg, zero, one) -> tuple[tup
     The single statement of the cell layout (``_parameter_entries``).
     ``params`` iterates over the cell's parameters and ``neg``, ``zero``
     and ``one`` give field negation and the two constants, so the same rule
-    serves scalar entries (one representative) and numpy arrays (a whole
-    cell at once).
+    serves two forms: scalars (``build_cell``, one representative) and the
+    open grid (``cell_grid``, a whole cell at once).
     """
     rows = [[zero] * AMBIENT for _ in range(ELL)]
     for r in range(ELL):
@@ -104,31 +107,24 @@ def build_cell(f: GF, pivots: tuple[int, int, int], params: tuple[int, ...]) -> 
     return MatrixRep(f, cell_rows(pivots, params, f.neg, 0, 1))
 
 
-def cell_params(q: int, pivots: tuple[int, int, int]) -> np.ndarray:
-    """The cell's parameter tuples as a (q^arity, arity) array, in the frozen order."""
-    arity = CELL_ARITY[pivots]
-    return np.indices((q,) * arity).reshape(arity, q**arity).T
-
-
-def cell_matrices(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
-    """The cell's representatives as a (3, 6, q^arity) array: [r, c] is row r, column c, in the frozen order."""
-    neg = f.np_tables()[2]
-    params = cell_params(f.q, pivots).astype(neg.dtype)
-    zero = np.zeros(len(params), dtype=neg.dtype)
-    return np.array(cell_rows(pivots, params.T, neg.__getitem__, zero, zero + 1))
-
-
 def cell_grid(f: GF, pivots: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
     """The cell template with each parameter on its own broadcast axis.
 
     Parameter j is ``np.arange(q)`` shaped to vary along axis j of (q,)*arity,
     constants are numpy scalars, so every entry broadcasts to the cell's
-    (q,)*arity grid, whose C-order ravel is the frozen order of
-    ``cell_params``.
+    (q,)*arity grid, whose C-order ravel is the frozen order of the cell's
+    points.
     """
     neg = f.np_tables()[2]
     axes = np.ix_(*[np.arange(f.q, dtype=neg.dtype)] * CELL_ARITY[pivots])
     return cell_rows(pivots, axes, neg.__getitem__, neg.dtype.type(0), neg.dtype.type(1))
+
+
+def cell_matrices(f: GF, pivots: tuple[int, int, int]) -> np.ndarray:
+    """The cell's representatives as a (3, 6, q^arity) array: [r, c] is entry (r, c) of
+    ``cell_grid`` broadcast to the whole grid and raveled, so point j is column j."""
+    grid = np.broadcast_arrays(*(entry for row in cell_grid(f, pivots) for entry in row))
+    return np.reshape(grid, (ELL, AMBIENT, -1))
 
 
 class Point:
@@ -147,12 +143,11 @@ def point_count(q: int) -> int:
 @functools.lru_cache(maxsize=None)
 def enumerate_points(f: GF) -> tuple[Point, ...]:
     """All points in the frozen order as ``Point`` objects read off the cell
-    arrays; length 2*(q^3 + q^2 + q + 1).  The scalar oracles of the tests
-    and the benchmark's traced run read it; no command does."""
-    return tuple(Point(pivots, tuple(params), MatrixRep(f, rows))
-                 for pivots in CELL_ORDER
-                 for params, rows in zip(cell_params(f.q, pivots).tolist(),
-                                         cell_matrices(f, pivots).transpose(2, 0, 1).tolist()))
+    arrays, each point's parameters off its representative; length
+    2*(q^3 + q^2 + q + 1).  The scalar oracles of the tests and the
+    benchmark's traced run read it; no command does."""
+    return tuple(Point(pivots, tuple(rows[r][c] for (r, c), _ in _parameter_entries(pivots)), MatrixRep(f, rows))
+                 for pivots in CELL_ORDER for rows in cell_matrices(f, pivots).transpose(2, 0, 1).tolist())
 
 
 def cell_slices(q: int) -> tuple[tuple[tuple[int, int, int], int, int], ...]:

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from ograss.cli import main
 from ograss.codes import min_weight_witness
 from ograss.gf import field
 from ograss.grassmann import COLUMN_SETS
-from ograss.polar import CELL_ORDER, cell_matrices, cell_params, point_count
+from ograss.polar import CELL_ARITY, CELL_ORDER, cell_matrices, point_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -415,11 +416,12 @@ def test_template_items():
 
 
 def _point_rows(f):
-    """(pivots, params, rows) of every point in the frozen order, as lists read off the cell arrays."""
+    """(pivots, params, rows) of every point in the frozen order, as lists: the parameter tuples in
+    ascending lexicographic order, the rows read off the cell arrays."""
     for pivots in CELL_ORDER:
         mats = cell_matrices(f, pivots).transpose(2, 0, 1).tolist()
-        for params, rows in zip(cell_params(f.q, pivots).tolist(), mats):
-            yield pivots, params, rows
+        for params, rows in zip(product(range(f.q), repeat=CELL_ARITY[pivots]), mats, strict=True):
+            yield pivots, list(params), rows
 
 
 def _reference_points(f, fmt):

@@ -227,6 +227,18 @@ def test_large_prime_q_is_refused_at_once():
     assert "ValueError: q=2305843009213693951 exceeds the supported maximum 49 (the fields are the prime powers q <= 49)" in res.stderr
 
 
+def test_factor_prime_power_refuses_large_q_at_once():
+    """The size limit comes before trial division, which would take about 1.5e9 steps at the
+    prime 2^61 - 1: the call raises within 1 s (in a child, so that a slow call fails by timeout)."""
+    code = ("import time; from ograss import factor_prime_power; start = time.perf_counter()\n"
+            "try: factor_prime_power(2**61 - 1)\n"
+            "except ValueError as exc: print(time.perf_counter() - start, exc, sep='\\n')")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=ROOT / "src")
+    seconds, message = res.stdout.splitlines()
+    assert float(seconds) < 1
+    assert message == "q=2305843009213693951 exceeds the supported maximum 49 (the fields are the prime powers q <= 49)"
+
+
 @pytest.mark.parametrize("q", [53, 64, 121, 256, 1024])
 def test_fields_above_the_maximum_are_refused(q):
     """Prime powers above MAX_Q, prime or not: no field is built by either constructor."""

@@ -12,6 +12,7 @@ from ograss.polar import (
     CostGuardExceeded,
     brute_force_points,
     build_cell,
+    cell_grid,
     cell_matrices,
     cell_slices,
     enumerate_points,
@@ -183,6 +184,17 @@ def test_cell_matrices_layout():
         assert mats.shape == (3, 6, 4 ** CELL_ARITY[pivots]) and mats.dtype == neg.dtype
     mats = cell_matrices(f, (4, 5, 6))
     assert mats[:, :, 6].tolist() == [list(r) for r in build_cell(f, (4, 5, 6), (0, 1, 2)).rows]
+
+
+@pytest.mark.parametrize("q, poly", [(2, None), (3, None), (4, None), (5, None), (9, (2, 1, 1))])
+def test_cell_matrices_are_the_raveled_grid(q, poly):
+    """Entry (r, c) of a cell array is entry (r, c) of the open grid broadcast to (q,)*arity and
+    raveled in C order: the generator's columns and the points come from one construction."""
+    f = field(q, poly)
+    for pivots in CELL_ORDER:
+        shape = (q,) * CELL_ARITY[pivots]
+        expected = [[np.broadcast_to(entry, shape).ravel() for entry in row] for row in cell_grid(f, pivots)]
+        assert np.array_equal(cell_matrices(f, pivots), np.array(expected))
 
 
 def test_swap34_q49_under_two_seconds():

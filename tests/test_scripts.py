@@ -4,6 +4,7 @@ pinned results."""
 
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def _script(name, *argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_env(), timeout=300)
 
 
 @pytest.mark.parametrize("argv", [
@@ -39,6 +43,28 @@ def test_run_verification_passes_at_q2():
     res = _script("run_verification.py", "--qs", "2")
     assert res.returncode == 0, res.stderr
     assert "FAIL" not in res.stdout
+
+
+@pytest.mark.parametrize("name, argv", [("run_verification.py", ["--qs", "2,3"]),
+                                        ("distance_table.py", ["--qs", "3,4"])])
+def test_closed_stdout_ends_the_script_quietly(tmp_path, name, argv):
+    """A reader that closes the pipe after one byte ends the script by SIGPIPE, as it ends cat:
+    nothing on stderr, and not the failed-check status 1.  Run unbuffered (-u), the script writes
+    its first line before the first field's work, so a later line meets the closed pipe; the
+    distance table's existing --csv file, written only after the last distance, keeps its bytes."""
+    csv = tmp_path / "d.csv"
+    csv.write_bytes(b"precious\n")
+    argv = [*argv, "--csv", str(csv)] if name == "distance_table.py" else argv
+    with subprocess.Popen([sys.executable, "-u", str(ROOT / "scripts" / name), *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
+        try:
+            assert len(proc.stdout.read(1)) == 1
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+    assert csv.read_bytes() == b"precious\n"
 
 
 def test_distance_table_csv(tmp_path):

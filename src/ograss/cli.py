@@ -13,15 +13,19 @@ the rule of which fields exist (a prime power q <= 49) to ``gf.field``.
 bad path costs no scan, and a run that writes no CSV leaves an existing
 file as it was.
 
-``genmat`` and ``points`` write their text as bytes, block by block, and no
-Python object is made per entry.  The text of one matrix row entry, or of
-one point, is a record of fixed length: its constant text with a NUL-padded
-field for each value that varies.  A block is a reused buffer of copies of
-the record; each field is filled by one ``np.take`` of the q digit strings
-and one ``bytearray.translate`` deletes the pads (see ``_record_writer``).
-Each record is cut from the format's own text (``json.dumps(...,
-sort_keys=True, indent=2)`` or the txt layout) of one point, or of a 2 x 2
-matrix, written with the marker -1 - k where column k of the values stands.
+``genmat`` and ``points`` write their text as bytes, in chunks of at most
+about ``_BLOCK_BYTES``, and no Python object is made per entry.  ``genmat``
+reads each cell's minors as ``generator.cell_minors`` gives them, one array
+per row that varies along at most two of the cell's axes, formats only
+their distinct entries and repeats the bytes (``_cell_text``); it builds no
+matrix.  The text of one point is a record of fixed length: its constant
+text with a NUL-padded field for each value that varies.  A block is a
+reused buffer of copies of the record; each field is filled by one
+``np.take`` of the q digit strings and one ``bytearray.translate`` deletes
+the pads (see ``_record_writer``).  Both cut their text from the format's
+own (``json.dumps(..., sort_keys=True, indent=2)`` or the txt layout) of
+one point, or of a 2 x 2 matrix, written with the marker -1 - k where
+column k of the values stands.
 
 Each command loads only the modules it runs: ``points`` the point
 enumeration (``polar``), ``genmat`` also the generator build
@@ -38,7 +42,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -207,23 +211,76 @@ def _cmd_points(f: GF, args: argparse.Namespace) -> int:
     return 0
 
 
+def _cell_text(q: int, sep: bytes):
+    """A function from a cell's values (an array whose axes have length q or 1, as
+    ``generator.cell_minors`` gives them) to the text of the values broadcast to the
+    (q,)*ndim grid in C order, each entry followed by ``sep``, as byte chunks of at most
+    about ``_BLOCK_BYTES``, or of q entries where those are longer.
+
+    Only distinct entries are formatted, each one ``tokens`` item, and the rest is bytes
+    repetition: trailing axes of length 1 make each entry a unit of r equal tokens, an axis
+    of length 1 elsewhere repeats the text of its subarray, and a text longer than a chunk
+    is a run of one chunk yielded several times.  ``small`` joins a text that fits one
+    chunk; the units of one r are a table made on first use.
+    """
+    tokens = [b"%d" % v + sep for v in range(q)]
+    width = len(tokens[-1])
+    limit = max(_BLOCK_BYTES, q * width)  # a chunk of q entries or more, however small the block
+    units = {}
+
+    def run(chunk: bytes, n: int) -> Iterator[bytes]:
+        k = min(n, max(1, limit // len(chunk)))
+        yield from repeat(chunk * k, n // k)
+        if n % k:
+            yield chunk * (n % k)
+
+    def small(v: np.ndarray, r: int) -> bytes:
+        if not v.ndim:
+            return tokens[v] * r
+        if v.shape[0] == 1:
+            return small(v[0], r) * q
+        if 1 in v.shape:
+            return b"".join([small(sub, r) for sub in v])
+        if r not in units:
+            units[r] = [t * r for t in tokens]
+        unit = units[r]
+        return b"".join([unit[x] for x in v.ravel().tolist()])
+
+    def text(v: np.ndarray, r: int = 1, n: int = 1) -> Iterator[bytes]:
+        while v.ndim and v.shape[-1] == 1:
+            v, r = v[..., 0], r * q
+        if q ** v.ndim * r * width <= limit:
+            yield from run(small(v, r), n)
+        elif not v.ndim:
+            yield from run(tokens[v], r * n)
+        elif v.shape[0] == 1:
+            yield from text(v[0], r, n * q)
+        else:
+            for _ in range(n):
+                for sub in v:
+                    yield from text(sub, r)
+
+    return text
+
+
 def _cmd_genmat(f: GF, args: argparse.Namespace) -> int:
     from . import generator
 
-    G = generator.build_generator(f)
+    # P123, the last cell, is one point: its entry ends a row, with no separator after it
+    *cells, last = [generator.cell_minors(f, pivots) for pivots in polar.CELL_ORDER]
     if args.format == "json":
         text = _dump({
             "q": f.q,
-            "n": G.n,
+            "n": polar.point_count(f.q),
             "colsets": [_cell_id(A) for A in COLUMN_SETS],
             "rows": [[-1, -1], [-1, -1]],
         })
     else:
         text = "-1 -1\n-1 -1\n"
     head, _, sep, _, row_sep, *_, foot = _template_items(text)
-    entries = _record_writer([0, sep], f.q)
-    rows = (chain([row_sep if i else head], entries(row[:-1, None]), [b"%d" % row[-1]])
-            for i, row in enumerate(G.matrix))
+    cell_text = _cell_text(f.q, sep)
+    rows = (chain([row_sep if i else head], *(cell_text(values[i]) for values in cells), [b"%d" % last[i]])
+            for i in range(len(COLUMN_SETS)))
     _emit(chain(chain.from_iterable(rows), [foot]), args.out)
     return 0
 

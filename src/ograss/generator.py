@@ -4,28 +4,31 @@ The generator matrix has one row per column triple (lexicographic order)
 and one column per point (frozen cell order), entry = that minor on that
 point's representative.
 
-The matrix is built one pivot cell at a time, never from per-point
-objects.  On the cell P_I every minor is a signed minor of the
-skew-symmetric non-pivot block, det_A = expansion_sign(A, I) *
-det(reduced block), the block's positions and the sign read from
-``grassmann.expansion_plan(I)``, as ``expand_minor`` reads them.  That
-determinant (size 0 to 3, size 0 giving 1) is evaluated in closed form
-over the field's lookup tables, each product and difference one
-``gf.gather`` from a flattened (q, q) table.  The block is read off the
+The minors are evaluated one pivot cell at a time, never from per-point
+objects, in one place: ``cell_minors``.  On the cell P_I every minor is a
+signed minor of the skew-symmetric non-pivot block, det_A =
+expansion_sign(A, I) * det(reduced block), the block's positions and the
+sign read from ``grassmann.expansion_plan(I)``, as ``expand_minor`` reads
+them.  That determinant (size 0 to 3, size 0 giving 1) is evaluated in
+closed form over the field's lookup tables, each product and difference
+one ``gf.gather`` from a flattened (q, q) table.  The block is read off the
 cell's open parameter grid (``cell_grid``), where each parameter is its
 own broadcast axis and each constant a scalar: a product of two
-parameters is a (q, q) lookup, a product with the constant 0 stays the
-scalar 0, and only the finished row is broadcast to the cell's q^arity
-points, straight into its span of the matrix.  The whole 3x3 non-pivot
-block is skew-symmetric of odd order with zero diagonal, hence singular
-in every characteristic, so the minor on the non-pivot columns is
-written as 0 unevaluated.  The direct 3x3 determinant of each column
-triple stays as the oracle: ``codes.verify`` evaluates it with
-``_np_det`` on the cell arrays (``cell_matrices``) and compares the two
-on every point and every column set.
+parameters is a (q, q) lookup and a product with the constant 0 stays the
+scalar 0, so each minor comes out as an array that varies along at most
+two of the cell's axes.  The whole 3x3 non-pivot block is skew-symmetric
+of odd order with zero diagonal, hence singular in every characteristic,
+so the minor on the non-pivot columns is written as 0 unevaluated.
+``build_generator`` broadcasts each minor to the cell's q^arity points,
+straight into its span of the dense matrix; ``genmat`` formats the
+minors as they are (``cli._cell_text``) and builds no matrix.  The direct
+3x3 determinant of each column triple stays as the oracle:
+``codes.verify`` evaluates it with ``_np_det`` on the cell arrays
+(``cell_matrices``) and compares the two on every point and every column
+set.
 
 This module needs no elimination, search or form check, so ``genmat``
-builds its matrix without loading ``codes`` or ``forms``.
+reads its minors without loading ``codes`` or ``forms``.
 """
 
 from __future__ import annotations
@@ -97,29 +100,42 @@ def _np_det(tables, block):
     return gather(add, sub(t1, t2), t3)
 
 
-@functools.lru_cache(maxsize=None)
-def build_generator(f: GF) -> GeneratorMatrix:
-    """The 20 x n generator, each cell's minors evaluated on its open parameter grid.
+def cell_minors(f: GF, pivots: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """The 20 minors on the cell P_I in COLUMN_SETS order, each evaluated on its open parameter grid.
 
-    Each entry is det_A = expansion_sign(A, I) * det(reduced block), the
-    block read off ``cell_grid``, whose parameters are separate broadcast
-    axes: a product of two parameters is a (q, q) lookup, and only the
-    finished row is broadcast to the cell's q^arity points, straight into
-    its span of the matrix (a contiguous slice, so the reshape is a view).
+    Each is det_A = expansion_sign(A, I) * det(reduced block), the block
+    read off ``cell_grid``, whose parameters are separate broadcast axes, as
+    an array of ndim arity whose axes have length q where the minor varies
+    and 1 where it does not: a product of two parameters is a (q, q) lookup.
+    A 2 x 2 sub-block of the zero-diagonal block holds a diagonal zero, so a
+    minor varies along at most two axes (q^2 distinct entries).
     """
     tables = _det_tables(f)
     neg = f.np_tables()[2]
+    grid = cell_grid(f, pivots)
+    ones = (1,) * CELL_ARITY[pivots]
+    values = []
+    for block, negate in expansion_plan(pivots):
+        if len(block) == 3:
+            # the whole non-pivot block: skew-symmetric of odd order with zero diagonal, so singular
+            value = neg.dtype.type(0)
+        else:
+            value = _np_det(tables, [[grid[r][c] for r, c in row] for row in block])
+        value = neg[value] if negate else value
+        values.append(np.reshape(value, np.shape(value) or ones))
+    return tuple(values)
+
+
+@functools.lru_cache(maxsize=None)
+def build_generator(f: GF) -> GeneratorMatrix:
+    """The 20 x n generator: each cell's minors (``cell_minors``) broadcast to the cell's
+    q^arity points, straight into its span of the matrix (a contiguous slice, so the
+    reshape is a view)."""
     q = f.q
-    mat = np.empty((len(COLUMN_SETS), point_count(q)), dtype=neg.dtype)
+    mat = np.empty((len(COLUMN_SETS), point_count(q)), dtype=f.np_tables()[2].dtype)
     for pivots, start, stop in cell_slices(q):
-        grid = cell_grid(f, pivots)
         shape = (q,) * CELL_ARITY[pivots]
-        for idx, (block, negate) in enumerate(expansion_plan(pivots)):
-            if len(block) == 3:
-                # the whole non-pivot block: skew-symmetric of odd order with zero diagonal, so singular
-                value = 0
-            else:
-                value = _np_det(tables, [[grid[r][c] for r, c in row] for row in block])
-            mat[idx, start:stop].reshape(shape)[...] = neg[value] if negate else value
+        for idx, value in enumerate(cell_minors(f, pivots)):
+            mat[idx, start:stop].reshape(shape)[...] = value
     mat.setflags(write=False)
     return GeneratorMatrix(field=f, matrix=mat)

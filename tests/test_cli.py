@@ -1,4 +1,6 @@
+import functools
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -344,43 +346,55 @@ def _reference_json(q, matrix):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _random_matrices(q):
+def _random_cells(q):
+    """Per-cell minor values shaped as ``generator.cell_minors`` gives them, random in [0, q)
+    (one and two digits wherever q > 10).  Row i of a cell of arity a has axis k of length q
+    where bit k of i is set and 1 elsewhere, so every broadcast shape of arity 0 to 3 is there,
+    the scalar and the three-axis one included."""
     rng = np.random.default_rng(q)
-    yield rng.integers(0, q, (20, 37))
-    yield rng.integers(0, q, (1, 1))  # one row and one column
-    yield rng.integers(0, q, (1, 41))  # one row
-    yield rng.integers(0, q, (5, 1))  # one column
-    yield np.full((2, 3), q - 1)  # the widest entry only: no pad
-    yield np.zeros((2, 3), dtype=int)
+    return [tuple(rng.integers(0, q, [q if i >> k & 1 else 1 for k in range(CELL_ARITY[pivots])], dtype=np.uint8)
+                  for i in range(len(COLUMN_SETS)))
+            for pivots in CELL_ORDER]
+
+
+def _broadcast_matrix(q, cells):
+    """The generator matrix of per-cell values: each cell's values broadcast to its (q,)*arity grid and raveled."""
+    return np.array([np.concatenate([np.broadcast_to(values[i], (q,) * values[i].ndim).ravel() for values in cells])
+                     for i in range(len(COLUMN_SETS))])
 
 
 WRITER_QS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49]
 
 
+@functools.lru_cache(maxsize=1)
+def _writer_case(q):
+    """Random per-cell values and the text of their broadcast matrix in both formats."""
+    cells = _random_cells(q)
+    matrix = _broadcast_matrix(q, cells)
+    return cells, {"txt": _reference_txt(q, matrix).encode(), "json": _reference_json(q, matrix).encode()}
+
+
 @pytest.mark.parametrize("q", WRITER_QS)
 def test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q):
-    """Both formats, on stdout and with --out, on random matrices whose entries
-    mix one and two digits wherever q > 10: digit fields of width 1 and 2 in
-    records of 2, 3, 9 and 10 bytes."""
-    f = field(q)
+    """Both formats, on stdout and with --out, on random per-cell values of
+    every broadcast shape, against the formatters of the broadcast matrix."""
+    cells, texts = _writer_case(q)
+    monkeypatch.setattr(generator, "cell_minors", lambda _f, pivots: cells[CELL_ORDER.index(pivots)])
     out_path = tmp_path / "genmat"
-    for matrix in _random_matrices(q):
-        G = generator.GeneratorMatrix(field=f, matrix=matrix.astype(f.np_tables()[0].dtype))
-        monkeypatch.setattr(generator, "build_generator", lambda _f, G=G: G)
-        for fmt, reference in (("txt", _reference_txt), ("json", _reference_json)):
-            expected = reference(q, matrix).encode()
-            assert main(["genmat", "--q", str(q), "--format", fmt]) == 0
-            assert capsysbinary.readouterr().out == expected
-            assert main(["genmat", "--q", str(q), "--format", fmt, "--out", str(out_path)]) == 0
-            assert capsysbinary.readouterr().out == b""
-            assert out_path.read_bytes() == expected
+    for fmt, expected in texts.items():
+        assert main(["genmat", "--q", str(q), "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == expected
+        assert main(["genmat", "--q", str(q), "--format", fmt, "--out", str(out_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out_path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("block", [1, 50])
 @pytest.mark.parametrize("q", WRITER_QS)
 def test_genmat_writer_small_blocks_match_str_formatter(monkeypatch, tmp_path, capsysbinary, q, block):
-    """The same with blocks of one record and of a few records: rows of many
-    blocks with a short last one."""
+    """The same with blocks of 1 and 50 bytes, below or near the floor of a
+    chunk (q entries): runs and repeated subarrays are cut into many chunks,
+    most with a short last one."""
     monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
     test_genmat_writer_matches_str_formatter(monkeypatch, tmp_path, capsysbinary, q)
 
@@ -388,12 +402,11 @@ def test_genmat_writer_small_blocks_match_str_formatter(monkeypatch, tmp_path, c
 @pytest.mark.parametrize("fmt, reference", [("txt", _reference_txt), ("json", _reference_json)],
                          ids=["txt", "json"])
 def test_genmat_write_phase_memory(monkeypatch, fmt, reference):
-    """The q = 49 write phase holds one block at a time: under 3 MB traced
-    (the bound was fixed before measuring; each row as three row-sized arrays
-    made 9.3 MB for json).  A chunk that aliased the reused buffer would
-    repeat in the listed chunks."""
-    G = generator.build_generator(field(49))
-    monkeypatch.setattr(generator, "build_generator", lambda _f: G)
+    """The whole q = 49 command, minors included, holds about one block at a
+    time: under 3 MB traced (the bound was fixed before measuring; each row as
+    three row-sized arrays made 9.3 MB for json, and the dense matrix alone is
+    4.8 MB).  The listed chunks, some of them one object yielded many times,
+    join to the text of the dense matrix."""
     argv = ["genmat", "--q", "49", "--format", fmt, "--out", os.devnull]
     tracemalloc.start()
     try:
@@ -405,7 +418,21 @@ def test_genmat_write_phase_memory(monkeypatch, fmt, reference):
     chunks = []
     monkeypatch.setattr(cli, "_emit", lambda it, out: chunks.extend(it))
     assert main(argv) == 0
-    assert b"".join(chunks) == reference(49, G.matrix).encode()
+    assert max(map(len, chunks)) <= cli._BLOCK_BYTES
+    assert b"".join(chunks) == reference(49, generator.build_generator(field(49)).matrix).encode()
+
+
+def test_genmat_builds_no_dense_matrix(monkeypatch, capsysbinary):
+    """genmat formats the per-cell minors and never the 20 x n matrix: with
+    ``build_generator`` made to raise, genmat --q 49 writes its golden bytes
+    (GENMAT_WIDE_SHA256 in test_golden.py)."""
+    def forbidden(f):
+        raise AssertionError("genmat must not build the dense generator matrix")
+
+    monkeypatch.setattr(generator, "build_generator", forbidden)
+    assert main(["genmat", "--q", "49"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == "79d989962588dba6ff88dca299baf508edcafc3a1f27bf7de9b6f51bbc534c40"
 
 
 def test_template_items():

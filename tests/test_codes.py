@@ -35,7 +35,7 @@ from ograss.codes import (
     weight,
     weight_distribution,
 )
-from ograss.generator import _det_tables, _np_det
+from ograss.generator import _det_tables, _np_det, cell_minors
 from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import (
@@ -204,6 +204,21 @@ def test_whole_skew_block_minor_vanishes_on_every_cell(q):
         mats = cell_matrices(f, pivots)
         assert not _np_det(tables, mats[:, [c - 1 for c in free]]).any()
         assert not G.row(free)[start:stop].any()
+
+
+@pytest.mark.parametrize("q", _prime_powers(49))
+def test_cell_minors_vary_along_at_most_two_axes(q):
+    """Each of a cell's 20 minors is an array of ndim arity whose axes have
+    length q or 1, and at most two have length q: a 2 x 2 sub-block of the
+    zero-diagonal block holds a diagonal zero, so a minor takes at most q^2
+    distinct entries per cell, and only those are formatted by genmat."""
+    f = field(q)
+    for pivots in CELL_ORDER:
+        values = cell_minors(f, pivots)
+        assert len(values) == len(COLUMN_SETS)
+        for v in values:
+            assert v.ndim == CELL_ARITY[pivots] and set(v.shape) <= {1, q}
+            assert v.shape.count(q) <= 2
 
 
 def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):

@@ -23,6 +23,20 @@ def _script(name, *argv):
                           capture_output=True, text=True, env=_env(), timeout=300)
 
 
+def _close_after_one_byte(name, *argv):
+    """Run the script unbuffered (-u) with a reader that closes the pipe after one byte:
+    (exit status, stderr)."""
+    with subprocess.Popen([sys.executable, "-u", str(ROOT / "scripts" / name), *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
+        try:
+            assert len(proc.stdout.read(1)) == 1
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    return proc.returncode, err
+
+
 @pytest.mark.parametrize("argv", [
     ["--qs", "6"], ["--qs", "2,6"], ["--qs", "2,x"], ["--qs", "53"], ["--threads", "0"], ["--budget", "-1"],
     ["--qs", "1_1"], ["--qs", "2,+3"], ["--qs", "\u0663"], ["--qs", "-1"], ["--qs", ""],
@@ -55,16 +69,17 @@ def test_closed_stdout_ends_the_script_quietly(tmp_path, name, argv):
     csv = tmp_path / "d.csv"
     csv.write_bytes(b"precious\n")
     argv = [*argv, "--csv", str(csv)] if name == "distance_table.py" else argv
-    with subprocess.Popen([sys.executable, "-u", str(ROOT / "scripts" / name), *argv],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
-        try:
-            assert len(proc.stdout.read(1)) == 1
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=120)
-        finally:
-            proc.kill()
-    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+    assert _close_after_one_byte(name, *argv) == (-signal.SIGPIPE, b"")
     assert csv.read_bytes() == b"precious\n"
+
+
+def test_closed_unbuffered_stdout_makes_no_csv_file(tmp_path):
+    """Unbuffered (-u), the table's header line goes out before the first distance, so a reader
+    that closes the pipe after one byte ends the run before the CSV is written: no --csv file
+    is made."""
+    csv = tmp_path / "new.csv"
+    assert _close_after_one_byte("distance_table.py", "--qs", "3,4", "--csv", str(csv)) == (-signal.SIGPIPE, b"")
+    assert not csv.exists()
 
 
 def test_distance_table_csv(tmp_path):

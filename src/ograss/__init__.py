@@ -40,9 +40,7 @@ _EXPORTS = {
         "MinorFunction",
         "RankDeficientError",
         "expand_minor",
-        "expansion_sign",
         "minor",
-        "reduced_minor_indices",
         "reflected_complement",
         "rref_right_to_left",
     ),

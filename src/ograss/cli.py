@@ -90,9 +90,10 @@ def _field(q: int, poly: str | None = None) -> GF:
 def _output(out: str | None) -> Iterator:
     """stdout's binary stream, or the file ``out`` opened at once, so that a bad path fails before
     the work.  An existing file keeps its bytes until output is written (then cut to the output's
-    length), and a file made here and still empty at the end (an error, a failed check) is removed."""
+    length), and a file made here and still empty at the end (an error, a failed check) is removed.
+    stdout is flushed first, and only a seekable file is cut: ``out`` may be a pipe (``/dev/stdout``)."""
+    sys.stdout.flush()
     if not out:
-        sys.stdout.flush()
         yield sys.stdout.buffer
         return
     made = not os.path.lexists(out)
@@ -100,7 +101,7 @@ def _output(out: str | None) -> Iterator:
     fh = open(out, "wb", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
     try:
         yield fh
-        if 0 < fh.tell() < os.fstat(fh.fileno()).st_size:  # an old file longer than the output
+        if fh.seekable() and 0 < fh.tell() < os.fstat(fh.fileno()).st_size:  # an old file longer than the output
             fh.truncate()
     finally:
         fh.close()

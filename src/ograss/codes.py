@@ -59,7 +59,7 @@ import numpy as np
 
 from .generator import GeneratorMatrix, _det_tables, _np_det, build_generator
 from .gf import GF, gather, row_reduce
-from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, reduced_index_table, reflected_complement
+from .grassmann import AMBIENT, COLUMN_SETS, ELL, MinorFunction, expansion_plan, reflected_complement
 from .polar import CELL_ORDER, brute_force_points, cell_matrices, cell_slices, family_mask, point_count, swap34_map
 
 DEFAULT_BUDGET = 10**8
@@ -522,9 +522,15 @@ def verify(f: GF, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     G = build_generator(f)
     direct = _direct_minors(f, mats)
     add_check("pivot expansion equals direct minor", 0, int(np.count_nonzero(direct != G.matrix)))
-    indices = reduced_index_table()
-    add_check("reduced index transpose duality", True,
-              all(indices[A, I][0] == indices[reflected_complement(A), I][1] for A in COLUMN_SETS for I in CELL_ORDER))
+    # per cell, A's block transposed in the skew block (pivot columns to None) is its reflected complement's
+    dual = True
+    for I in CELL_ORDER:
+        skew = {c: s for s, c in enumerate(c for c in range(AMBIENT) if c + 1 not in I)}
+        blocks = {A: tuple(tuple((r, skew.get(c)) for r, c in row) for row in block)
+                  for A, (block, _) in zip(COLUMN_SETS, expansion_plan(I))}
+        dual &= all(tuple(tuple((s, r) for r, s in col) for col in zip(*blocks[A])) == blocks[reflected_complement(A)]
+                    for A in COLUMN_SETS)
+    add_check("reduced index transpose duality", True, dual)
     k = rank_dimension(G)
     if q % 2 == 0:
         bad = sum(1 for A in COLUMN_SETS

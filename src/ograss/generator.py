@@ -6,10 +6,10 @@ point's representative.
 
 The minors are evaluated one pivot cell at a time, never from per-point
 objects, in one place: ``cell_minors``.  On the cell P_I every minor is a
-signed minor of the skew-symmetric non-pivot block, det_A =
-expansion_sign(A, I) * det(reduced block), the block's positions and the
-sign read from ``grassmann.expansion_plan(I)``, as ``expand_minor`` reads
-them.  That determinant (size 0 to 3, size 0 giving 1) is evaluated in
+signed minor of the skew-symmetric non-pivot block: det_A is det(block),
+negated or not, the block's positions and the sign read from
+``grassmann.expansion_plan(I)``, as ``expand_minor`` reads them.  That
+determinant (size 0 to 3, size 0 giving 1) is evaluated in
 closed form over the field's lookup tables, each product and difference
 one ``gf.gather`` from a flattened (q, q) table.  The block is read off the
 cell's open parameter grid (``cell_grid``), where each parameter is its
@@ -103,7 +103,7 @@ def _np_det(tables, block):
 def cell_minors(f: GF, pivots: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """The 20 minors on the cell P_I in COLUMN_SETS order, each evaluated on its open parameter grid.
 
-    Each is det_A = expansion_sign(A, I) * det(reduced block), the block
+    Each is det_A = det(block), negated as ``expansion_plan(I)`` says, the block
     read off ``cell_grid``, whose parameters are separate broadcast axes, as
     an array of ndim arity whose axes have length q where the minor varies
     and 1 where it does not: a product of two parameters is a (q, q) lookup.

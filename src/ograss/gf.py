@@ -105,8 +105,11 @@ def is_irreducible(p: int, poly: Sequence[int]) -> bool:
     F_p[x]/(f) is a field, and f irreducible, exactly when its multiplication
     table has no zero divisors: a finite integral domain is a field.  The
     polynomial is made monic first; constants are not irreducible.  Raises
-    ValueError when p^deg exceeds ``MAX_Q``, the largest table built.
+    ValueError when p is not a prime or p^deg exceeds ``MAX_Q``, the largest table.
     """
+    # divisors up to MAX_Q: a larger p fails the size check below unless poly is constant
+    if p < 2 or any(p % d == 0 for d in range(2, min(p, MAX_Q + 1))):
+        raise ValueError(f"{p} is not a prime")
     coeffs = [c % p for c in poly]
     while coeffs and not coeffs[-1]:
         coeffs.pop()

@@ -12,9 +12,10 @@ anti-diagonal and the non-pivot block of a totally singular space is
 skew-symmetric with zero diagonal.  With that convention the minor on the
 pivot columns themselves evaluates to -1 (determinant of the 3x3
 anti-diagonal identity), and all signs in this module are exact
-determinant signs.  ``expansion_plan`` states the pivot expansion once:
-the non-pivot block and the sign of each minor on each pivot cell, which
-the generator build and ``expand_minor`` both read.
+determinant signs.  ``expansion_plan`` states the pivot expansion once,
+straight from that layout: the non-pivot block and the sign of each minor
+on each pivot cell, which the generator build, ``expand_minor`` and
+verify's transpose duality check all read.
 """
 
 from __future__ import annotations
@@ -217,79 +218,29 @@ def reflected_complement(A: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(m + 1 - i for i in range(1, m + 1) if i not in s))
 
 
-def reduced_minor_indices(A: Sequence[int], I: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column index sets of the reduced minor of det_A on the cell P_I.
-
-    With I = {i_1 < ... < i_ell} self-paired (I equal to its reflected
-    complement) and N the sorted complement, returns
-
-        rows = { r : i_{ell+1-r} in I \\ A }
-        cols = { s : n_s in N intersect A }
-
-    as indices into the ell x ell non-pivot block.
-    """
-    I = tuple(sorted(I))
-    if I != reflected_complement(I):
-        raise ValueError(f"pivot set {I} is not self-paired")
-    A = tuple(sorted(A))
-    N = sorted(set(range(1, AMBIENT + 1)) - set(I))
-    i_minus_a = set(I) - set(A)
-    rows = tuple(r for r in range(1, ELL + 1) if I[ELL - r] in i_minus_a)
-    cols = tuple(s for s in range(1, ELL + 1) if N[s - 1] in set(A))
-    return rows, cols
-
-
-def expansion_sign(A: Sequence[int], I: Sequence[int]) -> int:
-    """Sign (+1/-1) of the Laplace expansion of det_A along the pivot columns in A.
-
-    Each pivot column i_r of a canonical representative is the unit vector
-    e_{ell+1-r}.  Expanding those columns one at a time accumulates
-    (-1)^(row+col) with positions recomputed in the shrinking submatrix;
-    the result is order-independent.
-    """
-    A = tuple(sorted(A))
-    I = tuple(sorted(I))
-    rows_left = list(range(1, ELL + 1))
-    cols_left = list(A)
-    s = 0
-    for a in sorted(set(A) & set(I)):
-        r = I.index(a) + 1
-        unit_row = ELL + 1 - r
-        s += rows_left.index(unit_row) + 1 + cols_left.index(a) + 1
-        rows_left.remove(unit_row)
-        cols_left.remove(a)
-    return -1 if s % 2 else 1
-
-
-@functools.lru_cache(maxsize=None)
-def reduced_index_table() -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``reduced_minor_indices(A, I)`` keyed (A, I), for every column set A on every
-    self-paired pivot set I (the eight cells): 160 pairs, computed once per process
-    and read by ``expansion_plan`` and by verify's transpose duality check.  Shared:
-    callers must not change it."""
-    cells = [I for I in COLUMN_SETS if I == reflected_complement(I)]
-    return {(A, I): reduced_minor_indices(A, I) for I in cells for A in COLUMN_SETS}
-
-
 @functools.lru_cache(maxsize=None)
 def expansion_plan(pivots: tuple[int, ...]) -> tuple[tuple[tuple, bool], ...]:
     """(block, negate) for each column set A on the cell P_I, in COLUMN_SETS order.
 
-    ``block`` lists, row by row, the 0-based (row, column) positions in a
-    canonical representative of the reduced block of
-    ``reduced_minor_indices(A, I)`` (read from ``reduced_index_table``), and
-    ``negate`` is ``expansion_sign(A, I) < 0``: det_A is det(block), negated
-    if ``negate``.
+    Row r of a canonical representative has its 1 on column I[2 - r], so the
+    pivot columns in A are unit vectors.  Expanding det_A along them leaves
+    the rows they miss on A's non-pivot columns: ``block`` lists, row by
+    row, those 0-based (row, column) positions, and ``negate`` is the parity
+    of the assignment of A's columns to rows (pivot columns to their unit
+    rows, the others to the rows left, in order): det_A is det(block),
+    negated if ``negate``.  Computed once per cell.
     """
-    table = reduced_index_table()
-    if (COLUMN_SETS[0], pivots) not in table:
+    if pivots != reflected_complement(pivots):
         raise ValueError(f"pivot set {pivots} is not self-paired")
-    free = [c for c in range(AMBIENT) if c + 1 not in pivots]
+    unit_row = {c: ELL - 1 - r for r, c in enumerate(pivots)}
     plan = []
     for A in COLUMN_SETS:
-        block_rows, block_cols = table[A, pivots]
-        block = tuple(tuple((r - 1, free[c - 1]) for c in block_cols) for r in block_rows)
-        plan.append((block, expansion_sign(A, pivots) < 0))
+        rows = [r for r in range(ELL) if pivots[ELL - 1 - r] not in A]
+        cols = [a - 1 for a in A if a not in unit_row]
+        free_rows = iter(rows)
+        assigned = [unit_row[a] if a in unit_row else next(free_rows) for a in A]
+        inversions = sum(x > y for x, y in combinations(assigned, 2))
+        plan.append((tuple(tuple((r, c) for c in cols) for r in rows), inversions % 2 == 1))
     return tuple(plan)
 
 

@@ -549,6 +549,23 @@ def test_closed_stdout_ends_the_process_quietly():
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
+#: argv and golden file (None: compare with the run's stdout bytes) of the commands that take --out
+PIPE_OUT_RUNS = {
+    "genmat": (["genmat", "--q", "3"], None),
+    "points": (["points", "--q", "3", "--format", "txt"], None),
+    "weight-dist": (["weight-dist", "--q", "3"], "weight-dist-q3.csv"),
+}
+
+
+@pytest.mark.parametrize("name", PIPE_OUT_RUNS)
+def test_out_dev_stdout_into_a_pipe(name):
+    """--out /dev/stdout, stdout a pipe: the pipe cannot seek, so no old output is cut
+    (tell() raised ESPIPE, exit 2); the same bytes as the stdout run, or the golden file."""
+    argv, golden = PIPE_OUT_RUNS[name]
+    out = _module_run([*argv, "--out", "/dev/stdout"])
+    assert out == ((ROOT / "tests" / "golden" / golden).read_bytes() if golden else _module_run(argv))
+
+
 #: argv and golden file (None: compare with main in process) of one run of every command
 FRESH_RUNS = {
     "points-json": (["points", "--q", "3"], None),

@@ -39,7 +39,7 @@ from ograss.generator import _det_tables, _np_det, cell_minors
 from ograss.gf import factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import (
-    COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, reduced_index_table, reflected_complement,
+    COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, reflected_complement,
 )
 from ograss.polar import (
     CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, family_mask, point_count,
@@ -1065,34 +1065,48 @@ def test_verify_direct_minor_check_fails_on_a_flipped_generator_entry(monkeypatc
 _DUALITY = "reduced index transpose duality"
 
 
-@pytest.mark.parametrize("A, I, side", [((1, 2, 3), (4, 5, 6), 0), ((2, 3, 6), (1, 3, 5), 1),
-                                         ((1, 4, 5), (1, 4, 5), 0)])
-def test_verify_duality_check_fails_on_one_corrupted_reduced_index_pair(monkeypatch, A, I, side):
-    """The check reads every column set against its reflected complement on every
-    cell of the shared table, so one pair with an extra row (side 0) or column
-    (side 1) index fails it, and it alone."""
-    table = dict(reduced_index_table())
-    pair = list(table[A, I])
-    pair[side] += (4,)
-    table[A, I] = tuple(pair)
-    monkeypatch.setattr(codes, "reduced_index_table", lambda: table)
+def _corrupted(block, pivots, kind):
+    """block with one extra row (a copy of its first), one extra column (a copy of each row's
+    first position) or its first position moved onto the first pivot column.  The 0 x 0 block
+    has no row or position to copy or move, so it gains a row of its own: empty for "row", and
+    for "column" and "pivot" one position on row 0 and on the last non-pivot column (off the
+    diagonal of the skew block, which a self-paired set's transpose would keep) or the first
+    pivot column."""
+    if not block:
+        free = max(set(range(6)) - {c - 1 for c in pivots})
+        return {"row": ((),), "column": (((0, free),),), "pivot": (((0, pivots[0] - 1),),)}[kind]
+    if kind == "row":
+        return block + block[:1]
+    if kind == "column":
+        return tuple(row + row[:1] for row in block)
+    (r, _), *rest = block[0]
+    return (((r, pivots[0] - 1), *rest), *block[1:])
+
+
+@pytest.mark.parametrize("kind", ["row", "column", "pivot"])
+@pytest.mark.parametrize("A, I", [((1, 2, 3), (4, 5, 6)), ((2, 3, 6), (1, 3, 5)), ((1, 4, 5), (1, 4, 5))])
+def test_verify_duality_check_fails_on_one_corrupted_plan_entry(monkeypatch, A, I, kind):
+    """The check reads every column set's block against its reflected complement's on every
+    cell, so one corrupted entry of one plan fails it, and it alone; the generator reads
+    the plans through its own binding and stays correct."""
+    plan = list(expansion_plan(I))
+    block, negate = plan[COLUMN_SETS.index(A)]
+    plan[COLUMN_SETS.index(A)] = (_corrupted(block, I, kind), negate)
+    monkeypatch.setattr(codes, "expansion_plan", lambda pivots: tuple(plan) if pivots == I else expansion_plan(pivots))
     rep = verify(field(3), budget=1000)
     assert [c.name for c in rep.checks if not c.passed] == [_DUALITY]
     assert f"FAIL {_DUALITY}: expected True, got False" in rep.lines()
 
 
-def test_verify_computes_each_reduced_index_pair_once(monkeypatch):
-    """The generator's expansion plans and verify's duality check read one table:
-    from empty caches, verify computes each of the 160 (A, I) pairs once."""
-    calls = []
-    inner = grassmann.reduced_minor_indices
-    monkeypatch.setattr(grassmann, "reduced_minor_indices", lambda A, I: calls.append((A, I)) or inner(A, I))
+def test_verify_computes_each_cell_plan_once(monkeypatch):
+    """The generator's minors and verify's duality check read one cached plan per cell:
+    from empty caches, verify computes each of the eight plans once."""
     monkeypatch.setattr(codes, "build_generator", build_generator.__wrapped__)  # past the cache
-    reduced_index_table.cache_clear()
     expansion_plan.cache_clear()
     assert verify(field(3), budget=1000).passed
-    assert len(calls) == len(set(calls)) == len(COLUMN_SETS) * len(CELL_ORDER) == 160
-    assert reduced_index_table() == {(A, I): inner(A, I) for A in COLUMN_SETS for I in CELL_ORDER}
+    info = expansion_plan.cache_info()
+    assert info.misses == info.currsize == len(CELL_ORDER) == 8
+    assert info.hits >= len(CELL_ORDER)
 
 
 def test_verify_q5_upper_bound_only():

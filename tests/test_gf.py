@@ -212,6 +212,14 @@ def test_is_irreducible_normalizes_the_polynomial():
     assert not any(is_irreducible(5, c) for c in ((), (0,), (3,), (0, 0), (4, 0, 0)))
 
 
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 6, 8, 9, 25, 49, 2 * 53])
+def test_is_irreducible_refuses_a_p_that_is_not_prime(p):
+    """Z/p is no field for such a p: at 4 and 9 the table test read x + 1 as reducible."""
+    for poly in ((1, 1), (1,), (1, 0, 1)):
+        with pytest.raises(ValueError, match=f"{p} is not a prime"):
+            is_irreducible(p, poly)
+
+
 @pytest.mark.parametrize("p, poly", [(2, (1, 1, 0, 0, 0, 0, 1)), (7, (3, 0, 0, 1)), (53, (1, 1)), (3, (1, 0, 0, 0, 1, 0))])
 def test_is_irreducible_refuses_degrees_above_the_maximum(p, poly):
     with pytest.raises(ValueError, match=f"q={p ** (len(poly) - 1 - (poly[-1] == 0))} exceeds the supported maximum 49"):

@@ -14,9 +14,7 @@ from ograss.grassmann import (
     det,
     expand_minor,
     expansion_plan,
-    expansion_sign,
     minor,
-    reduced_minor_indices,
     reflected_complement,
     rref_right_to_left,
 )
@@ -207,31 +205,33 @@ def test_reflected_complement_is_involution():
     assert tuple(sorted(fixed)) == tuple(sorted(CELL_ORDER))
 
 
-def test_reduced_minor_indices():
-    assert reduced_minor_indices((2, 3, 6), (4, 5, 6)) == ((2, 3), (2, 3))
-    assert reduced_minor_indices((1, 2, 5), (4, 5, 6)) == ((1, 3), (1, 2))
-    assert reduced_minor_indices((4, 5, 6), (4, 5, 6)) == ((), ())
-    assert reduced_minor_indices((1, 2, 3), (4, 5, 6)) == ((1, 2, 3), (1, 2, 3))
-    with pytest.raises(ValueError):
-        reduced_minor_indices((1, 2, 3), (1, 2, 5))  # pivot set not self-paired
+def test_expansion_plan_frozen_cases():
+    """Four entries on the cell P456, whose rows 0, 1, 2 carry their 1s on the 0-based columns
+    5, 4, 3: the pivot columns in A leave the rows they miss on A's non-pivot columns."""
+    plan = dict(zip(COLUMN_SETS, expansion_plan((4, 5, 6))))
+    assert plan[2, 3, 6] == ((((1, 1), (1, 2)), ((2, 1), (2, 2))), False)
+    assert plan[1, 2, 5] == ((((0, 0), (0, 1)), ((2, 0), (2, 1))), True)
+    assert plan[4, 5, 6] == ((), True)  # the anti-diagonal identity: det = -1
+    assert plan[1, 2, 3] == ((((0, 0), (0, 1), (0, 2)), ((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1), (2, 2))), False)
+
+
+@pytest.mark.parametrize("pivots", [(1, 2, 5), (4, 5), (6, 5, 4)])
+def test_expansion_plan_refuses_a_pivot_set_that_is_not_self_paired(pivots):
     with pytest.raises(ValueError, match="not self-paired"):
-        expansion_plan((1, 2, 5))  # no row of the shared table
+        expansion_plan(pivots)
 
 
 def test_transpose_duality_exhaustive():
+    """On every cell, the block of A transposed in the skew block (matrix column c is its
+    column free.index(c)) is the block of A's reflected complement: all 160 pairs."""
     for I in CELL_ORDER:
+        free = [c for c in range(6) if c + 1 not in I]
+        plan = dict(zip(COLUMN_SETS, expansion_plan(I)))
         for A in COLUMN_SETS:
-            r_a, c_a = reduced_minor_indices(A, I)
-            r_s, c_s = reduced_minor_indices(reflected_complement(A), I)
-            assert r_a == c_s
-            assert c_a == r_s
-
-
-def test_expansion_sign_frozen_cases():
-    assert expansion_sign((4, 5, 6), (4, 5, 6)) == -1
-    assert expansion_sign((2, 3, 6), (4, 5, 6)) == 1
-    assert expansion_sign((1, 2, 5), (4, 5, 6)) == -1
-    assert expansion_sign((1, 2, 3), (4, 5, 6)) == 1
+            block = plan[A][0]
+            assert all(len(row) == len(block) for row in block)
+            transposed = tuple(tuple((free.index(c), free[r]) for r, c in col) for col in zip(*block))
+            assert transposed == plan[reflected_complement(A)][0]
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -23,9 +23,8 @@ EXPORTED = {
               "rank_dimension", "verify", "weight", "weight_distribution"],
     "forms": ["FormSpace"],
     "gf": ["GF", "DEFAULT_IRREDUCIBLE", "FieldMismatchError", "factor_prime_power", "field", "is_irreducible"],
-    "grassmann": ["COLUMN_SETS", "MatrixRep", "MinorFunction", "RankDeficientError", "expand_minor",
-                  "expansion_sign", "minor", "reduced_minor_indices", "reflected_complement",
-                  "rref_right_to_left"],
+    "grassmann": ["COLUMN_SETS", "MatrixRep", "MinorFunction", "RankDeficientError", "expand_minor", "minor",
+                  "reflected_complement", "rref_right_to_left"],
     "polar": ["CELL_ARITY", "CELL_ORDER", "CostGuardExceeded", "Point", "brute_force_points", "build_cell",
               "cell_slices", "enumerate_points", "point_count", "swap34_map"],
 }

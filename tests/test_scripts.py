@@ -89,6 +89,18 @@ def test_distance_table_csv(tmp_path):
     assert csv.read_text() == "q,n,k,d,exact\n2,30,14,8,True\n3,80,20,18,True\n"
 
 
+def test_distance_table_csv_to_stdout_pipe(tmp_path):
+    """--csv /dev/stdout, stdout a block-buffered pipe: the table, then the CSV, exit 0."""
+    csv = tmp_path / "d.csv"
+    table = _script("distance_table.py", "--qs", "2", "--csv", str(csv))
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, str(ROOT / "scripts" / "distance_table.py"), "--qs", "2", "--csv", "/dev/stdout"]
+    res = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == table.stdout + csv.read_text()
+
+
 def test_distance_table_unwritable_csv_is_a_usage_error(tmp_path):
     """The --csv file is opened before the first distance: a path in a missing
     directory exits 2 with no traceback and no table on stdout."""

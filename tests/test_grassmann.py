@@ -205,14 +205,37 @@ def test_reflected_complement_is_involution():
     assert tuple(sorted(fixed)) == tuple(sorted(CELL_ORDER))
 
 
-def test_expansion_plan_frozen_cases():
+def test_reduced_minor_indices():
     """Four entries on the cell P456, whose rows 0, 1, 2 carry their 1s on the 0-based columns
-    5, 4, 3: the pivot columns in A leave the rows they miss on A's non-pivot columns."""
+    5, 4, 3: the pivot columns in A leave the rows they miss on A's non-pivot columns. Read as
+    1-based (rows, skew columns), the blocks are the reduced minor indices."""
     plan = dict(zip(COLUMN_SETS, expansion_plan((4, 5, 6))))
-    assert plan[2, 3, 6] == ((((1, 1), (1, 2)), ((2, 1), (2, 2))), False)
-    assert plan[1, 2, 5] == ((((0, 0), (0, 1)), ((2, 0), (2, 1))), True)
-    assert plan[4, 5, 6] == ((), True)  # the anti-diagonal identity: det = -1
-    assert plan[1, 2, 3] == ((((0, 0), (0, 1), (0, 2)), ((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1), (2, 2))), False)
+    assert plan[2, 3, 6][0] == (((1, 1), (1, 2)), ((2, 1), (2, 2)))
+    assert plan[1, 2, 5][0] == (((0, 0), (0, 1)), ((2, 0), (2, 1)))
+    assert plan[4, 5, 6][0] == ()
+    assert plan[1, 2, 3][0] == (((0, 0), (0, 1), (0, 2)), ((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1), (2, 2)))
+
+    def reduced(block):  # on P456 the skew columns are the matrix columns 0, 1, 2
+        rows = tuple(row[0][0] + 1 for row in block)
+        columns = tuple(c + 1 for _, c in block[0]) if block else ()
+        return rows, columns
+
+    assert reduced(plan[2, 3, 6][0]) == ((2, 3), (2, 3))
+    assert reduced(plan[1, 2, 5][0]) == ((1, 3), (1, 2))
+    assert reduced(plan[4, 5, 6][0]) == ((), ())
+    assert reduced(plan[1, 2, 3][0]) == ((1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="not self-paired"):
+        expansion_plan((1, 2, 5))
+
+
+def test_expansion_sign_frozen_cases():
+    """The sign of each P456 expansion is the plan's negate flag."""
+    plan = dict(zip(COLUMN_SETS, expansion_plan((4, 5, 6))))
+    sign = {A: -1 if plan[A][1] else 1 for A in [(4, 5, 6), (2, 3, 6), (1, 2, 5), (1, 2, 3)]}
+    assert sign[4, 5, 6] == -1  # the anti-diagonal identity: det = -1
+    assert sign[2, 3, 6] == 1
+    assert sign[1, 2, 5] == -1
+    assert sign[1, 2, 3] == 1
 
 
 @pytest.mark.parametrize("pivots", [(1, 2, 5), (4, 5), (6, 5, 4)])

@@ -88,12 +88,12 @@ def _field(q: int, poly: str | None = None) -> GF:
 
 @contextmanager
 def _output(out: str | None) -> Iterator:
-    """stdout's binary stream, or the file ``out`` opened at once, so that a bad path fails before
-    the work.  An existing file keeps its bytes until output is written (then cut to the output's
-    length), and a file made here and still empty at the end (an error, a failed check) is removed.
-    stdout is flushed first, and only a seekable file is cut: ``out`` may be a pipe (``/dev/stdout``)."""
+    """stdout's binary stream (flushed first), also for ``out`` naming stdout's own file, which a second
+    open (``/dev/stdout``) would write from offset 0 without O_APPEND.  Else the file ``out`` opened at
+    once, so that a bad path fails before the work: an existing file keeps its bytes until output is
+    written (then cut to its length), and a file made here and still empty at the end is removed."""
     sys.stdout.flush()
-    if not out:
+    if not out or os.path.exists(out) and os.path.samestat(os.stat(out), os.fstat(1)):
         yield sys.stdout.buffer
         return
     made = not os.path.lexists(out)

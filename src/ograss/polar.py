@@ -35,22 +35,21 @@ The frozen point order -- cells as listed above, each in its grid's
 C order -- fixes the coordinate order of every codeword and is part of
 the file-format contract.  Total count: 2*(q^3 + q^2 + q + 1).
 
-``brute_force_points`` is an independent oracle: it scans every rank-3
-right-to-left reduced 3x6 matrix and filters by the form conditions.
-``verify`` compares the cell enumeration with it at q <= 3; a cost guard
-refuses it above q = 4.
+``brute_force_points`` is an independent oracle: it masks every rank-3
+right-to-left reduced 3x6 matrix by ``forms.totally_singular_mask``, one
+array per pivot set.  ``verify`` compares the cell enumeration with it at
+q <= 3; a cost guard refuses it above q = 4.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
-from typing import Iterator
+from itertools import combinations
 
 import numpy as np
 
 from .gf import GF
-from .grassmann import AMBIENT, ELL, MatrixRep
+from .grassmann import AMBIENT, COLUMN_SETS, ELL, MatrixRep
 
 #: Cell enumeration order (also the per-cell segment order of codewords).
 CELL_ORDER: tuple[tuple[int, int, int], ...] = (
@@ -174,41 +173,32 @@ def family_mask(q: int) -> np.ndarray:
     return mask
 
 
-def canonical_rref_forms(f: GF) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every rank-3 right-to-left reduced 3x6 matrix over GF(q), as row tuples.
-
-    Row r holds the r-th largest pivot; free entries sit on non-pivot
-    columns strictly left of the row's pivot.
-    """
-    for I in combinations(range(1, AMBIENT + 1), ELL):
-        piv_desc = sorted(I, reverse=True)
-        free: list[tuple[int, int]] = []
-        for r, piv in enumerate(piv_desc):
-            for c in range(1, AMBIENT + 1):
-                if c not in I and c < piv:
-                    free.append((r, c))
-        base = [[0] * AMBIENT for _ in range(ELL)]
-        for r, piv in enumerate(piv_desc):
-            base[r][piv - 1] = 1
-        for values in product(range(f.q), repeat=len(free)):
-            rows = [list(r) for r in base]
-            for (r, c), v in zip(free, values):
-                rows[r][c - 1] = v
-            yield tuple(tuple(r) for r in rows)
-
-
 @functools.lru_cache(maxsize=8)
 def brute_force_points(f: GF) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """Oracle enumeration: filter all canonical reduced forms by the form conditions.
+    """Every totally singular rank-3 right-to-left reduced 3x6 matrix, as row tuples, without the cell rule.
 
-    Cost grows like the Gaussian binomial [6 choose 3]_q, so q is guarded at 4.
+    Row r holds the r-th largest pivot, and the free entries sit on the non-pivot columns left of
+    it: each of the 20 pivot sets is one (3, 6, q^free) array filled from an open grid.  The cost
+    grows like the Gaussian binomial [6 choose 3]_q, so q is guarded at 4.
     """
     if f.q > 4:
         raise CostGuardExceeded(f"brute-force scan at q={f.q} exceeds the cost guard")
-    from .forms import FormSpace  # only this oracle reads the forms
+    from .forms import totally_singular_mask  # only this oracle reads the forms
 
-    space = FormSpace(f, ELL)
-    return frozenset(rows for rows in canonical_rref_forms(f) if space.is_totally_singular(rows))
+    dtype = f.np_tables()[0].dtype
+    out = []
+    for I in COLUMN_SETS:
+        pivots = sorted(I, reverse=True)
+        free = [(r, c - 1) for r, piv in enumerate(pivots) for c in range(1, piv) if c not in I]
+        mats = np.zeros((ELL, AMBIENT) + (f.q,) * len(free), dtype=dtype)
+        mats[range(ELL), [piv - 1 for piv in pivots]] = 1
+        for (r, c), axis in zip(free, np.ix_(*[np.arange(f.q, dtype=dtype)] * len(free))):
+            mats[r, c] = axis
+        # masked in q slices and freed before the next set is made, so the scan stays below verify's peak RSS
+        for part in np.array_split(mats.reshape(ELL, AMBIENT, -1), f.q, axis=2):
+            out += part[:, :, totally_singular_mask(f, part)].transpose(2, 0, 1).tolist()
+        del mats, part
+    return frozenset(tuple(map(tuple, rows)) for rows in out)
 
 
 def swap34_map(f: GF) -> np.ndarray:

@@ -82,10 +82,10 @@ def test_criterion_4_exact_minimum_distance():
 def test_criterion_5_point_counts_and_oracle():
     for q in (2, 3, 4, 5):
         assert len(enumerate_points(field(q))) == point_count(q)
-    for q in (2, 3):
+    for q in (2, 3, 4):
         f = field(q)
         assert frozenset(p.matrix.rows for p in enumerate_points(f)) == brute_force_points(f)
-    _report("criterion 5", "counts q=2..5, reduced-form oracle q=2,3")
+    _report("criterion 5", "counts q=2..5, reduced-form oracle q=2,3,4")
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -566,6 +566,29 @@ def test_out_dev_stdout_into_a_pipe(name):
     assert out == ((ROOT / "tests" / "golden" / golden).read_bytes() if golden else _module_run(argv))
 
 
+def _append_run(argv, path):
+    """python -m ograss with these arguments, stdout the file at path opened for append (>>): the exit status."""
+    with open(path, "ab") as out:
+        return subprocess.run([sys.executable, "-m", "ograss", *argv], stdout=out, stderr=subprocess.DEVNULL,
+                              env=_module_env(), timeout=120).returncode
+
+
+@pytest.mark.parametrize("name", PIPE_OUT_RUNS)
+def test_out_dev_stdout_onto_an_appended_file(name, tmp_path):
+    """--out /dev/stdout, stdout a file opened for append: a second open of /dev/stdout would start
+    at offset 0 without O_APPEND and the cut would drop the rest, so the output goes through stdout
+    and follows the file's earlier bytes; a run refused before its output adds nothing."""
+    argv, golden = PIPE_OUT_RUNS[name]
+    path = tmp_path / "out"
+    path.write_bytes(b"hello\n")
+    assert _append_run([*argv, "--out", "/dev/stdout"], path) == 0
+    expected = (ROOT / "tests" / "golden" / golden).read_bytes() if golden else _module_run(argv)
+    assert path.read_bytes() == b"hello\n" + expected
+    refused = [*argv, "--budget", "1"] if name == "weight-dist" else [argv[0], "--q", "6"]
+    assert _append_run([*refused, "--out", "/dev/stdout"], path) == 2
+    assert path.read_bytes() == b"hello\n" + expected
+
+
 #: argv and golden file (None: compare with main in process) of one run of every command
 FRESH_RUNS = {
     "points-json": (["points", "--q", "3"], None),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ograss import codes, grassmann
+from ograss import cli, codes, forms, grassmann
 from ograss.codes import (
     BudgetExceeded,
     GeneratorMatrix,
@@ -36,13 +36,14 @@ from ograss.codes import (
     weight_distribution,
 )
 from ograss.generator import _det_tables, _np_det, cell_minors
-from ograss.gf import factor_prime_power, field, row_reduce
+from ograss.gf import GF, factor_prime_power, field, row_reduce
 from ograss.forms import FormSpace, totally_singular_mask
 from ograss.grassmann import (
     COLUMN_SETS, MatrixRep, MinorFunction, expansion_plan, minor, reflected_complement,
 )
 from ograss.polar import (
-    CELL_ARITY, CELL_ORDER, build_cell, cell_matrices, cell_slices, enumerate_points, family_mask, point_count,
+    CELL_ARITY, CELL_ORDER, brute_force_points, build_cell, cell_matrices, cell_slices, enumerate_points, family_mask,
+    point_count,
 )
 
 
@@ -221,13 +222,50 @@ def test_cell_minors_vary_along_at_most_two_axes(q):
             assert v.shape.count(q) <= 2
 
 
-def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch):
+GOLDEN = Path(__file__).parent / "golden"
+#: argv and golden file (None: compare with the run before the scalar layer is forbidden) of every command
+_ARRAY_RUNS = [
+    (["verify", "--q", "2", "--budget", "1000"], "verify-q2-budget1000.txt"),
+    (["verify", "--q", "3", "--budget", "1000"], "verify-q3-budget1000.txt"),
+    (["distance", "--q", "2"], "distance-q2.json"),
+    (["weight-dist", "--q", "3"], "weight-dist-q3.csv"),
+    (["points", "--q", "3"], None),
+    (["genmat", "--q", "3"], None),
+    (["weights", "--q", "3", "--coeffs", "witness.txt"], None),
+]
+
+
+def test_generator_q49_builds_without_points_or_direct_minors(monkeypatch, tmp_path, capsysbinary):
+    """No command runs the scalar layer (the scalar GF operations, FormSpace, MatrixRep, the scalar
+    minors and row reduction, build_cell and enumerate_points): with each name made to raise and the
+    caches emptied, every command writes the bytes it wrote before, its golden file where it has one
+    (test_golden pins points and genmat by hash)."""
     def forbidden(*args):
-        raise AssertionError("the generator build and verify must not build per-point matrix objects")
+        raise AssertionError("no command may run the scalar layer")
 
     for name in ("enumerate_points", "MatrixRep", "minor", "FormSpace"):
         assert not hasattr(codes, name)
+    (tmp_path / "witness.txt").write_text(",".join(map(str, min_weight_witness(field(3)).coeffs)))
+    runs = [[str(tmp_path / a) if a == "witness.txt" else a for a in argv] for argv, _ in _ARRAY_RUNS]
+    before = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        before.append(capsysbinary.readouterr().out)
+    for name in ("add", "sub", "neg", "mul"):
+        monkeypatch.setattr(GF, name, forbidden)
+    for name in ("bilinear", "quadratic", "is_totally_singular"):
+        monkeypatch.setattr(FormSpace, name, forbidden)
     monkeypatch.setattr(MatrixRep, "__init__", forbidden)
+    monkeypatch.setattr(MinorFunction, "evaluate", forbidden)
+    for module in [m for n, m in sys.modules.items() if n == "ograss" or n.startswith("ograss.")]:
+        for name in ("det", "minor", "rref_right_to_left", "expand_minor", "build_cell", "enumerate_points"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, forbidden)
+    for cached in (brute_force_points, build_generator, codes._reduced_basis):
+        cached.cache_clear()
+    for argv, (_, golden), out in zip(runs, _ARRAY_RUNS, before):
+        assert cli.main(argv) == 0
+        assert capsysbinary.readouterr().out == ((GOLDEN / golden).read_bytes() if golden else out)
     f = field(49)
     start = time.perf_counter()
     G = build_generator.__wrapped__(f)  # past the cache, which another test may have filled
@@ -1024,6 +1062,14 @@ def test_verify_point_checks_fail_on_corrupted_cells(monkeypatch, corrupt, faili
     monkeypatch.setattr(codes, "cell_matrices", corrupted)
     rep = verify(f, budget=1000)
     assert {c.name for c in rep.checks if not c.passed} == failing
+
+
+def test_verify_scan_check_fails_on_a_lax_singular_mask(monkeypatch):
+    """A mask that accepts every matrix lets the reduced-form scan keep the non-singular forms too:
+    only the scan check fails, since the cells' own singularity check then passes."""
+    monkeypatch.setattr(forms, "totally_singular_mask", lambda f, mats: np.ones(mats.shape[2], dtype=bool))
+    monkeypatch.setattr(codes, "brute_force_points", brute_force_points.__wrapped__)  # past the cache
+    assert [c.name for c in verify(field(3), budget=1000).checks if not c.passed] == [_SCAN]
 
 
 def _verify_failures(monkeypatch, q, corrupted_cells):

@@ -1,5 +1,5 @@
 import time
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -105,10 +105,29 @@ def test_points_totally_singular_and_distinct(q):
     assert len({p.matrix.rows for p in pts}) == len(pts)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_enumeration_matches_brute_force(q):
     f = field(q)
     assert frozenset(p.matrix.rows for p in enumerate_points(f)) == brute_force_points(f)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_brute_force_equals_the_scalar_reduced_form_filter(q):
+    """The array scan keeps exactly the right-to-left reduced forms (row r on the r-th largest
+    pivot, free entries on non-pivot columns left of it) that FormSpace's scalar test accepts."""
+    f = field(q)
+    space = FormSpace(f, 3)
+    forms = set()
+    for I in combinations(range(1, 7), 3):
+        pivots = sorted(I, reverse=True)
+        free = [(r, c - 1) for r, piv in enumerate(pivots) for c in range(1, piv) if c not in I]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[int(c == piv) for c in range(1, 7)] for piv in pivots]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            if space.is_totally_singular(rows):
+                forms.add(tuple(map(tuple, rows)))
+    assert brute_force_points(f) == forms
 
 
 def test_brute_force_histogram_q3():

@@ -101,6 +101,19 @@ def test_distance_table_csv_to_stdout_pipe(tmp_path):
     assert res.stdout == table.stdout + csv.read_text()
 
 
+def test_distance_table_csv_to_stdout_file(tmp_path):
+    """--csv /dev/stdout, stdout a file (>): the CSV follows the table in that file, where a
+    second open of /dev/stdout at offset 0 would write over the table and cut it."""
+    csv = tmp_path / "d.csv"
+    table = _script("distance_table.py", "--qs", "2,3", "--csv", str(csv))
+    out = tmp_path / "out"
+    argv = [sys.executable, str(ROOT / "scripts" / "distance_table.py"), "--qs", "2,3", "--csv", "/dev/stdout"]
+    with open(out, "wb") as stdout:
+        res = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=_env(), timeout=300)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert out.read_text() == table.stdout + csv.read_text()
+
+
 def test_distance_table_unwritable_csv_is_a_usage_error(tmp_path):
     """The --csv file is opened before the first distance: a path in a missing
     directory exits 2 with no traceback and no table on stdout."""
